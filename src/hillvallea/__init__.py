@@ -19,7 +19,7 @@ from .optimizer import (ElitistArchive, InjectionMode, OptimizerConfig,
                         truncation_selection, uniform_sample)
 from .problems import (BenchmarkProblem, BudgetedObjective, EvaluationCounter,
                        KnownOptimum, SearchDomain, UnsupportedProblemError,
-                       evaluate, make_problem, problem_names)
+                       make_problem, problem_names)
 
 __all__ = [
     "AggregateSummary", "BenchmarkProblem", "BudgetedObjective", "Cluster",
@@ -28,7 +28,7 @@ __all__ = [
     "KnownOptimum", "OptimizerConfig", "PeakRatioReport", "RestartLog",
     "RunResult", "SearchDomain", "SearcherConstants", "SearcherKind",
     "Solution", "UnsupportedProblemError", "aggregate", "average_edge_length",
-    "evaluate", "expected_edge_length", "hill_valley_clustering",
+    "expected_edge_length", "hill_valley_clustering",
     "hill_valley_test", "init_from_cluster", "make_problem", "peak_ratio",
     "postprocess", "problem_names", "recommended_population_size",
     "run_hillvallea", "test_point_count", "truncation_selection",

@@ -89,42 +89,28 @@ def parse_problem_spec(spec: str) -> tuple:
     return tuple(ids)
 
 
-@dataclass(frozen=True)
-class _Task:
-    problem_id: int
-    kind: SearcherKind
-    seed: int
-    budget: Optional[int]
-    budget_multiplier: Optional[float]
-    tol: float
-    epsilon: float
-    injection: InjectionMode
-    trace: Optional[int]
-    constants: SearcherConstants
-
-
-def _execute_task(task: _Task):
+def _execute_task(sweep: RunConfig, problem_id: int, seed: int):
     """Run one repetition; returns (record, trace rows, run result, report)."""
-    problem = make_problem(task.problem_id)
-    budget = task.budget
-    if budget is None and task.budget_multiplier is not None:
-        budget = int(round(problem.budget * task.budget_multiplier))
-    config = OptimizerConfig(tol=task.tol, injection=task.injection, budget=budget,
-                             trace_every=task.trace, constants=task.constants)
+    problem = make_problem(problem_id)
+    budget = sweep.budget
+    if budget is None and sweep.budget_multiplier is not None:
+        budget = int(round(problem.budget * sweep.budget_multiplier))
+    config = OptimizerConfig(tol=sweep.tol, injection=sweep.injection, budget=budget,
+                             trace_every=sweep.trace, constants=sweep.constants)
     metric = None
-    if task.trace:
+    if sweep.trace:
         metric = lambda archive: peak_ratio(
-            list(archive), problem, task.epsilon).ratio
+            list(archive), problem, sweep.epsilon).ratio
     start = time.perf_counter()
-    result = run_hillvallea(problem, task.kind, config, seed=task.seed,
+    result = run_hillvallea(problem, sweep.kind, config, seed=seed,
                             trace_metric=metric)
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    report = peak_ratio(list(result.archive), problem, task.epsilon)
+    report = peak_ratio(list(result.archive), problem, sweep.epsilon)
     fractions = result.phase_fractions
     record = {
-        "problem_id": task.problem_id,
-        "kind": task.kind.value,
-        "seed": task.seed,
+        "problem_id": problem_id,
+        "kind": sweep.kind.value,
+        "seed": seed,
         "evaluations_used": result.evaluations_used,
         "peak_ratio": report.ratio,
         "n_elites": len(result.archive),
@@ -135,7 +121,7 @@ def _execute_task(task: _Task):
         "wall_time_ms": elapsed_ms,
     }
     trace_rows = [
-        {"problem_id": task.problem_id, "kind": task.kind.value, "seed": task.seed,
+        {"problem_id": problem_id, "kind": sweep.kind.value, "seed": seed,
          "evaluations": evals, "peak_ratio": value}
         for evals, value in result.trace
     ]
@@ -151,19 +137,14 @@ class SweepData:
 
 def execute_sweep(config: RunConfig) -> SweepData:
     """Run all (problem, repetition) pairs of a sweep; seeds are seed + rep."""
-    tasks = [
-        _Task(problem_id=pid, kind=config.kind, seed=config.seed + rep,
-              budget=config.budget, budget_multiplier=config.budget_multiplier,
-              tol=config.tol, epsilon=config.epsilon, injection=config.injection,
-              trace=config.trace, constants=config.constants)
-        for pid in config.problems
-        for rep in range(config.reps)
-    ]
-    if config.jobs > 1 and len(tasks) > 1:
+    pids = [pid for pid in config.problems for _ in range(config.reps)]
+    seeds = [config.seed + rep for _ in config.problems for rep in range(config.reps)]
+    configs = [config] * len(pids)
+    if config.jobs > 1 and len(pids) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(pool.map(_execute_task, tasks))
+            outcomes = list(pool.map(_execute_task, configs, pids, seeds))
     else:
-        outcomes = [_execute_task(t) for t in tasks]
+        outcomes = list(map(_execute_task, configs, pids, seeds))
 
     data = SweepData()
     by_problem: dict = {}

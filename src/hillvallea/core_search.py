@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .hillvalley import Cluster, Solution
-from .problems import SearchDomain
+from .problems import BudgetedObjective, SearchDomain
 
 
 class SearcherKind(Enum):
@@ -97,21 +97,6 @@ def _sqrt_factor(matrix: np.ndarray) -> np.ndarray:
         return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _evaluate_rows(evaluate: Callable, X: np.ndarray) -> tuple[np.ndarray, int]:
-    """Evaluate rows of X under a budgeted objective; returns (fitness, count)."""
-    batch = getattr(evaluate, "batch", None)
-    if batch is not None:
-        fs = batch(X)
-        return fs, len(fs)
-    out = []
-    for row in X:
-        f = evaluate(row)
-        if f is None:
-            break
-        out.append(f)
-    return np.array(out), len(out)
-
-
 class CoreSearcher:
     """Shared state and control loop of the Gaussian searchers."""
 
@@ -142,20 +127,16 @@ class CoreSearcher:
         """Reason string when the searcher should stop, else None."""
         raise NotImplementedError
 
-    def run_generation(self, evaluate: Callable, domain: SearchDomain) -> None:
+    def run_generation(self, evaluate: BudgetedObjective, domain: SearchDomain) -> None:
         raise NotImplementedError
 
-    def run(self, evaluate: Callable, domain: SearchDomain, tol: float = 1e-5,
-            max_generations: Optional[int] = None,
+    def run(self, evaluate: BudgetedObjective, domain: SearchDomain, tol: float = 1e-5,
             on_generation: Optional[Callable[[], None]] = None) -> Solution:
         """Run generations until a termination criterion fires; returns the best."""
         while True:
             reason = self.check_termination(tol)
             if reason is not None:
                 self.terminated_reason = reason
-                break
-            if max_generations is not None and self.generation >= max_generations:
-                self.terminated_reason = "generation-limit"
                 break
             self.run_generation(evaluate, domain)
             if on_generation is not None:
@@ -183,7 +164,7 @@ class CmsaSearcher(CoreSearcher):
         self.sigma = math.sqrt(sigma2)
         self.shape = init.covariance / sigma2
 
-    def run_generation(self, evaluate: Callable, domain: SearchDomain) -> None:
+    def run_generation(self, evaluate: BudgetedObjective, domain: SearchDomain) -> None:
         d = self.dimension
         lam = self.population_size
         tau_sigma = self.constants.tau_sigma
@@ -193,10 +174,10 @@ class CmsaSearcher(CoreSearcher):
         sigmas = self.sigma * np.exp(tau_sigma * self.rng.standard_normal(lam))
         Z = self.rng.standard_normal((lam, d)) @ _sqrt_factor(self.shape).T
         X = domain.clip(self.mean + sigmas[:, None] * Z)
-        fs, got = _evaluate_rows(evaluate, X)
-        if got < lam:
-            if got > 0:
-                self._record_best(X[:got], fs)
+        fs = evaluate.batch(X)
+        if len(fs) < lam:
+            if len(fs) > 0:
+                self._record_best(X[:len(fs)], fs)
             self.terminated_reason = "budget"
             return
 
@@ -282,7 +263,7 @@ class EdaSearcher(CoreSearcher):
             return math.inf
         return float(delta @ y)
 
-    def run_generation(self, evaluate: Callable, domain: SearchDomain) -> None:
+    def run_generation(self, evaluate: BudgetedObjective, domain: SearchDomain) -> None:
         c = self.constants
         n = self.population_size
         tau = self.kind.tau
@@ -294,10 +275,10 @@ class EdaSearcher(CoreSearcher):
         if n_ams > 0:
             X[:n_ams] += 2.0 * self.multiplier * self.mean_shift
         X = domain.clip(X)
-        fs, got = _evaluate_rows(evaluate, X)
-        if got < fresh:
-            if got > 0:
-                self._record_best(X[:got], fs)
+        fs = evaluate.batch(X)
+        if len(fs) < fresh:
+            if len(fs) > 0:
+                self._record_best(X[:len(fs)], fs)
             self.terminated_reason = "budget"
             return
         if self.best_ever is not None:

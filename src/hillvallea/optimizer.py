@@ -165,45 +165,38 @@ def postprocess(candidates: Sequence[Solution], archive: ElitistArchive, tol: fl
             archive.verified = True
             emptied = True
 
-    added = 0
-    for cand in sorted(survivors, key=lambda s: s.fitness):
+    added, untested = _merge(survivors, archive.solutions, evaluate)
+    if untested:
+        archive.verified = False
+    return PostprocessResult(added, discarded, emptied)
+
+
+def _merge(candidates: Sequence[Solution], elites: list,
+           evaluate: Callable) -> tuple[int, int]:
+    """Deduplicate candidates, best first, into ``elites`` as :func:`postprocess` describes.
+
+    Returns (insertions plus replacements, candidates appended untested).
+    """
+    added = untested = 0
+    for cand in sorted(candidates, key=lambda s: s.fitness):
         if getattr(evaluate, "exhausted", False):
-            archive.solutions.append(cand)
-            archive.verified = False
+            elites.append(cand)
             added += 1
+            untested += 1
             continue
         matched = False
-        for i, elite in enumerate(archive.solutions):
+        for i, elite in enumerate(elites):
             same, _ = hill_valley_test(cand, elite, ARCHIVE_TEST_POINTS, evaluate)
             if same:
                 if cand.fitness < elite.fitness:
-                    archive.solutions[i] = cand
+                    elites[i] = cand
                     added += 1
                 matched = True
                 break
         if not matched:
-            archive.solutions.append(cand)
+            elites.append(cand)
             added += 1
-    return PostprocessResult(added, discarded, emptied)
-
-
-def _absorb_side_optima(side: list, rejected: Sequence[Solution],
-                        evaluate: Callable) -> None:
-    """Deduplicate presumed local optima into the side archive (all-optima mode)."""
-    for cand in sorted(rejected, key=lambda s: s.fitness):
-        if getattr(evaluate, "exhausted", False):
-            side.append(cand)
-            continue
-        matched = False
-        for i, known in enumerate(side):
-            same, _ = hill_valley_test(cand, known, ARCHIVE_TEST_POINTS, evaluate)
-            if same:
-                if cand.fitness < known.fitness:
-                    side[i] = cand
-                matched = True
-                break
-        if not matched:
-            side.append(cand)
+    return added, untested
 
 
 class _Tracer:
@@ -318,7 +311,8 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
         if config.injection is InjectionMode.ALL_OPTIMA:
             if result.emptied:
                 side.clear()
-            _absorb_side_optima(side, result.discarded, obj_post)
+            # presumed local optima, deduplicated into the side archive
+            _merge(result.discarded, side, obj_post)
         tracer.checkpoint(archive)
 
         logs.append(RestartLog(

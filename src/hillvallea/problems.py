@@ -8,6 +8,7 @@ derived from the closed forms, refined to double precision.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -50,9 +51,6 @@ class SearchDomain:
     def volume(self) -> float:
         return float(np.prod(self.upper - self.lower))
 
-    def diagonal(self) -> float:
-        return float(np.linalg.norm(self.upper - self.lower))
-
     def contains(self, x: np.ndarray) -> bool:
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
@@ -93,18 +91,20 @@ class EvaluationCounter:
             self.phase_used[phase] = self.phase_used.get(phase, 0) + grant
         return max(grant, 0)
 
-    def fractions(self) -> dict:
-        if self.used == 0:
-            return {p: 0.0 for p in self.phase_used}
-        return {p: v / self.used for p, v in self.phase_used.items()}
+
+def _row_loop(objective: Callable[[np.ndarray], float], X: np.ndarray) -> np.ndarray:
+    """Batch form of a scalar objective: one call per row."""
+    return np.array([objective(row) for row in X])
 
 
 @dataclass
 class BenchmarkProblem:
     """Objective on a bounded box with budget and ground-truth optima.
 
-    ``objective`` maps a point to a minimization fitness; ``objective_batch``
-    is an optional vectorized form over an (n, d) array used as a fast path.
+    ``objective`` maps a point to a minimization fitness; the hill-valley
+    tests call it one point at a time. ``objective_batch`` is its vectorized
+    form over an (n, d) array, used for sampling and core search. When it is
+    not given, a row loop over ``objective`` stands in for it.
     """
 
     id: int
@@ -116,6 +116,10 @@ class BenchmarkProblem:
     niche_radius: float
     objective_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
+    def __post_init__(self):
+        if self.objective_batch is None:
+            self.objective_batch = functools.partial(_row_loop, self.objective)
+
     @property
     def dimension(self) -> int:
         return self.domain.dimension
@@ -123,29 +127,6 @@ class BenchmarkProblem:
     @property
     def optimal_fitness(self) -> float:
         return min(o.fitness for o in self.known_global_optima)
-
-    def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
-        """Uncounted batch evaluation (validation/oracle use)."""
-        X = np.asarray(X, dtype=float)
-        if self.objective_batch is not None:
-            return self.objective_batch(X)
-        return np.array([self.objective(row) for row in X])
-
-
-def evaluate(problem: BenchmarkProblem, x, counter: EvaluationCounter,
-             phase: str = "local_opt"):
-    """Budgeted single evaluation.
-
-    Returns the minimization fitness, or ``None`` once the budget is spent
-    (the budget-exhausted signal; the objective is then not called).
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.dimension,):
-        raise ValueError(
-            f"point of dimension {x.shape} does not match problem dimension {problem.dimension}")
-    if counter.take(phase, 1) == 0:
-        return None
-    return problem.objective(x)
 
 
 class BudgetedObjective:
@@ -171,10 +152,7 @@ class BudgetedObjective:
         grant = self.counter.take(self.phase, len(X))
         if grant == 0:
             return np.empty(0)
-        X = X[:grant]
-        if self.problem.objective_batch is not None:
-            return self.problem.objective_batch(X)
-        return np.array([self.problem.objective(row) for row in X])
+        return self.problem.objective_batch(X[:grant])
 
     @property
     def exhausted(self) -> bool:
@@ -258,14 +236,14 @@ def _six_hump_camel_back(x: np.ndarray) -> float:
     a, b = x[0], x[1]
     a2 = a * a
     b2 = b * b
-    return 4.0 * ((4.0 - 2.1 * a2 + a2 * a2 / 3.0) * a2 + a * b + (4.0 * b2 - 4.0) * b2)
+    return (4.0 - 2.1 * a2 + a2 * a2 / 3.0) * a2 + a * b + (4.0 * b2 - 4.0) * b2
 
 
 def _six_hump_camel_back_batch(X: np.ndarray) -> np.ndarray:
     a, b = X[:, 0], X[:, 1]
     a2 = a * a
     b2 = b * b
-    return 4.0 * ((4.0 - 2.1 * a2 + a2 * a2 / 3.0) * a2 + a * b + (4.0 * b2 - 4.0) * b2)
+    return (4.0 - 2.1 * a2 + a2 * a2 / 3.0) * a2 + a * b + (4.0 * b2 - 4.0) * b2
 
 
 def _shubert_factor(t: float) -> float:

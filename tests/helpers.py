@@ -66,13 +66,13 @@ def grid_minimum(problem: BenchmarkProblem, per_dim: int) -> float:
     d = domain.dimension
     axes = [np.linspace(domain.lower[i], domain.upper[i], per_dim) for i in range(d)]
     if d == 1:
-        return float(problem.evaluate_batch(axes[0][:, None]).min())
+        return float(problem.objective_batch(axes[0][:, None]).min())
     assert d == 2, "grid oracle supports d <= 2"
     best = np.inf
     rows_per_chunk = max(1, 10 ** 6 // per_dim)
     for start in range(0, per_dim, rows_per_chunk):
         xs = axes[0][start:start + rows_per_chunk]
         grid = np.stack(np.meshgrid(xs, axes[1], indexing="ij"), axis=-1)
-        vals = problem.evaluate_batch(grid.reshape(-1, 2))
+        vals = problem.objective_batch(grid.reshape(-1, 2))
         best = min(best, float(vals.min()))
     return best

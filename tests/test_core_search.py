@@ -98,7 +98,7 @@ def test_cmsa_constant_objective_keeps_best():
                      rng=np.random.default_rng(6),
                      founder=Solution(np.zeros(2), 1.0))
     for _ in range(3):
-        s.run_generation(lambda x: 1.0, problem.domain)
+        s.run_generation(RecordingObjective(lambda x: 1.0), problem.domain)
     assert s.best_ever.fitness == 1.0
     assert np.allclose(s.best_ever.position, np.zeros(2))
 
@@ -137,7 +137,7 @@ def test_eda_rejects_cmsa_kind():
 
 def test_amu_quadratic_oracle_from_singleton_init():
     problem = make_sphere_problem(1, half_width=0.5)  # domain [-0.5, 0.5]
-    quad = lambda x: float((x[0] - 0.3) ** 2)
+    quad = RecordingObjective(lambda x: float((x[0] - 0.3) ** 2))
     c = Cluster([Solution(np.array([-0.2]), quad(np.array([-0.2])))])
     s = init_from_cluster(c, d=1, eel=1.0, kind=SearcherKind.AMU,
                           population_size=10, rng=np.random.default_rng(2))

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from hillvallea import (ElitistArchive, InjectionMode, OptimizerConfig,
-                        SearchDomain, SearcherKind, Solution, hill_valley_test,
-                        make_problem, peak_ratio, postprocess, run_hillvallea,
-                        truncation_selection, uniform_sample)
+from hillvallea import (BenchmarkProblem, ElitistArchive, InjectionMode,
+                        OptimizerConfig, SearchDomain, SearcherKind, Solution,
+                        hill_valley_test, make_problem, peak_ratio, postprocess,
+                        run_hillvallea, truncation_selection, uniform_sample)
 from helpers import RecordingObjective, budgeted, double_well, make_sphere_problem, solution
 
 
@@ -247,3 +247,30 @@ def test_average_edge_length_mode_runs():
     report = peak_ratio(list(result.archive), problem)
     assert result.evaluations_used == 5_000
     assert report.ratio >= 0.8  # spacing fallback stays a working configuration
+
+
+def test_scalar_only_custom_problem_matches_batch_form():
+    # the README's custom problem, written so both forms round identically
+    def ring(x):
+        return float((x[0] * x[0] + x[1] * x[1] - 1.0) ** 2)
+
+    def ring_batch(X):
+        return (X[:, 0] * X[:, 0] + X[:, 1] * X[:, 1] - 1.0) ** 2
+
+    def build(**batch):
+        return BenchmarkProblem(
+            id=0, name="ring", domain=SearchDomain(np.full(2, -5.0), np.full(2, 5.0)),
+            objective=ring, known_global_optima=[], budget=5_000, niche_radius=0.5,
+            **batch)
+
+    config = OptimizerConfig(trace_every=500)
+    a = run_hillvallea(build(), SearcherKind.CMSA, config, seed=0)
+    b = run_hillvallea(build(objective_batch=ring_batch), SearcherKind.CMSA, config, seed=0)
+    assert a.evaluations_used == b.evaluations_used == 5_000
+    assert a.phase_used == b.phase_used
+    assert a.per_restart_log == b.per_restart_log
+    assert a.trace == b.trace
+    assert len(a.archive) == len(b.archive) > 0
+    for sa, sb in zip(a.archive, b.archive):
+        assert sa.fitness == sb.fitness
+        assert np.array_equal(sa.position, sb.position)

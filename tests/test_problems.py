@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from hillvallea import (EvaluationCounter, SearchDomain, UnsupportedProblemError,
-                        evaluate, make_problem, problem_names)
+from hillvallea import (BudgetedObjective, EvaluationCounter, SearchDomain,
+                        UnsupportedProblemError, make_problem, problem_names)
 from helpers import grid_minimum
 
 # (id, name, d, #gopt, budget)
@@ -102,22 +102,22 @@ def test_grid_scan_oracle_2d(pid):
     assert grid_minimum(p, 10 ** 4) >= p.optimal_fitness - 1e-6
 
 
+def test_six_hump_camel_back_optimum_value():
+    # the suite's maximum is 1.0316284534898774, negated for minimization
+    assert make_problem(5).optimal_fitness == pytest.approx(-1.0316284534898774, abs=1e-9)
+
+
 def test_evaluate_counts_and_budget_signal():
     p = make_problem(4)
     counter = EvaluationCounter(2)
-    assert evaluate(p, np.array([3.0, 2.0]), counter, "init") == -200.0
+    assert BudgetedObjective(p, counter, "init")(np.array([3.0, 2.0])) == -200.0
     assert counter.used == 1 and counter.phase_used["init"] == 1
-    assert evaluate(p, np.array([0.0, 0.0]), counter, "clustering") is not None
+    clustering = BudgetedObjective(p, counter, "clustering")
+    assert clustering(np.array([0.0, 0.0])) is not None
     # used == budget now: the signal comes back without evaluating
-    assert evaluate(p, np.array([1.0, 1.0]), counter, "clustering") is None
+    assert clustering(np.array([1.0, 1.0])) is None
     assert counter.used == 2
     assert counter.used == sum(counter.phase_used.values())
-
-
-def test_evaluate_dimension_mismatch():
-    p = make_problem(4)
-    with pytest.raises(ValueError):
-        evaluate(p, np.array([1.0]), EvaluationCounter(10), "init")
 
 
 @pytest.mark.parametrize("pid", list(range(11, 21)))
