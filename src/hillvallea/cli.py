@@ -1,8 +1,9 @@
 """Command-line harness: repetition sweeps over problems, with JSON/CSV output.
 
-Each run record carries the peak ratio, archive size, restart count and
-per-phase budget fractions; per-problem aggregates and optional convergence
-traces are written alongside.
+Each run record carries the peak ratio, archive size, restart count,
+per-phase budget fractions, whether the archive was verified and why its core
+searchers stopped; per-problem aggregates and optional convergence traces are
+written alongside.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .core_search import DEFAULT_CONSTANTS, SearcherConstants, SearcherKind
+from .core_search import DEFAULT_CONSTANTS, STOP_REASONS, SearcherConstants, SearcherKind
 from .evaluation import aggregate, peak_ratio
 from .optimizer import InjectionMode, OptimizerConfig, run_hillvallea
 from .problems import make_problem, problem_names
 
+_STOP_FIELDS = {reason: "stop_" + reason.replace("-", "_") for reason in STOP_REASONS}
 RECORD_FIELDS = ("problem_id", "kind", "seed", "evaluations_used", "peak_ratio",
                  "n_elites", "restarts", "phase_init", "phase_hvc", "phase_lopt",
-                 "wall_time_ms")
+                 "wall_time_ms", "verified", "n_unverified", *_STOP_FIELDS.values())
 AGGREGATE_FIELDS = ("problem_id", "kind", "runs", "mean_peak_ratio",
                     "min_peak_ratio", "max_peak_ratio", "mean_evaluations",
                     "mean_phase_init", "mean_phase_hvc", "mean_phase_lopt")
@@ -119,7 +121,11 @@ def _execute_task(sweep: RunConfig, problem_id: int, seed: int):
         "phase_hvc": fractions.get("clustering", 0.0),
         "phase_lopt": fractions.get("local_opt", 0.0),
         "wall_time_ms": elapsed_ms,
+        "verified": result.archive.verified,
+        "n_unverified": result.archive.n_unverified,
     }
+    for reason, name in _STOP_FIELDS.items():
+        record[name] = result.stop_reasons.get(reason, 0)
     trace_rows = [
         {"problem_id": problem_id, "kind": sweep.kind.value, "seed": seed,
          "evaluations": evals, "peak_ratio": value}

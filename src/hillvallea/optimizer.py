@@ -15,8 +15,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core_search import (DEFAULT_CONSTANTS, SearcherConstants, SearcherKind,
-                          init_from_cluster, recommended_population_size)
+from .core_search import (DEFAULT_CONSTANTS, CoreSearcher, SearcherConstants,
+                          SearcherKind, init_from_cluster, recommended_population_size)
 from .hillvalley import (Solution, average_edge_length, expected_edge_length,
                          hill_valley_clustering, hill_valley_test)
 from .problems import (BenchmarkProblem, BudgetedObjective, EvaluationCounter,
@@ -54,12 +54,16 @@ class OptimizerConfig:
 class ElitistArchive:
     """Presumed distinct global optima, kept across restarts.
 
-    ``verified`` flips off when the budget ran out before all pairwise
-    distinctness tests could be run.
+    ``n_unverified`` counts the elites appended untested because the budget
+    ran out before their distinctness tests could be run.
     """
 
     solutions: list = field(default_factory=list)
-    verified: bool = True
+    n_unverified: int = 0
+
+    @property
+    def verified(self) -> bool:
+        return self.n_unverified == 0
 
     def __len__(self) -> int:
         return len(self.solutions)
@@ -116,6 +120,7 @@ class RunResult:
     restarts: int
     per_restart_log: list
     trace: list
+    stop_reasons: dict = field(default_factory=dict)  # core searchers per stop reason
 
     @property
     def phase_fractions(self) -> dict:
@@ -149,7 +154,7 @@ def postprocess(candidates: Sequence[Solution], archive: ElitistArchive, tol: fl
     fixed five-point hill-valley test: in a shared niche it replaces the elite
     only when strictly better, otherwise it joins as a new elite. When the
     budget dies mid-testing, the remaining survivors are appended untested and
-    the archive is flagged unverified.
+    counted in ``archive.n_unverified``.
     """
     if not candidates:
         return PostprocessResult(0, [], False)
@@ -162,12 +167,11 @@ def postprocess(candidates: Sequence[Solution], archive: ElitistArchive, tol: fl
         worst_elite = max(e.fitness for e in archive.solutions)
         if any(c.fitness + tol < worst_elite for c in survivors):
             archive.solutions.clear()
-            archive.verified = True
+            archive.n_unverified = 0
             emptied = True
 
     added, untested = _merge(survivors, archive.solutions, evaluate)
-    if untested:
-        archive.verified = False
+    archive.n_unverified += untested
     return PostprocessResult(added, discarded, emptied)
 
 
@@ -197,6 +201,52 @@ def _merge(candidates: Sequence[Solution], elites: list,
             elites.append(cand)
             added += 1
     return added, untested
+
+
+def _search_niches(niches: Sequence, build: Callable, seeds: np.random.SeedSequence,
+                   evaluate: BudgetedObjective, tol: float, stop_reasons: dict) -> list:
+    """Run one core searcher per niche; returns their bests in niche order.
+
+    The searchers run in lockstep on a trial counter and stop before a
+    generation that would take them past the remaining budget. They are then
+    charged in niche order, as if they had run one after another:
+
+    - one whose trial use fits the budget left is charged that, and goes on
+      alone if it was still running;
+    - one whose trial use does not fit is run again alone from its start,
+      and the budget cuts it;
+    - those after the cut keep their founders, as a searcher given no
+      budget would.
+
+    ``stop_reasons`` counts why each searcher that ran stopped.
+    """
+    counter = evaluate.counter
+    if not niches or counter.exhausted:
+        return [niche.founder for niche in niches]
+    seqs = seeds.spawn(len(niches))
+    group = CoreSearcher.stack([build(niche, seq) for niche, seq in zip(niches, seqs)])
+    trial = BudgetedObjective(evaluate.problem, EvaluationCounter(counter.remaining),
+                              evaluate.phase)
+    group.run(trial, evaluate.problem.domain, tol=tol, limit=counter.remaining)
+    bests = []
+    for k, (niche, seq) in enumerate(zip(niches, seqs)):
+        if counter.exhausted:
+            bests.append(niche.founder)
+            continue
+        used = int(group.evaluations[k])
+        searcher, i = group, k
+        if used > counter.remaining:  # the budget cuts it: run it again alone
+            searcher, i = build(niche, seq), 0
+        else:
+            counter.take(evaluate.phase, used)
+            if group.terminated_reason[k] is None:  # paused: it goes on alone
+                searcher, i = group.member(k), 0
+        if searcher is not group:
+            searcher.run(evaluate, evaluate.problem.domain, tol=tol)
+        bests.append(searcher.best_ever[i])
+        reason = searcher.terminated_reason[i]
+        stop_reasons[reason] = stop_reasons.get(reason, 0) + 1
+    return bests
 
 
 class _Tracer:
@@ -261,6 +311,7 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
     archive = ElitistArchive()
     side: list = []
     logs: list = []
+    stop_reasons: dict = {}
     restarts = 0
 
     while counter.remaining > 0:
@@ -289,23 +340,13 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
         known_ids = set(map(id, archive.solutions))
         if config.injection is InjectionMode.ALL_OPTIMA:
             known_ids.update(map(id, side))
-        candidates = []
-        n_skipped = 0
-        for cluster in clusters:
-            if id(cluster.founder) in known_ids:
-                n_skipped += 1
-                continue
-            if counter.exhausted:
-                # a zero-budget searcher terminates at once on its founder
-                candidates.append(cluster.founder)
-                continue
-            searcher = init_from_cluster(
+        niches = [c for c in clusters if id(c.founder) not in known_ids]
+        candidates = _search_niches(
+            niches, lambda cluster, seq: init_from_cluster(
                 cluster, d, searcher_eel, kind, cluster_size,
-                rng=np.random.default_rng(searcher_seq.spawn(1)[0]),
-                constants=config.constants)
-            best = searcher.run(obj_local, problem.domain, tol=config.tol,
-                                on_generation=lambda: tracer.checkpoint(archive))
-            candidates.append(best)
+                rng=np.random.default_rng(seq), constants=config.constants),
+            searcher_seq, obj_local, config.tol, stop_reasons)
+        tracer.checkpoint(archive)
 
         result = postprocess(candidates, archive, config.tol, obj_post)
         if config.injection is InjectionMode.ALL_OPTIMA:
@@ -322,7 +363,7 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
             selection_size=len(selection),
             n_clusters=len(clusters),
             clustering_complete=clusters.complete,
-            n_skipped_elites=n_skipped,
+            n_skipped_elites=len(clusters) - len(niches),
             n_searchers=len(candidates),
             n_new_elites=result.added,
             archive_size=len(archive),
@@ -346,4 +387,5 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
         restarts=restarts,
         per_restart_log=logs,
         trace=tracer.rows,
+        stop_reasons=stop_reasons,
     )

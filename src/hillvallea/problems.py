@@ -260,14 +260,16 @@ def _shubert(x: np.ndarray) -> float:
     return prod
 
 
+_SHUBERT_J = np.arange(1.0, 6.0)
+
+
 def _shubert_batch(X: np.ndarray) -> np.ndarray:
-    prod = np.ones(X.shape[0])
-    for i in range(X.shape[1]):
-        col = X[:, i]
-        acc = np.zeros_like(col)
-        for j in range(1, 6):
-            acc += j * np.cos((j + 1) * col + j)
-        prod *= acc
+    # the terms are summed, and the factors multiplied, in the scalar form's order
+    T = _SHUBERT_J * np.cos(X[:, :, None] * (_SHUBERT_J + 1.0) + _SHUBERT_J)
+    factors = T[..., 0] + T[..., 1] + T[..., 2] + T[..., 3] + T[..., 4]
+    prod = factors[:, 0]
+    for i in range(1, X.shape[1]):
+        prod = prod * factors[:, i]
     return prod
 
 
@@ -283,6 +285,7 @@ def _vincent_batch(X: np.ndarray) -> np.ndarray:
 
 
 _RASTRIGIN_K = (3.0, 4.0)
+_RASTRIGIN_K_ARRAY = np.asarray(_RASTRIGIN_K)
 
 
 def _modified_rastrigin(x: np.ndarray) -> float:
@@ -293,8 +296,7 @@ def _modified_rastrigin(x: np.ndarray) -> float:
 
 
 def _modified_rastrigin_batch(X: np.ndarray) -> np.ndarray:
-    k = np.asarray(_RASTRIGIN_K)
-    return (10.0 + 9.0 * np.cos(2.0 * np.pi * k * X)).sum(axis=1)
+    return (10.0 + 9.0 * np.cos(2.0 * np.pi * _RASTRIGIN_K_ARRAY * X)).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

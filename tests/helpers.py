@@ -45,6 +45,21 @@ def sphere(x) -> float:
     return float(x @ x)
 
 
+def ripple(x) -> float:
+    x = np.asarray(x, dtype=float)
+    return float(np.sum(np.sin(3.0 * x) ** 2 + 0.1 * x * x))
+
+
+def make_ripple_problem(d: int, budget: int = 10 ** 6) -> BenchmarkProblem:
+    """Many local minima on [-2, 2]^d, the global one at the origin."""
+    domain = SearchDomain(np.full(d, -2.0), np.full(d, 2.0))
+    return BenchmarkProblem(
+        id=0, name=f"ripple_{d}d", domain=domain, objective=ripple,
+        objective_batch=lambda X: np.sum(np.sin(3.0 * X) ** 2 + 0.1 * X * X, axis=1),
+        known_global_optima=[KnownOptimum(np.zeros(d), 0.0)],
+        budget=budget, niche_radius=0.5)
+
+
 def make_sphere_problem(d: int = 2, half_width: float = 5.0,
                         budget: int = 10 ** 6) -> BenchmarkProblem:
     domain = SearchDomain(np.full(d, -half_width), np.full(d, half_width))

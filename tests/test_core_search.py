@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hillvallea import (Cluster, CmsaSearcher, EdaSearcher, GaussianInit,
+from hillvallea import (Cluster, CmsaSearcher, CoreSearcher, EdaSearcher, GaussianInit,
                         SearcherKind, Solution, init_from_cluster,
                         recommended_population_size)
-from helpers import RecordingObjective, budgeted, make_sphere_problem, sphere
+from helpers import (RecordingObjective, budgeted, make_ripple_problem,
+                     make_sphere_problem, ripple, sphere)
 
 
 def _cluster(points, fn):
@@ -42,7 +45,7 @@ def test_init_singleton_cluster_covariance():
     s = init_from_cluster(c, d=2, eel=1.0, kind=SearcherKind.AMU,
                           population_size=8, rng=np.random.default_rng(0))
     assert np.allclose(s.covariance, 1e-4 * np.eye(2))
-    assert s.best_ever is c.founder
+    assert s.best_ever[0] is c.founder
 
 
 def test_init_full_sample_covariance():
@@ -57,9 +60,9 @@ def test_init_small_cluster_diagonal_only():
     c = _cluster([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]], sphere)
     s = init_from_cluster(c, d=3, eel=1.0, kind=SearcherKind.AM,
                           population_size=8, rng=np.random.default_rng(0))
-    off_diag = s.covariance - np.diag(np.diag(s.covariance))
+    off_diag = s.covariance[0] - np.diag(np.diag(s.covariance[0]))
     assert np.all(off_diag == 0.0)
-    assert np.all(np.diag(s.covariance) > 0.0)
+    assert np.all(np.diag(s.covariance[0]) > 0.0)
 
 
 def test_init_coincident_members_fall_back_to_tiny_sphere():
@@ -83,7 +86,7 @@ def test_cmsa_generation_updates():
                      rng=np.random.default_rng(5))
     rec = RecordingObjective(sphere)
     s.run_generation(rec, problem.domain)
-    assert np.allclose(s.shape, s.shape.T)
+    assert np.allclose(s.shape[0], s.shape[0].T)
     # without a founder there is no elite row: the new mean is the exact mean
     # of the best half of the evaluated offspring
     X = np.array(rec.points)
@@ -99,8 +102,8 @@ def test_cmsa_constant_objective_keeps_best():
                      founder=Solution(np.zeros(2), 1.0))
     for _ in range(3):
         s.run_generation(RecordingObjective(lambda x: 1.0), problem.domain)
-    assert s.best_ever.fitness == 1.0
-    assert np.allclose(s.best_ever.position, np.zeros(2))
+    assert s.best_ever[0].fitness == 1.0
+    assert np.allclose(s.best_ever[0].position, np.zeros(2))
 
 
 def test_cmsa_sphere_convergence_oracle():
@@ -112,9 +115,9 @@ def test_cmsa_sphere_convergence_oracle():
     prev = np.inf
     for _ in range(50):
         s.run_generation(obj, problem.domain)
-        assert s.best_ever.fitness <= prev + 1e-15
-        prev = s.best_ever.fitness
-    assert s.best_ever.fitness < 1e-5
+        assert s.best_ever[0].fitness <= prev + 1e-15
+        prev = s.best_ever[0].fitness
+    assert s.best_ever[0].fitness < 1e-5
 
 
 def test_eda_selection_floor_and_refit_mean():
@@ -142,42 +145,45 @@ def test_amu_quadratic_oracle_from_singleton_init():
     s = init_from_cluster(c, d=1, eel=1.0, kind=SearcherKind.AMU,
                           population_size=10, rng=np.random.default_rng(2))
     for _ in range(100):
-        if s.check_termination(1e-5):
+        if s.check_termination(1e-5)[0]:
             break
         s.run_generation(quad, problem.domain)
-    assert abs(s.best_ever.position[0] - 0.3) < 1e-4
+    assert abs(s.best_ever[0].position[0] - 0.3) < 1e-4
 
 
 def test_cmsa_termination_window_arithmetic():
     s = CmsaSearcher(GaussianInit(np.zeros(2), np.eye(2), 8),
                      rng=np.random.default_rng(0))
-    assert s.recent_best.maxlen - 1 == 17  # 10 + floor(30 * 2 / 8)
+    assert s.window == 17  # 10 + floor(30 * 2 / 8)
 
 
 def test_eda_degenerate_population_terminates():
     problem = make_sphere_problem(2)
     s = EdaSearcher(GaussianInit(np.zeros(2), np.eye(2), 8), SearcherKind.AMU,
                     rng=np.random.default_rng(1))
-    s.population_std = np.zeros(2)
-    s.fitness_std = 0.0
-    assert s.check_termination(1e-5) == "population-std"
-    s.population_std = np.ones(2)
-    assert s.check_termination(1e-5) == "fitness-std"
+    s.population_std[0] = np.zeros(2)
+    s.fitness_std[0] = 0.0
+    assert list(s.check_termination(1e-5)) == ["population-std"]
+    s.population_std[0] = np.ones(2)
+    assert list(s.check_termination(1e-5)) == ["fitness-std"]
 
 
 def test_cmsa_ill_conditioned_termination():
     s = CmsaSearcher(GaussianInit(np.zeros(2), np.eye(2), 8),
                      rng=np.random.default_rng(0))
-    s.shape = np.diag([1.0, 1e-15])
-    assert s.check_termination(1e-5) == "ill-conditioned"
+    s.shape[0] = np.diag([1.0, 1e-15])
+    assert list(s.check_termination(1e-5)) == ["ill-conditioned"]
 
 
 def test_cmsa_no_improvement_termination():
+    problem = make_sphere_problem(1)
     s = CmsaSearcher(GaussianInit(np.zeros(1), np.eye(1), 8),
-                     rng=np.random.default_rng(0))
-    for _ in range(s.recent_best.maxlen):
-        s.recent_best.append(5.0)
-    assert s.check_termination(1e-5) == "no-improvement"
+                     rng=np.random.default_rng(0), founder=Solution(np.zeros(1), 5.0))
+    flat = RecordingObjective(lambda x: 5.0)
+    for _ in range(s.window + 1):  # the best must stall over window + 1 generations
+        assert list(s.check_termination(1e-5)) == [None]
+        s.run_generation(flat, problem.domain)
+    assert list(s.check_termination(1e-5)) == ["no-improvement"]
 
 
 def test_budget_exhaustion_mid_generation():
@@ -186,9 +192,9 @@ def test_budget_exhaustion_mid_generation():
     s = CmsaSearcher(GaussianInit(np.array([3.0, 3.0]), np.eye(2), 8),
                      rng=np.random.default_rng(3))
     s.run_generation(obj, problem.domain)
-    assert s.terminated_reason == "budget"
+    assert list(s.terminated_reason) == ["budget"]
     assert counter.used == 5
-    assert s.best_ever is not None  # evaluated offspring still counted
+    assert s.best_ever[0] is not None  # evaluated offspring still counted
 
 
 @pytest.mark.parametrize("kind", list(SearcherKind))
@@ -203,14 +209,14 @@ def test_best_ever_monotone_and_in_domain(kind):
     prev = np.inf
     for _ in range(30):
         s.run_generation(rec, problem.domain)
-        assert s.best_ever.fitness <= prev + 1e-15
-        prev = s.best_ever.fitness
+        assert s.best_ever[0].fitness <= prev + 1e-15
+        prev = s.best_ever[0].fitness
     pts = np.array(rec.points)
     assert np.all(pts >= problem.domain.lower - 1e-12)
     assert np.all(pts <= problem.domain.upper + 1e-12)
     # sampling model stays symmetric PSD
     cov = s.shape if kind is SearcherKind.CMSA else s.covariance
-    assert np.allclose(cov, cov.T)
+    assert np.allclose(cov, cov.transpose(0, 2, 1))
     assert np.linalg.eigvalsh(cov).min() >= -1e-12
 
 
@@ -225,6 +231,54 @@ def test_sphere_statistical_convergence(kind):
         rng = np.random.default_rng(1000 + seed)
         s = (CmsaSearcher(init, rng=rng) if kind is SearcherKind.CMSA
              else EdaSearcher(init, kind, rng=rng))
-        best = s.run(obj, problem.domain, tol=1e-5)
+        best = s.run(obj, problem.domain, tol=1e-5)[0]
         successes += best.fitness < 1e-5
     assert successes >= 95
+
+
+def _ripple_searchers(kind, d, size, seed, founders):
+    """``size`` fresh searchers on the ripple, each with its own model and stream."""
+    rng = np.random.default_rng(seed)
+    searchers = []
+    for k in range(size):
+        mean = rng.uniform(-1.5, 1.5, d)
+        A = 0.3 * rng.standard_normal((d, d))
+        init = GaussianInit(mean, A @ A.T + 0.05 * np.eye(d),
+                            recommended_population_size(kind, d))
+        founder = Solution(mean.copy(), ripple(mean)) if founders else None
+        gen = np.random.default_rng([seed, k])
+        searchers.append(CmsaSearcher(init, rng=gen, founder=founder)
+                         if kind is SearcherKind.CMSA
+                         else EdaSearcher(init, kind, rng=gen, founder=founder))
+    return searchers
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(list(SearcherKind)), d=st.integers(1, 3),
+       size=st.integers(1, 5), seed=st.integers(0, 2 ** 16), founders=st.booleans(),
+       limit=st.none() | st.integers(0, 3000))
+def test_lockstep_members_match_lone_runs(kind, d, size, seed, founders, limit):
+    problem = make_ripple_problem(d)
+    group = CoreSearcher.stack(_ripple_searchers(kind, d, size, seed, founders))
+    obj, _ = budgeted(problem, 10 ** 8)
+    group.run(obj, problem.domain, tol=1e-5, limit=limit)
+    assert limit is None or group.evaluations.sum() <= limit
+    alone = _ripple_searchers(kind, d, size, seed, founders)
+    for k in range(size):
+        lone = alone[k]
+        lone.run(obj, problem.domain, tol=1e-5)
+        member, i = group, k
+        if group.terminated_reason[k] is None:  # paused by the limit: finish it alone
+            member, i = group.member(k), 0
+            member.run(obj, problem.domain, tol=1e-5)
+        assert member.terminated_reason[i] == lone.terminated_reason[0]
+        assert member.evaluations[i] == lone.evaluations[0]
+        assert member.best_ever[i].fitness == lone.best_ever[0].fitness
+        assert np.array_equal(member.best_ever[i].position, lone.best_ever[0].position)
+
+
+def test_stack_rejects_mixed_founders():
+    with_founder = _ripple_searchers(SearcherKind.AMU, 2, 1, 0, founders=True)
+    without = _ripple_searchers(SearcherKind.AMU, 2, 1, 0, founders=False)
+    with pytest.raises(ValueError):
+        CoreSearcher.stack(with_founder + without)

@@ -15,18 +15,29 @@ from hillvallea import InjectionMode, OptimizerConfig, SearcherKind, make_proble
 
 GOLDEN_PATH = Path(__file__).with_name("golden_runs.json")
 
-# (problem id, searcher kind, budget, injection, seed)
+# (problem id, searcher kind, budget, injection, seed[, trace spacing])
 RUNS = [
     (1, "amu", 5_000, "only_global", 0),
     (4, "cmsa", 10_000, "only_global", 1),
     (7, "amu", 10_000, "only_global", 2),
     (6, "cmsa", 10_000, "all_optima", 3),
+    # full-covariance kinds at d=2 and d=3 (stacked cholesky and solve)
+    (4, "am", 5_000, "only_global", 0),
+    (8, "am", 8_000, "only_global", 1),
+    (10, "iam", 5_000, "only_global", 2),
+    (9, "iam", 8_000, "all_optima", 0),
+    # the budget ends inside local optimisation: in the last restart the
+    # third (IAMU, of ten) and fourth (CMSA, of nine) searchers are cut, and the
+    # searchers after them keep their founders
+    (6, "iamu", 6_000, "only_global", 0),
+    (6, "cmsa", 4_000, "only_global", 0),
+    (7, "amu", 5_000, "all_optima", 1, 250),
 ]
 
 
 def _key(run) -> str:
-    pid, kind, budget, injection, seed = run
-    return f"p{pid}-{kind}-{budget}-{injection}-s{seed}"
+    pid, kind, budget, injection, seed, *every = run
+    return f"p{pid}-{kind}-{budget}-{injection}-s{seed}" + "".join(f"-t{e}" for e in every)
 
 
 def _solutions(solutions) -> list:
@@ -35,10 +46,11 @@ def _solutions(solutions) -> list:
 
 
 def snapshot(run) -> dict:
-    pid, kind, budget, injection, seed = run
-    config = OptimizerConfig(budget=budget, injection=InjectionMode(injection))
+    pid, kind, budget, injection, seed, *every = run
+    config = OptimizerConfig(budget=budget, injection=InjectionMode(injection),
+                             trace_every=every[0] if every else None)
     result = run_hillvallea(make_problem(pid), SearcherKind(kind), config, seed=seed)
-    return {
+    out = {
         "evaluations_used": result.evaluations_used,
         "phase_used": result.phase_used,
         "restarts": result.restarts,
@@ -46,6 +58,9 @@ def snapshot(run) -> dict:
         "archive": _solutions(result.archive),
         "side_archive": _solutions(result.side_archive),
     }
+    if every:
+        out["trace"] = [[evals, float(value).hex()] for evals, value in result.trace]
+    return out
 
 
 @pytest.fixture(scope="module")

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hillvallea import (BenchmarkProblem, ElitistArchive, InjectionMode,
                         OptimizerConfig, SearchDomain, SearcherKind, Solution,
                         hill_valley_test, make_problem, peak_ratio, postprocess,
                         run_hillvallea, truncation_selection, uniform_sample)
-from helpers import RecordingObjective, budgeted, double_well, make_sphere_problem, solution
+from helpers import (RecordingObjective, budgeted, double_well, make_ripple_problem,
+                     make_sphere_problem, solution)
 
 
 def _sols(fitnesses):
@@ -125,15 +128,31 @@ def test_zero_budget_guard_single_restart():
     assert len(result.archive) >= 1  # archive built from the raw sample
 
 
-def test_budget_hard_stop_and_phase_accounting():
-    problem = make_problem(2)
-    for budget in (16, 33, 500, 2000):
-        config = OptimizerConfig(budget=budget)
-        result = run_hillvallea(problem, SearcherKind.IAMU, config, seed=4)
-        assert result.evaluations_used <= budget
-        assert result.evaluations_used == sum(result.phase_used.values())
-        fractions = result.phase_fractions
-        assert sum(fractions.values()) == pytest.approx(1.0, abs=1e-9)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(list(SearcherKind)), d=st.integers(1, 5),
+       budget=st.integers(1, 50), injection=st.sampled_from(list(InjectionMode)),
+       seed=st.integers(0, 2 ** 16), pid=st.just(0))
+@example(kind=SearcherKind.IAMU, d=1, budget=16, injection=InjectionMode.ONLY_GLOBAL,
+         seed=4, pid=2)
+@example(kind=SearcherKind.IAMU, d=1, budget=33, injection=InjectionMode.ONLY_GLOBAL,
+         seed=4, pid=2)
+@example(kind=SearcherKind.IAMU, d=1, budget=500, injection=InjectionMode.ONLY_GLOBAL,
+         seed=4, pid=2)
+@example(kind=SearcherKind.IAMU, d=1, budget=2000, injection=InjectionMode.ONLY_GLOBAL,
+         seed=4, pid=2)
+def test_budget_hard_stop_and_phase_accounting(kind, d, budget, injection, seed, pid):
+    # pid 0 is a d-dimensional ripple; the examples run benchmark problem 2
+    problem = make_problem(pid) if pid else make_ripple_problem(d)
+    config = OptimizerConfig(budget=budget, injection=injection)
+    result = run_hillvallea(problem, kind, config, seed=seed)
+    assert result.evaluations_used == budget
+    assert sum(result.phase_used.values()) == budget
+    fractions = result.phase_fractions
+    assert sum(fractions.values()) == pytest.approx(1.0, abs=1e-9)
+    for elite in [*result.archive, *result.side_archive]:
+        assert problem.domain.contains(elite.position)
+    searchers = sum(log.n_searchers for log in result.per_restart_log)
+    assert sum(result.stop_reasons.values()) <= searchers
 
 
 def test_archive_spread_after_every_restart():

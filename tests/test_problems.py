@@ -80,6 +80,27 @@ def test_shubert_values_match_known_products():
     assert p8.known_global_optima[0].fitness == pytest.approx(-2709.093505572820, abs=1e-7)
 
 
+def _shubert_column_loop(X):
+    """Reference: the Shubert batch form, one column and one term at a time."""
+    prod = np.ones(X.shape[0])
+    for i in range(X.shape[1]):
+        acc = np.zeros(X.shape[0])
+        for j in range(1, 6):
+            acc += j * np.cos((j + 1) * X[:, i] + j)
+        prod *= acc
+    return prod
+
+
+@pytest.mark.parametrize("pid", [6, 8])
+def test_shubert_batch_matches_column_loop_bitwise(pid):
+    # fixed-seed runs depend on every bit of the vectorized form
+    p = make_problem(pid)
+    rng = np.random.default_rng(pid)
+    for n in (1, 7, 24, 5000):
+        X = rng.uniform(p.domain.lower, p.domain.upper, size=(n, p.dimension))
+        assert np.array_equal(p.objective_batch(X), _shubert_column_loop(X))
+
+
 def test_batch_matches_scalar():
     rng = np.random.default_rng(3)
     for pid in range(1, 11):
