@@ -106,10 +106,12 @@ def _nearest_better(positions: np.ndarray, k: int,
     """Per row i: indices and distances of up to k nearest rows j < i.
 
     Rows are assumed fitness-sorted, so "earlier" means "better". Output
-    arrays have shape (n, k), padded with -1 / inf. Works chunk-wise: rows
-    before the chunk are queried through a k-d tree (avoiding the quadratic
-    sweep on large selections), rows inside it through a masked distance
-    matrix.
+    arrays have shape (n, k), padded with -1 / inf, each row in distance
+    order. Rows below ``chunk`` are served by a masked distance matrix. Later
+    rows, taken in doubling prefixes, query one k-d tree per prefix: rows in
+    [P/2, P) ask the tree over [0, P) for 2k+4 neighbours and keep the first
+    k with a smaller index; a row that finds fewer asks again for twice as
+    many.
     """
     n = len(positions)
     idx = np.full((n, k), -1, dtype=np.int64)
@@ -117,32 +119,36 @@ def _nearest_better(positions: np.ndarray, k: int,
     if n <= 1 or k == 0:
         return idx, dist
 
-    later = ~np.tri(min(chunk, n), k=-1, dtype=bool)  # j >= i: not a better row
-    for a in range(0, n, chunk):
-        b = min(a + chunk, n)
-        m = b - a
-        block = positions[a:b]
-        local = cdist(block, block)
-        local[later[:m, :m]] = np.inf
-        kl = min(k, m)
-        sel_l = np.argpartition(local, kl - 1, axis=1)[:, :kl]
-        cand_d = np.take_along_axis(local, sel_l, axis=1)
-        cand_i = sel_l + a
-        if a > 0:
-            kk = min(k, a)
-            d_q, i_q = cKDTree(positions[:a]).query(block, k=kk)
-            cand_d = np.hstack([d_q.reshape(m, kk), cand_d])
-            cand_i = np.hstack([i_q.reshape(m, kk).astype(np.int64), cand_i])
-        take = min(k, cand_d.shape[1])
-        sel = np.argpartition(cand_d, take - 1, axis=1)[:, :take]
-        cand_d = np.take_along_axis(cand_d, sel, axis=1)
-        cand_i = np.take_along_axis(cand_i, sel, axis=1)
-        order = np.argsort(cand_d, axis=1, kind="stable")
-        cand_d = np.take_along_axis(cand_d, order, axis=1)
-        cand_i = np.take_along_axis(cand_i, order, axis=1)
-        cand_i[~np.isfinite(cand_d)] = -1
-        dist[a:b, :take] = cand_d
-        idx[a:b, :take] = cand_i
+    m = min(chunk, n)
+    local = cdist(positions[:m], positions[:m])
+    local[~np.tri(m, k=-1, dtype=bool)] = np.inf  # j >= i: not a better row
+    kl = min(k, m)
+    sel = np.argpartition(local, kl - 1, axis=1)[:, :kl]
+    near_d = np.take_along_axis(local, sel, axis=1)
+    order = np.argsort(near_d, axis=1, kind="stable")
+    dist[:m, :kl] = np.take_along_axis(near_d, order, axis=1)
+    idx[:m, :kl] = np.take_along_axis(sel, order, axis=1)
+    idx[:m][~np.isfinite(dist[:m])] = -1
+
+    lo = m
+    while lo < n:
+        hi = min(2 * lo, n)
+        tree = cKDTree(positions[:hi], balanced_tree=False, compact_nodes=False)
+        rows = np.arange(lo, hi)
+        want = 2 * k + 4
+        while rows.size:
+            asked = min(want, hi)
+            near_d, near_i = tree.query(positions[rows], k=asked)
+            better = near_i < rows[:, None]
+            rank = np.cumsum(better, axis=1)
+            # with the whole prefix asked for, every better row is in hand
+            done = (rank[:, -1] >= k) | (asked == hi)
+            r, c = np.nonzero(better & (rank <= k) & done[:, None])
+            idx[rows[r], rank[r, c] - 1] = near_i[r, c]
+            dist[rows[r], rank[r, c] - 1] = near_d[r, c]
+            rows = rows[~done]
+            want *= 2
+        lo = hi
     return idx, dist
 
 

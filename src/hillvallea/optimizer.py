@@ -136,12 +136,15 @@ def uniform_sample(domain: SearchDomain, n: int, rng: np.random.Generator) -> np
     return rng.uniform(domain.lower, domain.upper, size=(n, domain.dimension))
 
 
-def truncation_selection(population: Sequence[Solution], tau: float) -> list:
-    """The floor(tau * len) best solutions (at least one), stable under ties."""
-    if not population:
+def truncation_selection(fitness: np.ndarray, tau: float) -> np.ndarray:
+    """Indices of the floor(tau * n) best fitnesses (at least one), best first.
+
+    The sort is stable, so ties keep their input order.
+    """
+    if len(fitness) == 0:
         raise ValueError("population must be nonempty")
-    keep = max(1, int(tau * len(population)))
-    return sorted(population, key=lambda s: s.fitness)[:keep]
+    keep = max(1, int(tau * len(fitness)))
+    return np.argsort(fitness, kind="stable")[:keep]
 
 
 def postprocess(candidates: Sequence[Solution], archive: ElitistArchive, tol: float,
@@ -319,15 +322,21 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
         n_sample = min(population_size, counter.remaining)
         X = uniform_sample(problem.domain, n_sample, sample_rng)
         fs = obj_init.batch(X)
-        population = [Solution(X[i], float(fs[i])) for i in range(len(fs))]
         tracer.checkpoint(archive)
 
+        injected: list = []
         if config.injection is not InjectionMode.NONE:
-            population.extend(archive.solutions)
+            injected.extend(archive.solutions)
         if config.injection is InjectionMode.ALL_OPTIMA:
-            population.extend(side)
+            injected.extend(side)
 
-        selection = truncation_selection(population, kind.tau)
+        # Solution objects only for the kept rows; injected elites stay the
+        # same objects, so the known-niche check below can match them by id
+        n_fs = len(fs)
+        kept = truncation_selection(np.concatenate([fs, [s.fitness for s in injected]]),
+                                    kind.tau)
+        selection = [Solution(X[i], float(fs[i])) if i < n_fs else injected[i - n_fs]
+                     for i in kept.tolist()]
         eel = None
         if config.eel_mode == "average" and len(selection) >= 2:
             eel = average_edge_length(selection)

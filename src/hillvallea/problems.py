@@ -134,6 +134,8 @@ class BudgetedObjective:
 
     Calling it evaluates one point (``None`` once the budget is exhausted);
     ``batch`` evaluates as many rows of an (n, d) array as the budget allows.
+    A NaN fitness reads as +inf, worse than any number, so that every sort
+    and comparison downstream sees one total order.
     """
 
     __slots__ = ("problem", "counter", "phase")
@@ -146,13 +148,16 @@ class BudgetedObjective:
     def __call__(self, x):
         if self.counter.take(self.phase, 1) == 0:
             return None
-        return self.problem.objective(x)
+        f = self.problem.objective(x)
+        return math.inf if f != f else f
 
     def batch(self, X: np.ndarray) -> np.ndarray:
         grant = self.counter.take(self.phase, len(X))
         if grant == 0:
             return np.empty(0)
-        return self.problem.objective_batch(X[:grant])
+        fs = self.problem.objective_batch(X[:grant])
+        nan = np.isnan(fs)
+        return np.where(nan, np.inf, fs) if nan.any() else fs
 
     @property
     def exhausted(self) -> bool:

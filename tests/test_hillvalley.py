@@ -1,10 +1,17 @@
 """Hill-valley test and clustering: unit examples plus property suites."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
-from hillvallea import (Solution, average_edge_length, expected_edge_length,
+from hillvallea import (BenchmarkProblem, KnownOptimum, SearchDomain, Solution,
+                        average_edge_length, expected_edge_length,
                         hill_valley_clustering, hill_valley_test)
+from hillvallea.hillvalley import _nearest_better
 from hillvallea import test_point_count as n_test_points
 from helpers import RecordingObjective, budgeted, double_well, make_sphere_problem, solution
 
@@ -53,6 +60,21 @@ def test_hill_valley_budget_exhaustion_merges():
     b = Solution(np.array([1.0]), 1.0)
     same, spent = hill_valley_test(a, b, 4, obj)
     assert same is True and spent == 0 and counter.used == 0
+
+
+def test_hill_valley_rejects_across_nan_point():
+    # NaN on a band around the origin; through the budgeted objective it reads
+    # as +inf, worse than both endpoints
+    problem = BenchmarkProblem(
+        id=0, name="nan_band", domain=SearchDomain(np.array([-2.0]), np.array([2.0])),
+        objective=lambda x: math.nan if abs(x[0]) < 0.1 else float(x[0] ** 2),
+        known_global_optima=[KnownOptimum(np.array([1.0]), 1.0)],
+        budget=100, niche_radius=0.1)
+    obj, counter = budgeted(problem, 100)
+    a = Solution(np.array([-1.0]), 1.0)
+    b = Solution(np.array([1.0]), 1.0)
+    same, spent = hill_valley_test(a, b, 1, obj)
+    assert same is False and spent == 1 and counter.used == 1
 
 
 def test_hill_valley_dimension_mismatch():
@@ -191,3 +213,34 @@ def test_clustering_eel_override_changes_test_points():
     # edge length 2, eel 2 -> exactly 2 test points when the pair merges; the
     # double well rejects at the first interior sample either way
     assert f.count == 1
+
+
+def _brute_nearest_better(positions, k):
+    full = cdist(positions, positions)
+    return [sorted(full[i, :i])[:k] for i in range(len(positions))], full
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 600), d=st.integers(1, 4), k_off=st.integers(0, 4),
+       chunk=st.integers(2, 64), grid=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_nearest_better_matches_brute_force(n, d, k_off, chunk, grid, seed):
+    # a small chunk sends most rows through the k-d trees; a coarse grid makes
+    # exact distance ties and duplicate points
+    k = 1 + k_off % (d + 1)
+    rng = np.random.default_rng(seed)
+    positions = (rng.integers(0, 4, size=(n, d)).astype(float) if grid
+                 else rng.uniform(-3.0, 3.0, size=(n, d)))
+    idx, dist = _nearest_better(positions, k, chunk=chunk)
+    assert idx.shape == dist.shape == (n, k)
+    expected, full = _brute_nearest_better(positions, k)
+    for i in range(n):
+        found = len(expected[i])
+        assert dist[i, :found].tolist() == expected[i]
+        assert (dist[i, found:] == np.inf).all() and (idx[i, found:] == -1).all()
+        picked = idx[i, :found]
+        assert len(set(picked.tolist())) == found and (picked < i).all()
+        assert full[i, picked].tolist() == expected[i]
+        # where the distance is not tied, the neighbour is the only choice
+        for j in range(found):
+            if np.count_nonzero(full[i, :i] == dist[i, j]) == 1:
+                assert picked[j] == np.flatnonzero(full[i, :i] == dist[i, j])[0]

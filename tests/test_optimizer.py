@@ -13,22 +13,28 @@ from helpers import (RecordingObjective, budgeted, double_well, make_ripple_prob
                      make_sphere_problem, solution)
 
 
-def _sols(fitnesses):
-    return [Solution(np.array([float(i)]), float(f)) for i, f in enumerate(fitnesses)]
+def _kept(fitness, tau):
+    return truncation_selection(np.array(fitness, dtype=float), tau).tolist()
 
 
 def test_truncation_selection_sizes():
-    pop = _sols(range(10))
-    assert [s.fitness for s in truncation_selection(pop, 0.35)] == [0.0, 1.0, 2.0]
-    assert [s.fitness for s in truncation_selection(_sols(range(4)), 0.5)] == [0.0, 1.0]
-    only = _sols([3.0])
-    assert truncation_selection(only, 0.1) == only
+    assert _kept(range(10), 0.35) == [0, 1, 2]
+    assert _kept(range(4), 0.5) == [0, 1]
+    assert _kept([3.0], 0.1) == [0]
+    with pytest.raises(ValueError):
+        truncation_selection(np.empty(0), 0.5)
 
 
-def test_truncation_selection_stable_ties():
-    pop = _sols([1.0, 1.0, 1.0, 1.0])
-    kept = truncation_selection(pop, 0.5)
-    assert [id(s) for s in kept] == [id(pop[0]), id(pop[1])]
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(fitness=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.5, np.inf, -np.inf]),
+                        min_size=1, max_size=12),
+       tau=st.floats(0.0, 1.0))
+@example(fitness=[1.0, 1.0, 1.0, 1.0], tau=0.5)
+@example(fitness=[0.0, -0.0, 1.0, -0.0, 0.0], tau=0.6)
+def test_truncation_selection_stable_ties(fitness, tau):
+    # ties, +-0.0 among them, keep their input order as Python's stable sort does
+    keep = max(1, int(tau * len(fitness)))
+    assert _kept(fitness, tau) == sorted(range(len(fitness)), key=fitness.__getitem__)[:keep]
 
 
 def test_postprocess_tol_filter_discards():
@@ -293,3 +299,23 @@ def test_scalar_only_custom_problem_matches_batch_form():
     for sa, sb in zip(a.archive, b.archive):
         assert sa.fitness == sb.fitness
         assert np.array_equal(sa.position, sb.position)
+
+
+@pytest.mark.parametrize("kind", list(SearcherKind), ids=lambda k: k.value)
+def test_nan_half_plane_runs_to_budget_with_finite_elites(kind):
+    # the objective is NaN for x0 > 0.5; NaN reads as +inf, so it never wins
+    def bowl(x):
+        return float("nan") if x[0] > 0.5 else float(x @ x)
+
+    def bowl_batch(X):
+        return np.where(X[:, 0] > 0.5, np.nan, np.sum(X * X, axis=1))
+
+    problem = BenchmarkProblem(
+        id=0, name="nan_half_plane", domain=SearchDomain(np.full(2, -2.0), np.full(2, 2.0)),
+        objective=bowl, objective_batch=bowl_batch, known_global_optima=[],
+        budget=3_000, niche_radius=0.5)
+    result = run_hillvallea(problem, kind, seed=0)
+    assert result.evaluations_used == 3_000
+    assert len(result.archive) > 0
+    assert all(np.isfinite(s.fitness) for s in result.archive)
+    assert all(s.position[0] <= 0.5 for s in result.archive)
