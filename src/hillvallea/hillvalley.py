@@ -16,6 +16,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
+from .problems import BudgetedObjective, EvaluationCounter
+
 
 @dataclass(eq=False)
 class Solution:
@@ -74,6 +76,14 @@ def test_point_count(edge_length: float, eel: float) -> int:
     return 1 + int(math.floor(edge_length / eel))
 
 
+def _reject_bar(f_left, f_right):
+    """Fitness above which a test point separates two solutions, elementwise:
+    worse than both beyond floating noise at their fitness scale, so that
+    coincident converged solutions never read as separate niches."""
+    worst = np.where(f_right > f_left, f_right, f_left)  # Python's max(), NaN rule too
+    return worst + 1e-12 * np.maximum(1.0, np.abs(worst))
+
+
 def hill_valley_test(x_left: Solution, x_right: Solution, n_test: int,
                      evaluate: Callable) -> tuple[bool, int]:
     """Test whether two solutions share a niche.
@@ -87,10 +97,7 @@ def hill_valley_test(x_left: Solution, x_right: Solution, n_test: int,
     right = x_right.position
     if left.shape != right.shape:
         raise ValueError("solutions have mismatched dimensions")
-    worst = max(x_left.fitness, x_right.fitness)
-    # strictly worse beyond floating noise at the endpoints' fitness scale,
-    # so coincident converged solutions never read as separate niches
-    bar = worst + 1e-12 * max(1.0, abs(worst))
+    bar = _reject_bar(x_left.fitness, x_right.fitness)
     segment = left - right
     for k in range(1, n_test + 1):
         f = evaluate(right + (k / (n_test + 1)) * segment)
@@ -102,7 +109,7 @@ def hill_valley_test(x_left: Solution, x_right: Solution, n_test: int,
 
 
 def _nearest_better(positions: np.ndarray, k: int,
-                    chunk: int = 512) -> tuple[np.ndarray, np.ndarray]:
+                    chunk: int = 128) -> tuple[np.ndarray, np.ndarray]:
     """Per row i: indices and distances of up to k nearest rows j < i.
 
     Rows are assumed fitness-sorted, so "earlier" means "better". Output
@@ -152,21 +159,47 @@ def _nearest_better(positions: np.ndarray, k: int,
     return idx, dist
 
 
-def _sorted_by_fitness(selection: Sequence[Solution]) -> list:
-    return sorted(selection, key=lambda s: s.fitness)  # stable: input order breaks ties
-
-
 def average_edge_length(selection: Sequence[Solution]) -> float:
     """Mean distance from each solution to its nearest better solution.
 
     Fallback spacing estimate for when the search-space volume is unknown.
     """
-    ordered = _sorted_by_fitness(selection)
+    ordered = sorted(selection, key=lambda s: s.fitness)
     if len(ordered) < 2:
         raise ValueError("need at least two solutions to measure edges")
     positions = np.array([s.position for s in ordered])
     _, dist = _nearest_better(positions, 1)
     return float(dist[1:, 0].mean())
+
+
+class _LookedAhead:
+    """``evaluate``, except that a call while ``first`` holds a fitness (not
+    NaN) returns it, charged as one evaluation (``None`` past the budget)."""
+
+    __slots__ = ("evaluate", "first")
+
+    def __init__(self, evaluate: Callable):
+        self.evaluate, self.first = evaluate, math.nan
+
+    def __call__(self, x):
+        f, self.first = self.first, math.nan
+        if f != f:
+            return self.evaluate(x)
+        return f if self.evaluate.counter.take(self.evaluate.phase, 1) else None
+
+
+def _first_tests(evaluate: BudgetedObjective, left, right, f_left, f_right,
+                 n_test) -> tuple[np.ndarray, np.ndarray]:
+    """Fitness at the first point of many hill-valley tests, and whether each rejects there.
+
+    Row i is :func:`hill_valley_test` from ``left[i]`` to ``right[i]`` with
+    ``n_test[i]`` points (arguments broadcast), bit for bit. The points are
+    evaluated in one batch on a trial counter, uncharged.
+    """
+    X = right + np.reshape(1.0 / (n_test + 1.0), (-1, 1)) * (left - right)
+    trial = BudgetedObjective(evaluate.problem, EvaluationCounter(len(X)), evaluate.phase)
+    f = trial.batch(X)
+    return f, f > _reject_bar(f_left, f_right)
 
 
 def hill_valley_clustering(selection: Sequence[Solution], volume: float, d: int,
@@ -180,43 +213,85 @@ def hill_valley_clustering(selection: Sequence[Solution], volume: float, d: int,
     cluster when every check fails. ``eel`` overrides the volume-based
     expected edge length. On budget exhaustion the solutions not yet swept
     found singleton clusters and the result is flagged incomplete.
+
+    With a :class:`BudgetedObjective`, first test points are looked ahead in
+    a batch per neighbour w, for the rows whose tests all rejected at their
+    first point before w. A row whose first test passes at its only point
+    joins that neighbour's cluster outside the loop, which runs over the
+    other rows only and charges every evaluation in sweep order.
     """
     if not selection:
         raise ValueError("selection must be nonempty")
-    ordered = _sorted_by_fitness(selection)
+    ordered = sorted(selection, key=lambda s: s.fitness)  # stable: ties keep input order
     n = len(ordered)
     spacing = eel if eel is not None else expected_edge_length(volume, n, d)
 
     positions = np.array([s.position for s in ordered])
-    nb_idx, nb_dist = _nearest_better(positions, min(d + 1, n - 1))
+    nb_idx, nb_dist = _nearest_better(positions, min(d + 1, max(n - 1, 1)))
+    first = np.full(nb_idx.shape, np.nan)
+    reject = np.zeros(nb_idx.shape, dtype=bool)
+    if isinstance(evaluate, BudgetedObjective):
+        fitness = np.array([s.fitness for s in ordered])
+        # row i is reached only once each row before it has spent an evaluation
+        rows = np.arange(1, min(n, evaluate.counter.remaining + 1))
+        for w in range(nb_idx.shape[1]):
+            rows = rows[rows > w]
+            if not rows.size:
+                break
+            nb = nb_idx[rows, w]
+            n_test = np.floor(nb_dist[rows, w] / spacing) + 1.0
+            first[rows, w], reject[rows, w] = _first_tests(
+                evaluate, positions[nb], positions[rows], fitness[nb], fitness[rows], n_test)
+            rows = rows[reject[rows, w]]
+    easy = ~np.isnan(first[:, 0]) & ~reject[:, 0] & (np.floor(nb_dist[:, 0] / spacing) == 0.0)
+    # an easy row joins the first row up its neighbour chain that is not easy
+    root = np.where(easy, nb_idx[:, 0], np.arange(n))
+    while True:
+        up = root[root]
+        if np.array_equal(up, root):
+            break
+        root = up
 
-    members: list[list] = [[ordered[0]]]
     cluster_of = np.zeros(n, dtype=np.int64)
-    complete = True
-    for i in range(1, n):
+    ahead = _LookedAhead(evaluate)
+    n_clusters, prev, tail = 1, 0, n  # tail: first row of the untested tail
+    for i in np.flatnonzero(~easy)[1:].tolist() + [n]:
+        gap = i - prev - 1  # easy rows since the last row swept here
+        if gap:
+            granted = evaluate.counter.take(evaluate.phase, gap)
+            if granted < gap:
+                tail = prev + 1 + granted
+                break
+        if i == n:
+            break
         if getattr(evaluate, "exhausted", False):
-            # untested tail: one singleton each
-            for j in range(i, n):
-                members.append([ordered[j]])
-            complete = False
+            tail = i
             break
         checked = set()
-        joined = False
         for j in range(min(i, d + 1)):
             neighbour = nb_idx[i, j]
-            cluster = cluster_of[neighbour]
+            cluster = cluster_of[root[neighbour]]
             if cluster in checked:
                 continue  # a rejected cluster rejects its later neighbours too
             checked.add(cluster)
+            if reject[i, j] and evaluate.counter.take(evaluate.phase, 1):
+                continue  # rejected at its looked-ahead first point
             n_t = test_point_count(nb_dist[i, j], spacing)
-            same, _ = hill_valley_test(ordered[neighbour], ordered[i], n_t, evaluate)
+            ahead.first = first[i, j]
+            same, _ = hill_valley_test(ordered[neighbour], ordered[i], n_t, ahead)
             if same:
-                members[cluster].append(ordered[i])
                 cluster_of[i] = cluster
-                joined = True
                 break
-        if not joined:
-            members.append([ordered[i]])
-            cluster_of[i] = len(members) - 1
+        else:
+            cluster_of[i] = n_clusters
+            n_clusters += 1
+        prev = i
 
-    return ClusterSet(clusters=[Cluster(m) for m in members], complete=complete)
+    # the untested tail founds one singleton each
+    labels = cluster_of[root]
+    labels[tail:] = np.arange(n_clusters, n_clusters + n - tail)
+    order = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    return ClusterSet(clusters=[Cluster([ordered[r] for r in order[a:b]])
+                                for a, b in zip([0] + ends, ends)],
+                      complete=tail == n)

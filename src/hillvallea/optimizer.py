@@ -17,8 +17,8 @@ import numpy as np
 
 from .core_search import (DEFAULT_CONSTANTS, CoreSearcher, SearcherConstants,
                           SearcherKind, init_from_cluster, recommended_population_size)
-from .hillvalley import (Solution, average_edge_length, expected_edge_length,
-                         hill_valley_clustering, hill_valley_test)
+from .hillvalley import (Solution, _first_tests, _LookedAhead, average_edge_length,
+                         expected_edge_length, hill_valley_clustering, hill_valley_test)
 from .problems import (BenchmarkProblem, BudgetedObjective, EvaluationCounter,
                        SearchDomain)
 
@@ -184,26 +184,54 @@ def _merge(candidates: Sequence[Solution], elites: list,
 
     Returns (insertions plus replacements, candidates appended untested).
     """
+    cands = sorted(candidates, key=lambda s: s.fitness)
+    # row s mirrors elites[s]
+    positions = np.array([s.position for s in elites + cands])
+    fitness = np.array([s.fitness for s in elites + cands])
     added = untested = 0
-    for cand in sorted(candidates, key=lambda s: s.fitness):
-        if getattr(evaluate, "exhausted", False):
+    for cand in cands:
+        exhausted = getattr(evaluate, "exhausted", False)
+        untested += exhausted
+        i = None if exhausted else _first_shared_niche(cand, elites, positions, fitness,
+                                                       evaluate)
+        if i is None:
+            i = len(elites)
             elites.append(cand)
-            added += 1
-            untested += 1
+        elif cand.fitness < elites[i].fitness:
+            elites[i] = cand
+        else:
             continue
-        matched = False
-        for i, elite in enumerate(elites):
-            same, _ = hill_valley_test(cand, elite, ARCHIVE_TEST_POINTS, evaluate)
-            if same:
-                if cand.fitness < elite.fitness:
-                    elites[i] = cand
-                    added += 1
-                matched = True
-                break
-        if not matched:
-            elites.append(cand)
-            added += 1
+        positions[i], fitness[i] = cand.position, cand.fitness
+        added += 1
     return added, untested
+
+
+def _first_shared_niche(cand: Solution, elites: list, positions: np.ndarray,
+                        fitness: np.ndarray, evaluate: Callable) -> Optional[int]:
+    """Index of the first elite that passes the hill-valley test with ``cand``, or None.
+
+    With a :class:`BudgetedObjective`, every test's first point is looked
+    ahead in one batch; the tests that reject there are charged in bulk.
+    """
+    m = len(elites)
+    first, reject = np.full(m, np.nan), np.zeros(m, dtype=bool)
+    if isinstance(evaluate, BudgetedObjective) and m:
+        first, reject = _first_tests(evaluate, cand.position, positions[:m], cand.fitness,
+                                     fitness[:m], float(ARCHIVE_TEST_POINTS))
+    ahead = _LookedAhead(evaluate)
+    i = 0
+    while i < m:
+        # if the budget ends among these rejections, the next test passes
+        run = int(np.argmin(np.append(reject[i:], False)))
+        if run:
+            i += evaluate.counter.take(evaluate.phase, run)
+            if i == m:
+                return None
+        ahead.first = first[i]
+        if hill_valley_test(cand, elites[i], ARCHIVE_TEST_POINTS, ahead)[0]:
+            return i
+        i += 1
+    return None
 
 
 def _search_niches(niches: Sequence, build: Callable, seeds: np.random.SeedSequence,

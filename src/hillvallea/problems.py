@@ -15,13 +15,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 PHASES = ("init", "clustering", "local_opt", "postprocess")
-
-#: Budget in function evaluations, per problem id.
-_BUDGETS = {1: 50_000, 2: 50_000, 3: 50_000, 4: 50_000, 5: 50_000,
-            6: 200_000, 7: 200_000, 8: 400_000, 9: 400_000, 10: 200_000}
-
 
 class UnsupportedProblemError(ValueError):
     """Raised for problem ids outside the implemented range."""
@@ -101,10 +97,10 @@ def _row_loop(objective: Callable[[np.ndarray], float], X: np.ndarray) -> np.nda
 class BenchmarkProblem:
     """Objective on a bounded box with budget and ground-truth optima.
 
-    ``objective`` maps a point to a minimization fitness; the hill-valley
-    tests call it one point at a time. ``objective_batch`` is its vectorized
-    form over an (n, d) array, used for sampling and core search. When it is
-    not given, a row loop over ``objective`` stands in for it.
+    ``objective`` maps a point to a minimization fitness. ``objective_batch``
+    is its vectorized form over an (n, d) array, which every phase uses; the
+    hill-valley tests call ``objective`` only for points they could not batch.
+    When it is not given, a row loop over ``objective`` stands in for it.
     """
 
     id: int
@@ -165,37 +161,12 @@ class BudgetedObjective:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms. ``_*_peak`` helpers give the suite's original maximization
-# value; objectives negate them. Scalar paths use ``math`` (hot loop in the
-# hill-valley tests), batch paths use numpy.
+# Closed forms over an (n, d) array, in minimization form. Each works row by
+# row: a row's value does not depend on the rows beside it.
 # ---------------------------------------------------------------------------
 
-_TRAP_BREAKS = (2.5, 5.0, 7.5, 12.5, 17.5, 22.5, 27.5)
 
-
-def _trap_peak(t: float) -> float:
-    if t < 2.5:
-        return 80.0 * (2.5 - t)
-    if t < 5.0:
-        return 64.0 * (t - 2.5)
-    if t < 7.5:
-        return 64.0 * (7.5 - t)
-    if t < 12.5:
-        return 28.0 * (t - 7.5)
-    if t < 17.5:
-        return 28.0 * (17.5 - t)
-    if t < 22.5:
-        return 32.0 * (t - 17.5)
-    if t < 27.5:
-        return 32.0 * (27.5 - t)
-    return 80.0 * (t - 27.5)
-
-
-def _five_uneven_peak_trap(x: np.ndarray) -> float:
-    return -_trap_peak(x[0])
-
-
-def _five_uneven_peak_trap_batch(X: np.ndarray) -> np.ndarray:
+def _five_uneven_peak_trap(X: np.ndarray) -> np.ndarray:
     t = X[:, 0]
     conds = [t < 2.5, t < 5.0, t < 7.5, t < 12.5, t < 17.5, t < 22.5, t < 27.5]
     vals = [80.0 * (2.5 - t), 64.0 * (t - 2.5), 64.0 * (7.5 - t),
@@ -204,72 +175,36 @@ def _five_uneven_peak_trap_batch(X: np.ndarray) -> np.ndarray:
     return -np.select(conds, vals, default=80.0 * (t - 27.5))
 
 
-def _equal_maxima(x: np.ndarray) -> float:
-    return -math.sin(5.0 * math.pi * x[0]) ** 6
-
-
-def _equal_maxima_batch(X: np.ndarray) -> np.ndarray:
+def _equal_maxima(X: np.ndarray) -> np.ndarray:
     return -np.sin(5.0 * np.pi * X[:, 0]) ** 6
 
 
 _LN2_2 = 2.0 * math.log(2.0)
 
 
-def _uneven_decreasing_maxima(x: np.ndarray) -> float:
-    t = x[0]
-    env = math.exp(-_LN2_2 * ((t - 0.08) / 0.854) ** 2)
-    return -env * math.sin(5.0 * math.pi * (t ** 0.75 - 0.05)) ** 6
-
-
-def _uneven_decreasing_maxima_batch(X: np.ndarray) -> np.ndarray:
+def _uneven_decreasing_maxima(X: np.ndarray) -> np.ndarray:
     t = X[:, 0]
     env = np.exp(-_LN2_2 * ((t - 0.08) / 0.854) ** 2)
     return -env * np.sin(5.0 * np.pi * (t ** 0.75 - 0.05)) ** 6
 
 
-def _himmelblau(x: np.ndarray) -> float:
-    a, b = x[0], x[1]
-    return -(200.0 - (a * a + b - 11.0) ** 2 - (a + b * b - 7.0) ** 2)
-
-
-def _himmelblau_batch(X: np.ndarray) -> np.ndarray:
+def _himmelblau(X: np.ndarray) -> np.ndarray:
     a, b = X[:, 0], X[:, 1]
     return -(200.0 - (a * a + b - 11.0) ** 2 - (a + b * b - 7.0) ** 2)
 
 
-def _six_hump_camel_back(x: np.ndarray) -> float:
-    a, b = x[0], x[1]
-    a2 = a * a
-    b2 = b * b
-    return (4.0 - 2.1 * a2 + a2 * a2 / 3.0) * a2 + a * b + (4.0 * b2 - 4.0) * b2
-
-
-def _six_hump_camel_back_batch(X: np.ndarray) -> np.ndarray:
+def _six_hump_camel_back(X: np.ndarray) -> np.ndarray:
     a, b = X[:, 0], X[:, 1]
     a2 = a * a
     b2 = b * b
     return (4.0 - 2.1 * a2 + a2 * a2 / 3.0) * a2 + a * b + (4.0 * b2 - 4.0) * b2
-
-
-def _shubert_factor(t: float) -> float:
-    acc = 0.0
-    for j in range(1, 6):
-        acc += j * math.cos((j + 1) * t + j)
-    return acc
-
-
-def _shubert(x: np.ndarray) -> float:
-    prod = 1.0
-    for t in x:
-        prod *= _shubert_factor(t)
-    return prod
 
 
 _SHUBERT_J = np.arange(1.0, 6.0)
 
 
-def _shubert_batch(X: np.ndarray) -> np.ndarray:
-    # the terms are summed, and the factors multiplied, in the scalar form's order
+def _shubert(X: np.ndarray) -> np.ndarray:
+    # the terms are summed, and the factors multiplied, in coordinate order
     T = _SHUBERT_J * np.cos(X[:, :, None] * (_SHUBERT_J + 1.0) + _SHUBERT_J)
     factors = T[..., 0] + T[..., 1] + T[..., 2] + T[..., 3] + T[..., 4]
     prod = factors[:, 0]
@@ -278,30 +213,20 @@ def _shubert_batch(X: np.ndarray) -> np.ndarray:
     return prod
 
 
-def _vincent(x: np.ndarray) -> float:
-    acc = 0.0
-    for t in x:
-        acc += math.sin(10.0 * math.log(t))
-    return -acc / len(x)
-
-
-def _vincent_batch(X: np.ndarray) -> np.ndarray:
+def _vincent(X: np.ndarray) -> np.ndarray:
     return -np.sin(10.0 * np.log(X)).mean(axis=1)
 
 
-_RASTRIGIN_K = (3.0, 4.0)
-_RASTRIGIN_K_ARRAY = np.asarray(_RASTRIGIN_K)
+_RASTRIGIN_K = np.array([3.0, 4.0])
 
 
-def _modified_rastrigin(x: np.ndarray) -> float:
-    acc = 0.0
-    for t, k in zip(x, _RASTRIGIN_K):
-        acc += 10.0 + 9.0 * math.cos(2.0 * math.pi * k * t)
-    return acc
+def _modified_rastrigin(X: np.ndarray) -> np.ndarray:
+    return (10.0 + 9.0 * np.cos(2.0 * np.pi * _RASTRIGIN_K * X)).sum(axis=1)
 
 
-def _modified_rastrigin_batch(X: np.ndarray) -> np.ndarray:
-    return (10.0 + 9.0 * np.cos(2.0 * np.pi * _RASTRIGIN_K_ARRAY * X)).sum(axis=1)
+def _one_row(batch: Callable[[np.ndarray], np.ndarray], x) -> float:
+    """A batch closed form applied to the single point ``x``."""
+    return float(batch(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -346,66 +271,28 @@ def _shubert_optima(d: int):
     return tuple(points)
 
 
-def _min_pairwise_distance(points: np.ndarray) -> float:
-    best = math.inf
-    for i in range(len(points) - 1):
-        d = np.linalg.norm(points[i + 1:] - points[i], axis=1).min()
-        best = min(best, float(d))
-    return best
-
-
-def _assemble(pid: int, name: str, lower, upper, scalar, batch, optima,
-              niche_radius: Optional[float] = None) -> BenchmarkProblem:
-    domain = SearchDomain(np.asarray(lower, float), np.asarray(upper, float))
-    positions = np.asarray(optima, dtype=float)
-    known = [KnownOptimum(position=p, fitness=float(scalar(p))) for p in positions]
-    if niche_radius is None:
-        niche_radius = 0.5 * _min_pairwise_distance(positions)
-    return BenchmarkProblem(
-        id=pid, name=name, domain=domain, objective=scalar,
-        objective_batch=batch, known_global_optima=known,
-        budget=_BUDGETS[pid], niche_radius=niche_radius)
-
-
-def _build_problem(pid: int) -> BenchmarkProblem:
-    if pid == 1:
-        return _assemble(1, "five_uneven_peak_trap", [0.0], [30.0],
-                         _five_uneven_peak_trap, _five_uneven_peak_trap_batch,
-                         _TRAP_OPTIMA)
-    if pid == 2:
-        return _assemble(2, "equal_maxima", [0.0], [1.0],
-                         _equal_maxima, _equal_maxima_batch, _EQUAL_MAXIMA_OPTIMA)
-    if pid == 3:
-        # single optimum: radius falls back to 1% of the domain diagonal
-        return _assemble(3, "uneven_decreasing_maxima", [0.0], [1.0],
-                         _uneven_decreasing_maxima, _uneven_decreasing_maxima_batch,
-                         _UNEVEN_MAXIMUM, niche_radius=0.01)
-    if pid == 4:
-        return _assemble(4, "himmelblau", [-6.0, -6.0], [6.0, 6.0],
-                         _himmelblau, _himmelblau_batch, _HIMMELBLAU_OPTIMA)
-    if pid == 5:
-        return _assemble(5, "six_hump_camel_back", [-1.9, -1.1], [1.9, 1.1],
-                         _six_hump_camel_back, _six_hump_camel_back_batch,
-                         _CAMEL_OPTIMA)
-    if pid == 6:
-        return _assemble(6, "shubert_2d", [-10.0] * 2, [10.0] * 2,
-                         _shubert, _shubert_batch, _shubert_optima(2))
-    if pid == 7:
-        return _assemble(7, "vincent_2d", [0.25] * 2, [10.0] * 2,
-                         _vincent, _vincent_batch,
-                         tuple(itertools.product(_VINCENT_AXIS, repeat=2)))
-    if pid == 8:
-        return _assemble(8, "shubert_3d", [-10.0] * 3, [10.0] * 3,
-                         _shubert, _shubert_batch, _shubert_optima(3))
-    if pid == 9:
-        return _assemble(9, "vincent_3d", [0.25] * 3, [10.0] * 3,
-                         _vincent, _vincent_batch,
-                         tuple(itertools.product(_VINCENT_AXIS, repeat=3)))
-    if pid == 10:
-        return _assemble(10, "modified_rastrigin_2d", [0.0, 0.0], [1.0, 1.0],
-                         _modified_rastrigin, _modified_rastrigin_batch,
-                         tuple(itertools.product(*_RASTRIGIN_AXES)))
-    raise AssertionError(pid)
+#: id -> (name, budget in evaluations, lower bounds, upper bounds, closed form,
+#: optimum positions)
+_SPECS = {
+    1: ("five_uneven_peak_trap", 50_000, [0.0], [30.0], _five_uneven_peak_trap,
+        _TRAP_OPTIMA),
+    2: ("equal_maxima", 50_000, [0.0], [1.0], _equal_maxima, _EQUAL_MAXIMA_OPTIMA),
+    3: ("uneven_decreasing_maxima", 50_000, [0.0], [1.0], _uneven_decreasing_maxima,
+        _UNEVEN_MAXIMUM),
+    4: ("himmelblau", 50_000, [-6.0] * 2, [6.0] * 2, _himmelblau, _HIMMELBLAU_OPTIMA),
+    5: ("six_hump_camel_back", 50_000, [-1.9, -1.1], [1.9, 1.1], _six_hump_camel_back,
+        _CAMEL_OPTIMA),
+    6: ("shubert_2d", 200_000, [-10.0] * 2, [10.0] * 2, _shubert, _shubert_optima(2)),
+    7: ("vincent_2d", 200_000, [0.25] * 2, [10.0] * 2, _vincent,
+        tuple(itertools.product(_VINCENT_AXIS, repeat=2))),
+    8: ("shubert_3d", 400_000, [-10.0] * 3, [10.0] * 3, _shubert, _shubert_optima(3)),
+    9: ("vincent_3d", 400_000, [0.25] * 3, [10.0] * 3, _vincent,
+        tuple(itertools.product(_VINCENT_AXIS, repeat=3))),
+    10: ("modified_rastrigin_2d", 200_000, [0.0] * 2, [1.0] * 2, _modified_rastrigin,
+         tuple(itertools.product(*_RASTRIGIN_AXES))),
+}
+# a single optimum has no pairwise distance: 1% of the domain diagonal
+_NICHE_RADII = {3: 0.01}
 
 
 def make_problem(problem_id: int) -> BenchmarkProblem:
@@ -419,11 +306,20 @@ def make_problem(problem_id: int) -> BenchmarkProblem:
         raise UnsupportedProblemError(
             f"problem {problem_id} (composition function) is not implemented; "
             "construct a BenchmarkProblem directly to supply a custom objective")
-    if problem_id not in range(1, 11):
+    if problem_id not in _SPECS:
         raise UnsupportedProblemError(f"unknown problem id {problem_id!r}")
-    return _build_problem(problem_id)
+    name, budget, lower, upper, batch, optima = _SPECS[problem_id]
+    positions = np.asarray(optima, dtype=float)
+    known = [KnownOptimum(position=p, fitness=float(f))
+             for p, f in zip(positions, batch(positions))]
+    return BenchmarkProblem(
+        id=problem_id, name=name,
+        domain=SearchDomain(np.asarray(lower, float), np.asarray(upper, float)),
+        objective=functools.partial(_one_row, batch), objective_batch=batch,
+        known_global_optima=known, budget=budget,
+        niche_radius=_NICHE_RADII.get(problem_id) or 0.5 * float(pdist(positions).min()))
 
 
 def problem_names() -> dict:
     """Map of problem name -> id for all implemented problems."""
-    return {_build_problem(i).name: i for i in range(1, 11)}
+    return {spec[0]: pid for pid, spec in _SPECS.items()}

@@ -36,6 +36,14 @@ RUNS = [
     # k-d tree path runs: up to 2,761 rows at d=1 and 5,738 rows at d=2
     (2, "amu", 20_000, "only_global", 0),
     (10, "amu", 60_000, "only_global", 0),
+    # the budget ends inside a clustering sweep (d = 1, 2 and an all-optima
+    # run whose side archive holds 58 presumed local optima)
+    (2, "amu", 3_500, "only_global", 0),
+    (10, "cmsa", 5_250, "only_global", 0),
+    (4, "amu", 3_750, "all_optima", 0),
+    # the budget ends inside an archive merge, cutting a distinctness test
+    (7, "amu", 3_750, "all_optima", 0),
+    (7, "cmsa", 2_250, "only_global", 0),
 ]
 
 

@@ -1,0 +1,176 @@
+"""The looked-ahead clustering sweep and archive merge against sequential references.
+
+The references below are the plain loops the looked-ahead versions replace:
+one solution (or candidate) at a time, every test through
+``hill_valley_test``, every evaluation charged when it is made. For every
+budget up to what the reference spends, both must produce the same clusters
+in the same member order, the same ``complete`` flag, the same archive and
+the same charged evaluations per phase.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hillvallea import (BenchmarkProblem, BudgetedObjective, EvaluationCounter,
+                        KnownOptimum, SearchDomain, Solution, hill_valley_clustering)
+from hillvallea.hillvalley import _nearest_better, expected_edge_length, hill_valley_test
+from hillvallea.hillvalley import test_point_count as n_test_points
+from hillvallea.optimizer import ARCHIVE_TEST_POINTS, _merge
+
+
+def reference_clustering(selection, volume, d, evaluate, *, eel=None):
+    """Sequential sweep: returns (member lists, complete)."""
+    ordered = sorted(selection, key=lambda s: s.fitness)
+    n = len(ordered)
+    spacing = eel if eel is not None else expected_edge_length(volume, n, d)
+    positions = np.array([s.position for s in ordered])
+    nb_idx, nb_dist = _nearest_better(positions, min(d + 1, n - 1))
+    members = [[ordered[0]]]
+    cluster_of = np.zeros(n, dtype=np.int64)
+    for i in range(1, n):
+        if getattr(evaluate, "exhausted", False):
+            members.extend([s] for s in ordered[i:])
+            return members, False
+        checked = set()
+        for j in range(min(i, d + 1)):
+            neighbour = nb_idx[i, j]
+            cluster = cluster_of[neighbour]
+            if cluster in checked:
+                continue
+            checked.add(cluster)
+            n_t = n_test_points(nb_dist[i, j], spacing)
+            if hill_valley_test(ordered[neighbour], ordered[i], n_t, evaluate)[0]:
+                members[cluster].append(ordered[i])
+                cluster_of[i] = cluster
+                break
+        else:
+            members.append([ordered[i]])
+            cluster_of[i] = len(members) - 1
+    return members, True
+
+
+def reference_merge(candidates, elites, evaluate):
+    """Sequential merge: returns (added, untested); ``elites`` is updated in place."""
+    added = untested = 0
+    for cand in sorted(candidates, key=lambda s: s.fitness):
+        if getattr(evaluate, "exhausted", False):
+            elites.append(cand)
+            added += 1
+            untested += 1
+            continue
+        for i, elite in enumerate(elites):
+            if hill_valley_test(cand, elite, ARCHIVE_TEST_POINTS, evaluate)[0]:
+                if cand.fitness < elite.fitness:
+                    elites[i] = cand
+                    added += 1
+                break
+        else:
+            elites.append(cand)
+            added += 1
+    return added, untested
+
+
+def terraced_problem(d: int, step: float) -> BenchmarkProblem:
+    """Many basins on [0, 4]^d; fitness rounded to ``step``, so values tie."""
+    def batch(X):
+        raw = np.sum(np.sin(3.0 * X) ** 2 + 0.1 * (X - 2.0) ** 2, axis=1)
+        return np.round(raw / step) * step
+
+    return BenchmarkProblem(
+        id=0, name="terraced", domain=SearchDomain(np.zeros(d), np.full(d, 4.0)),
+        objective=lambda x: float(batch(np.reshape(x, (1, -1)))[0]),
+        objective_batch=batch, known_global_optima=[KnownOptimum(np.full(d, 2.0), 0.0)],
+        budget=10 ** 6, niche_radius=0.5)
+
+
+class Calls:
+    """Bare callable objective (no budget, no batch form) that logs its points."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.points = []
+
+    def __call__(self, x):
+        self.points.append(np.array(x, dtype=float))
+        return self.problem.objective(x)
+
+
+@st.composite
+def instances(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 40))
+    step = draw(st.sampled_from([1e-9, 0.05, 0.5]))
+    grid = draw(st.sampled_from([0.5, 0.25, 0.0]))  # 0: continuous coordinates
+    seed = draw(st.integers(0, 2 ** 16))
+    problem = terraced_problem(d, step)
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 4.0, size=(n, d))
+    if grid:
+        X = np.round(X / grid) * grid  # duplicate and equidistant positions
+    fitness = problem.objective_batch(X)
+    if draw(st.booleans()):
+        fitness = np.round(fitness, 1)  # ties between the selected solutions
+    solutions = [Solution(x, float(f)) for x, f in zip(X, fitness)]
+    eel = draw(st.sampled_from([None, 0.05, 0.3, 2.0]))
+    return problem, solutions, d, eel
+
+
+def _ids(clusters):
+    return [[id(s) for s in members] for members in clusters]
+
+
+def _budgeted(problem, budget, used=0):
+    counter = EvaluationCounter(budget)
+    counter.take("init", used)
+    return BudgetedObjective(problem, counter, "clustering"), counter
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(instances(), st.integers(0, 3))
+def test_clustering_matches_sequential_sweep(instance, used):
+    problem, selection, d, eel = instance
+    volume = problem.domain.volume()
+    calls = Calls(problem)
+    reference = reference_clustering(selection, volume, d, calls, eel=eel)
+    plain = Calls(problem)
+    got = hill_valley_clustering(selection, volume, d, plain, eel=eel)
+    assert _ids(c.members for c in got) == _ids(reference[0]) and got.complete
+    assert len(plain.points) == len(calls.points)
+    assert all(np.array_equal(a, b) for a, b in zip(plain.points, calls.points))
+    # a budget that ends at every position of the sweep, and one that does not
+    for spend in range(len(calls.points) + 2):
+        ref_eval, ref_counter = _budgeted(problem, used + spend, used)
+        members, complete = reference_clustering(selection, volume, d, ref_eval, eel=eel)
+        new_eval, new_counter = _budgeted(problem, used + spend, used)
+        got = hill_valley_clustering(selection, volume, d, new_eval, eel=eel)
+        assert _ids(c.members for c in got) == _ids(members)
+        assert got.complete == complete
+        assert new_counter.used == ref_counter.used
+        assert new_counter.phase_used == ref_counter.phase_used
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(instances(), st.integers(0, 12), st.integers(0, 3))
+def test_merge_matches_sequential_merge(instance, n_elites, used):
+    problem, solutions, _, _ = instance
+    elites, candidates = solutions[:n_elites], solutions[n_elites:]
+    calls = Calls(problem)
+    ref_elites = list(elites)
+    reference = reference_merge(candidates, ref_elites, calls)
+    plain = Calls(problem)
+    got_elites = list(elites)
+    assert _merge(candidates, got_elites, plain) == reference
+    assert [id(s) for s in got_elites] == [id(s) for s in ref_elites]
+    assert all(np.array_equal(a, b) for a, b in zip(plain.points, calls.points))
+    assert len(plain.points) == len(calls.points)
+    for spend in range(len(calls.points) + 2):
+        ref_eval, ref_counter = _budgeted(problem, used + spend, used)
+        ref_elites = list(elites)
+        reference = reference_merge(candidates, ref_elites, ref_eval)
+        new_eval, new_counter = _budgeted(problem, used + spend, used)
+        got_elites = list(elites)
+        assert _merge(candidates, got_elites, new_eval) == reference
+        assert [id(s) for s in got_elites] == [id(s) for s in ref_elites]
+        assert new_counter.used == ref_counter.used
+        assert new_counter.phase_used == ref_counter.phase_used

@@ -101,14 +101,18 @@ def test_shubert_batch_matches_column_loop_bitwise(pid):
         assert np.array_equal(p.objective_batch(X), _shubert_column_loop(X))
 
 
-def test_batch_matches_scalar():
-    rng = np.random.default_rng(3)
-    for pid in range(1, 11):
-        p = make_problem(pid)
-        X = rng.uniform(p.domain.lower, p.domain.upper, size=(64, p.dimension))
-        batch = p.objective_batch(X)
-        scalar = np.array([p.objective(x) for x in X])
-        assert np.allclose(batch, scalar, rtol=1e-12, atol=1e-12)
+@pytest.mark.parametrize("pid", range(1, 11))
+def test_batch_rows_are_independent(pid):
+    # the hill-valley tests evaluate points ahead in batches of any size and
+    # layout, and must get every bit the one-point objective gets
+    p = make_problem(pid)
+    rng = np.random.default_rng(pid)
+    for n in [*range(1, 70), 257, 4099]:
+        X = rng.uniform(p.domain.lower, p.domain.upper, size=(n, p.dimension))
+        for Y in (X, np.asfortranarray(X)):
+            batch = p.objective_batch(Y)
+            assert np.array_equal(batch, [p.objective_batch(Y[i:i + 1])[0] for i in range(n)])
+            assert np.array_equal(batch, [p.objective(y) for y in Y])
 
 
 @pytest.mark.parametrize("pid", [1, 2, 3])
