@@ -11,9 +11,8 @@ from .core_search import (CmsaSearcher, CoreSearcher, EdaSearcher, GaussianInit,
                           SearcherConstants, SearcherKind, init_from_cluster,
                           recommended_population_size)
 from .evaluation import AggregateSummary, PeakRatioReport, aggregate, peak_ratio
-from .hillvalley import (Cluster, ClusterSet, Solution, average_edge_length,
-                         expected_edge_length, hill_valley_clustering,
-                         hill_valley_test, test_point_count)
+from .hillvalley import (Cluster, ClusterSet, Solution, expected_edge_length,
+                         hill_valley_clustering, hill_valley_test, test_point_count)
 from .optimizer import (ElitistArchive, InjectionMode, OptimizerConfig,
                         RestartLog, RunResult, postprocess, run_hillvallea,
                         truncation_selection, uniform_sample)
@@ -27,7 +26,7 @@ __all__ = [
     "ElitistArchive", "EvaluationCounter", "GaussianInit", "InjectionMode",
     "KnownOptimum", "OptimizerConfig", "PeakRatioReport", "RestartLog",
     "RunResult", "SearchDomain", "SearcherConstants", "SearcherKind",
-    "Solution", "UnsupportedProblemError", "aggregate", "average_edge_length",
+    "Solution", "UnsupportedProblemError", "aggregate",
     "expected_edge_length", "hill_valley_clustering",
     "hill_valley_test", "init_from_cluster", "make_problem", "peak_ratio",
     "postprocess", "problem_names", "recommended_population_size",

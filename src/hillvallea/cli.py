@@ -26,7 +26,8 @@ from .problems import make_problem, problem_names
 _STOP_FIELDS = {reason: "stop_" + reason.replace("-", "_") for reason in STOP_REASONS}
 RECORD_FIELDS = ("problem_id", "kind", "seed", "evaluations_used", "peak_ratio",
                  "n_elites", "restarts", "phase_init", "phase_hvc", "phase_lopt",
-                 "wall_time_ms", "verified", "n_unverified", *_STOP_FIELDS.values())
+                 "wall_time_ms", "verified", "n_unverified", "side_size", "side_unverified",
+                 *_STOP_FIELDS.values())
 AGGREGATE_FIELDS = ("problem_id", "kind", "runs", "mean_peak_ratio",
                     "min_peak_ratio", "max_peak_ratio", "mean_evaluations",
                     "mean_phase_init", "mean_phase_hvc", "mean_phase_lopt")
@@ -123,6 +124,8 @@ def _execute_task(sweep: RunConfig, problem_id: int, seed: int):
         "wall_time_ms": elapsed_ms,
         "verified": result.archive.verified,
         "n_unverified": result.archive.n_unverified,
+        "side_size": len(result.side_archive),
+        "side_unverified": result.side_unverified,
     }
     for reason, name in _STOP_FIELDS.items():
         record[name] = result.stop_reasons.get(reason, 0)

@@ -122,9 +122,35 @@ def _quadratic_form(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 def _usable(cov: np.ndarray) -> np.ndarray:
     """Which stacked covariances are finite with a nonnegative, nonzero diagonal."""
-    diag = np.diagonal(cov, axis1=1, axis2=2)
-    return (np.isfinite(cov).all(axis=(1, 2)) & (diag >= 0).all(axis=1)
-            & (diag.max(axis=1) > 0))
+    diag = cov.diagonal(0, 1, 2)
+    return (np.logical_and.reduce(np.isfinite(cov), axis=(1, 2))
+            & np.logical_and.reduce(diag >= 0, 1) & (np.maximum.reduce(diag, 1) > 0))
+
+
+def _mean(a: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=1)``, bitwise, without numpy's wrapper."""
+    return np.add.reduce(a, 1) / a.shape[1]
+
+
+def _std(a: np.ndarray) -> np.ndarray:
+    """``a.std(axis=1)``, bitwise, by numpy's own steps without its wrapper.
+
+    Where numpy gives NaN with a warning, a slice holding +inf has spread inf,
+    or 0 when all of it is +inf.
+    """
+    n = a.shape[1]
+    mean = np.add.reduce(a, 1, keepdims=True) / n
+    finite = np.isfinite(mean)
+    if np.count_nonzero(finite) < finite.size:
+        spread = np.where(np.minimum.reduce(a, 1) == np.maximum.reduce(a, 1), 0.0, np.inf)
+        return np.where(finite[:, 0], _std(np.where(finite, a, 0.0)), spread)
+    x = a - mean
+    return np.sqrt(np.add.reduce(np.square(x, out=x), 1) / n)
+
+
+#: Stop codes kept per member: 0 while it runs, else 1 + the index in STOP_REASONS.
+_CODE = {reason: code for code, reason in enumerate(STOP_REASONS, start=1)}
+_REASONS = (None,) + STOP_REASONS
 
 
 class CoreSearcher:
@@ -145,7 +171,7 @@ class CoreSearcher:
 
     kind: SearcherKind
     #: Attributes stacked along the member axis; rows go when members stop.
-    _STATE = ("members", "rngs", "has_best", "best_f", "best_x", "recent")
+    _STATE = ("members", "rngs", "fresh", "best_f", "best_x", "mean")
 
     def __init__(self, init: GaussianInit, *, rng: Optional[np.random.Generator] = None,
                  constants: SearcherConstants = DEFAULT_CONSTANTS,
@@ -155,18 +181,19 @@ class CoreSearcher:
         self.constants = constants
         self.generation = 0
         self.window = 10 + (30 * self.dimension) // self.population_size
-        self.best_ever = [founder]
-        self.terminated_reason = np.full(1, None, dtype=object)
+        # per member: its best as a Solution as of its last settling, its stop code
+        self._best = [founder]
+        self._codes = np.zeros(1, dtype=np.int8)
         self.evaluations = np.zeros(1, dtype=np.int64)
         self.members = np.zeros(1, dtype=np.int64)
         self.rngs = [rng if rng is not None else np.random.default_rng()]
-        self.has_best = np.array([founder is not None])
+        # every member has a best (its founder or a sample), or none has
+        self.has_best = founder is not None
         self.best_f = np.array([founder.fitness if founder is not None else math.inf])
-        self.best_x = np.zeros((1, self.dimension))
-        if founder is not None:
-            self.best_x[0] = founder.position
-        # best fitness after each of the last window+1 generations, as a ring
-        self.recent = np.zeros((1, self.window + 1))
+        self.best_x = np.array([founder.position if founder is not None
+                                else np.zeros(self.dimension)], dtype=float)
+        self.mean = np.array(init.mean, dtype=float, ndmin=2)
+        self.fresh = np.zeros(1, dtype=bool)  # rows whose best is newer than _best
 
     @staticmethod
     def stack(searchers: Sequence[CoreSearcher]) -> CoreSearcher:
@@ -175,23 +202,40 @@ class CoreSearcher:
         Members keep their order, generators and founders. Either all of them
         have a founder or none has.
         """
-        if len({bool(s.has_best.all()) for s in searchers}) > 1:
+        if len({s.has_best for s in searchers}) > 1:
             raise ValueError("either every member of a group has a founder or none has")
         group = copy.copy(searchers[0])
-        for name in group._STATE + ("best_ever", "terminated_reason", "evaluations"):
+        for name in group._STATE + ("_best", "_codes", "evaluations"):
             parts = [getattr(s, name) for s in searchers]
             setattr(group, name, list(itertools.chain.from_iterable(parts))
                     if isinstance(parts[0], list) else np.concatenate(parts))
         group.members = np.arange(len(searchers))
         return group
 
+    @property
+    def best_ever(self) -> list:
+        """Each member's best solution: its founder, the same object, until it improves."""
+        self._settle(self.fresh)
+        return self._best
+
+    def _settle(self, rows: np.ndarray) -> None:
+        """Build the Solution of each fresh row among ``rows`` (a boolean mask)."""
+        for row in np.flatnonzero(rows & self.fresh).tolist():
+            self._best[self.members[row]] = Solution(self.best_x[row].copy(),
+                                                     float(self.best_f[row]))
+        self.fresh = self.fresh & ~rows
+
+    @property
+    def terminated_reason(self) -> list:
+        return [_REASONS[c] for c in self._codes.tolist()]
+
     def member(self, k: int) -> CoreSearcher:
         """Running member ``k`` alone, in its current state and with its generator."""
+        best = self.best_ever[k]
         solo = copy.copy(self)
         solo._keep(self.members == k)
         solo.members = np.zeros(1, dtype=np.int64)
-        solo.best_ever = [self.best_ever[k]]
-        solo.terminated_reason = self.terminated_reason[[k]]
+        solo._best, solo._codes = [best], self._codes[[k]]
         solo.evaluations = self.evaluations[[k]]
         return solo
 
@@ -216,52 +260,58 @@ class CoreSearcher:
         S, n, d = X.shape
         fs = evaluate.batch(X.reshape(-1, d))
         if len(fs) == S * n:
-            self.evaluations[self.members] += n
+            if S == len(self.evaluations):  # every member runs
+                self.evaluations += n
+            else:
+                self.evaluations[self.members] += n
             return fs.reshape(S, n)
         granted = np.clip(len(fs) - n * np.arange(S), 0, n)
         padded = np.full(S * n, math.inf)
         padded[:len(fs)] = fs
-        self._record_best(X, padded.reshape(S, n), granted > 0)
+        self._record_best(X, padded.reshape(S, n), np.arange(S), granted > 0)
         self.evaluations[self.members] += granted
-        self.terminated_reason[self.members] = "budget"
+        self._codes[self.members] = _CODE["budget"]
         return None
 
-    def _record_best(self, X: np.ndarray, fs: np.ndarray, evaluated=True) -> np.ndarray:
-        """Track each member's all-time best; returns which members improved it."""
+    def _record_best(self, X: np.ndarray, fs: np.ndarray, rows: np.ndarray,
+                     evaluated: Optional[np.ndarray] = None) -> tuple:
+        """Track each member's all-time best; ``rows`` is ``arange(S)``.
+
+        Returns which members improved it, how many and, if any did, each
+        member's best sample of this generation.
+        """
         i = fs.argmin(axis=1)
-        f = fs[np.arange(len(fs)), i]
-        improved = (~self.has_best | (f < self.best_f)) & evaluated
-        rows = np.flatnonzero(improved)
-        self.best_x[rows] = X[rows, i[rows]]
-        self.best_f[rows] = f[rows]
-        self.has_best[rows] = True
-        for m, x, fitness in zip(self.members[rows].tolist(), self.best_x[rows],
-                                 f[rows].tolist()):
-            self.best_ever[m] = Solution(x, fitness)
-        return improved
+        f = fs[rows, i]
+        if not self.has_best:
+            improved = np.ones(len(rows), dtype=bool) if evaluated is None else evaluated
+        else:
+            improved = f < self.best_f if evaluated is None else evaluated & (f < self.best_f)
+        self.has_best |= evaluated is None
+        count = np.count_nonzero(improved)
+        if not count:
+            return improved, 0, None
+        x = X[rows, i]
+        np.copyto(self.best_x, x, where=improved[:, None])
+        np.copyto(self.best_f, f, where=improved)
+        self.fresh |= improved
+        return improved, count, x
 
-    def _end_generation(self) -> None:
-        self.recent[:, self.generation % (self.window + 1)] = self.best_f
-        self.generation += 1
+    def _first_reason(self, criteria) -> Optional[np.ndarray]:
+        """Stop code per running member: its own, else the first criterion's that fires.
 
-    def _stagnant(self, tol: float) -> np.ndarray:
-        """Members whose best improved by less than ``tol`` over the window."""
-        g = self.generation
-        if g <= self.window:
-            return np.zeros(len(self.members), dtype=bool)
-        span = self.window + 1
-        return self.recent[:, g % span] - self.recent[:, (g - 1) % span] < tol
+        ``criteria`` holds (reason, hits or None) pairs. None when no member stops.
+        """
+        codes = self._codes[self.members]
+        for reason, hit in criteria:
+            if hit is not None and np.count_nonzero(hit):
+                codes[(codes == 0) & hit] = _CODE[reason]
+        return codes if np.count_nonzero(codes) else None
 
-    def _first_reason(self, criteria) -> np.ndarray:
-        """Per running member: its stop reason, else the first criterion that fires."""
-        reasons = self.terminated_reason[self.members]
-        for name, hit in criteria:
-            reasons[np.equal(reasons, None) & hit] = name
-        return reasons
-
-    def check_termination(self, tol: float) -> np.ndarray:
+    def check_termination(self, tol: float) -> list:
         """Stop reason per running member (None for members that go on)."""
-        raise NotImplementedError
+        codes = self._stop_codes(tol)
+        return [_REASONS[c] for c in ([0] * len(self.members) if codes is None
+                                      else codes.tolist())]
 
     def run_generation(self, evaluate: BudgetedObjective, domain: SearchDomain) -> None:
         """One generation of every running member, with one batch evaluation."""
@@ -277,13 +327,14 @@ class CoreSearcher:
         continues one of them alone.
         """
         while True:
-            reasons = self.check_termination(tol)
-            stopped = np.not_equal(reasons, None)
-            if stopped.any():
-                self.terminated_reason[self.members[stopped]] = reasons[stopped]
+            codes = self._stop_codes(tol)
+            if codes is not None:
+                stopped = codes != 0
+                self._codes[self.members[stopped]] = codes[stopped]
+                self._settle(stopped)
                 self._keep(~stopped)
             running = len(self.members)
-            if running == 0 or (limit is not None and self.evaluations.sum()
+            if running == 0 or (limit is not None and np.add.reduce(self.evaluations)
                                 + running * self._rows() > limit):
                 return self.best_ever
             self.run_generation(evaluate, domain)
@@ -299,66 +350,66 @@ class CmsaSearcher(CoreSearcher):
     """
 
     kind = SearcherKind.CMSA
-    _STATE = CoreSearcher._STATE + ("mean", "sigma", "shape")
+    _STATE = CoreSearcher._STATE + ("recent", "sigma", "shape")
 
     def __init__(self, init: GaussianInit, **kwargs):
         super().__init__(init, **kwargs)
-        self.mean = np.array(init.mean, dtype=float, ndmin=2)
-        sigma2 = float(np.mean(np.diag(init.covariance)))
+        d, c = self.dimension, self.constants
+        sigma2 = float(np.add.reduce(np.diag(init.covariance))) / d
         self.sigma = np.array([math.sqrt(sigma2)])
         self.shape = (init.covariance / sigma2)[None]
+        # best fitness after each of the last window+1 generations, as a ring
+        self.recent = np.zeros((1, self.window + 1))
+        self.tau_sigma = c.tau_sigma if c.tau_sigma is not None else 1.0 / math.sqrt(2.0 * d)
+        self.mu_sel = max(1, self.population_size // 2)
+        self.tau_c = c.tau_c if c.tau_c is not None else 1.0 + d * (d + 1) / (2.0 * self.mu_sel)
 
     def run_generation(self, evaluate: BudgetedObjective, domain: SearchDomain) -> None:
-        d = self.dimension
-        lam = self.population_size
-        tau_sigma = self.constants.tau_sigma
-        if tau_sigma is None:
-            tau_sigma = 1.0 / math.sqrt(2.0 * d)
-
-        steps = np.empty((len(self.members), lam))
-        noise = np.empty((len(self.members), lam, d))
-        for rng, step, directions in zip(self.rngs, steps, noise):
-            rng.standard_normal(out=step)
-            rng.standard_normal(out=directions)
-        sigmas = self.sigma[:, None] * np.exp(tau_sigma * steps)
-        Z = noise @ _sqrt_factor(self.shape).transpose(0, 2, 1)
+        S, lam, d = len(self.members), self.population_size, self.dimension
+        # per member, its lam step-size draws, then its (lam, d) directions
+        draws = np.empty((S, lam * (d + 1)))
+        for rng, row in zip(self.rngs, draws):
+            rng.standard_normal(out=row)
+        sigmas = self.sigma[:, None] * np.exp(self.tau_sigma * draws[:, :lam])
+        Z = draws[:, lam:].reshape(S, lam, d) @ _sqrt_factor(self.shape).transpose(0, 2, 1)
         X = domain.clip(self.mean[:, None, :] + sigmas[:, :, None] * Z)
         fs = self._evaluate(evaluate, X)
         if fs is None:
             return
 
-        # elitism: the all-time best replaces the worst offspring
-        rows = np.flatnonzero(self.has_best)
-        worst = fs[rows].argmax(axis=1)
-        X[rows, worst] = self.best_x[rows]
-        fs[rows, worst] = self.best_f[rows]
-        sigmas[rows, worst] = self.sigma[rows]
+        rows = np.arange(S)
+        if self.has_best:  # elitism: the all-time best replaces the worst offspring
+            worst = fs.argmax(axis=1)
+            X[rows, worst] = self.best_x
+            fs[rows, worst] = self.best_f
+            sigmas[rows, worst] = self.sigma
+        self._record_best(X, fs, rows)
 
-        self._record_best(X, fs)
-        Z = (X - self.mean[:, None, :]) / sigmas[:, :, None]  # post-repair directions
-
-        mu_sel = max(1, lam // 2)
-        selected = (np.arange(len(fs))[:, None],
-                    np.argsort(fs, axis=1, kind="stable")[:, :mu_sel])
-        tau_c = self.constants.tau_c
-        if tau_c is None:
-            tau_c = 1.0 + d * (d + 1) / (2.0 * mu_sel)
-        Zs = Z[selected]
-        rank_mu = Zs.transpose(0, 2, 1) @ Zs / mu_sel
-        shape = (1.0 - 1.0 / tau_c) * self.shape + (1.0 / tau_c) * rank_mu
+        selected = (rows[:, None], fs.argsort(axis=1, kind="stable")[:, :self.mu_sel])
+        Xs, sigmas_s = X[selected], sigmas[selected]
+        Zs = (Xs - self.mean[:, None, :]) / sigmas_s[:, :, None]  # post-repair directions
+        rank_mu = Zs.transpose(0, 2, 1) @ Zs / self.mu_sel
+        shape = (1.0 - 1.0 / self.tau_c) * self.shape + (1.0 / self.tau_c) * rank_mu
         self.shape = 0.5 * (shape + shape.transpose(0, 2, 1))
-        self.mean = X[selected].mean(axis=1)
-        self.sigma = sigmas[selected].mean(axis=1)
-        self._end_generation()
+        self.mean = _mean(Xs)
+        self.sigma = _mean(sigmas_s)
+        self.recent[:, self.generation % (self.window + 1)] = self.best_f
+        self.generation += 1
 
-    def check_termination(self, tol: float) -> np.ndarray:
-        diag = np.diagonal(self.shape, axis1=1, axis2=2)
-        model_std = self.sigma[:, None] * np.sqrt(np.clip(diag, 0.0, None))
+    def _stop_codes(self, tol: float) -> Optional[np.ndarray]:
+        g, span = self.generation, self.window + 1
+        stagnant = (self.recent[:, g % span] - self.recent[:, (g - 1) % span] < tol
+                    if g > self.window else None)
+        # max commutes with the monotone sqrt and the scaling by sigma >= 0
+        diag_max = np.maximum.reduce(self.shape.diagonal(0, 1, 2), 1)
+        min_std = self.sigma * np.sqrt(np.maximum(diag_max, 0.0)) < 1e-15
         w = np.linalg.eigvalsh(self.shape)
         ill = w[:, 0] <= 0.0
-        ill |= np.divide(w[:, -1], w[:, 0], out=np.zeros(len(w)), where=~ill) > 1e14
-        return self._first_reason((("no-improvement", self._stagnant(tol)),
-                                   ("min-std", model_std.max(axis=1) < 1e-15),
+        if np.count_nonzero(ill):
+            ill |= np.divide(w[:, -1], w[:, 0], out=np.zeros(len(w)), where=~ill) > 1e14
+        else:  # the same ratio, with no zero to guard against
+            ill = w[:, -1] / w[:, 0] > 1e14
+        return self._first_reason((("no-improvement", stagnant), ("min-std", min_std),
                                    ("ill-conditioned", ill)))
 
 
@@ -372,66 +423,62 @@ class EdaSearcher(CoreSearcher):
     kinds) and adapt the distribution multiplier c.
     """
 
-    _STATE = CoreSearcher._STATE + ("mean", "covariance", "multiplier", "mean_shift",
-                                    "no_improvement_streak", "population_std",
-                                    "fitness_std")
+    _STATE = CoreSearcher._STATE + ("covariance", "multiplier", "mean_shift",
+                                    "no_improvement_streak", "population_std", "fitness_std")
 
     def __init__(self, init: GaussianInit, kind: SearcherKind, **kwargs):
         if kind is SearcherKind.CMSA:
             raise ValueError("EdaSearcher covers the AMaLGaM variants only")
         super().__init__(init, **kwargs)
         self.kind = kind
-        self.mean = np.array(init.mean, dtype=float, ndmin=2)
+        c, n, d = self.constants, self.population_size, self.dimension
         cov = np.asarray(init.covariance, dtype=float)
         self.covariance = (np.diag(np.diag(cov)) if kind.univariate else cov.copy())[None]
         self.multiplier = np.ones(1)
-        self.mean_shift = np.zeros((1, self.dimension))
+        self.mean_shift = np.zeros((1, d))
         self.no_improvement_streak = np.zeros(1, dtype=np.int64)
         # NaN until the first generation: no stop criterion fires on it
-        self.population_std = np.full((1, self.dimension), math.nan)
+        self.population_std = np.full((1, d), math.nan)
         self.fitness_std = np.full(1, math.nan)
+        self.n_ams = int(c.ams_fraction * kind.tau * n)
+        self.n_sel = max(1, int(kind.tau * n))
+        self.patience = c.stagnation_patience if c.stagnation_patience is not None else 25 + d
+        self.eye = np.eye(d)
 
     def _rows(self) -> int:
         # elitism: the all-time best stays in the population, n-1 fresh samples
-        return self.population_size - int(self.has_best.all())
+        return self.population_size - self.has_best
 
     def _mahalanobis_sq(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Squared distances of x under each member's sampling model, at ``rows`` only."""
         out = np.zeros(len(x))
-        rows = np.flatnonzero(rows)
-        if not rows.size:
-            return out
         delta = x[rows] - self.mean[rows]
         # Python's float power, as a lone searcher squares its multiplier
         scale = np.array([m ** 2 for m in self.multiplier[rows].tolist()])
         if self.kind.univariate:
-            diag = np.diagonal(self.covariance[rows], axis1=1, axis2=2)
-            var = np.clip(diag, 1e-300, None) * scale[:, None]
-            out[rows] = (delta * delta / var).sum(axis=1)
+            var = np.maximum(self.covariance[rows].diagonal(0, 1, 2), 1e-300) * scale[:, None]
+            out[rows] = np.add.reduce(delta * delta / var, 1)
         else:
             out[rows] = _quadratic_form(self.covariance[rows] * scale[:, None, None], delta)
         return out
 
     def run_generation(self, evaluate: BudgetedObjective, domain: SearchDomain) -> None:
         c = self.constants
-        n = self.population_size
-        tau = self.kind.tau
+        S, n, d = len(self.members), self.population_size, self.dimension
 
         fresh = self._rows()
-        noise = np.empty((len(self.members), fresh, self.dimension))
-        for rng, rows in zip(self.rngs, noise):
-            rng.standard_normal(out=rows)
+        noise = np.empty((S, fresh, d))
+        for rng, block in zip(self.rngs, noise):
+            rng.standard_normal(out=block)
         multiplier = self.multiplier[:, None, None]
         if self.kind.univariate:
-            diag = np.diagonal(self.covariance, axis1=1, axis2=2)
-            std = np.sqrt(np.clip(diag, 0.0, None))[:, None, :]
-            X = self.mean[:, None, :] + multiplier * noise * std
+            std = np.sqrt(np.maximum(self.covariance.diagonal(0, 1, 2), 0.0))[:, None, :]
+            step = multiplier * noise * std
         else:
-            L = _sqrt_factor(self.covariance)
-            X = self.mean[:, None, :] + multiplier * noise @ L.transpose(0, 2, 1)
-        n_ams = int(c.ams_fraction * tau * n)
-        if n_ams > 0:
-            X[:, :n_ams] += ((2.0 * self.multiplier)[:, None] * self.mean_shift)[:, None, :]
+            step = multiplier * noise @ _sqrt_factor(self.covariance).transpose(0, 2, 1)
+        X = self.mean[:, None, :] + step
+        if self.n_ams > 0:
+            X[:, :self.n_ams] += 2.0 * multiplier * self.mean_shift[:, None, :]
         X = domain.clip(X)
         fs = self._evaluate(evaluate, X)
         if fs is None:
@@ -440,51 +487,52 @@ class EdaSearcher(CoreSearcher):
             X = np.concatenate([X, self.best_x[:, None, :]], axis=1)
             fs = np.concatenate([fs, self.best_f[:, None]], axis=1)
 
-        gen_best = fs.argmin(axis=1)
-        improved = self._record_best(X, fs)
-        maha_sq = self._mahalanobis_sq(X[np.arange(len(X)), gen_best], improved)
+        rows = np.arange(S)
+        improved, count, gen_best = self._record_best(X, fs, rows)
+        if count:
+            maha_sq = self._mahalanobis_sq(gen_best, improved)
 
-        n_sel = max(1, int(tau * n))
-        order = np.argsort(fs, axis=1, kind="stable")
-        Xs = X[np.arange(len(fs))[:, None], order[:, :n_sel]]
+        Xs = X[rows[:, None], fs.argsort(axis=1, kind="stable")[:, :self.n_sel]]
         previous_mean = self.mean
-        self.mean = Xs.mean(axis=1)
+        self.mean = _mean(Xs)
         self.mean_shift = self.mean - previous_mean
         deviations = Xs - self.mean[:, None, :]
-        fitted = (deviations ** 2).mean(axis=1)[:, :, None] * np.eye(self.dimension)
+        fitted = _mean(deviations ** 2)[:, :, None] * self.eye
         if not self.kind.univariate:
-            full = deviations.transpose(0, 2, 1) @ deviations / n_sel
+            full = deviations.transpose(0, 2, 1) @ deviations / self.n_sel
             usable = _usable(full)
             fitted[usable] = full[usable]
-        # a degenerate member stops; its rows are dropped before the next generation
-        self.terminated_reason[self.members[~_usable(fitted)]] = "degenerate"
+        usable = _usable(fitted)
+        if np.count_nonzero(usable) < S:
+            # a degenerate member stops; its rows are dropped before the next generation
+            self._codes[self.members[~usable]] = _CODE["degenerate"]
         if self.kind.incremental:
             eta = c.memory_eta
             self.covariance = (1.0 - eta) * self.covariance + eta * fitted
         else:
             self.covariance = fitted
 
-        patience = c.stagnation_patience
-        if patience is None:
-            patience = 25 + self.dimension
         multiplier = self.multiplier
         self.no_improvement_streak = np.where(improved, 0, self.no_improvement_streak + 1)
-        grown = np.maximum(multiplier, 1.0)
-        grown = np.where(maha_sq > c.mahalanobis_threshold ** 2,
-                         np.minimum(grown / c.multiplier_decay, c.multiplier_max), grown)
-        # without improvement: shrink, or hold at 1 until the stagnation stretch matures
-        shrink = (multiplier > 1.0) | (self.no_improvement_streak >= patience)
-        shrunk = np.maximum(multiplier * c.multiplier_decay, c.multiplier_min)
-        held = np.where(shrink, shrunk, 1.0)
-        self.multiplier = np.where(improved, grown, held)
+        if count:
+            grown = np.maximum(multiplier, 1.0)
+            grown = np.where(maha_sq > c.mahalanobis_threshold ** 2,
+                             np.minimum(grown / c.multiplier_decay, c.multiplier_max), grown)
+        if count < S:
+            # without improvement: shrink, or hold at 1 until the stagnation stretch matures
+            shrink = (multiplier > 1.0) | (self.no_improvement_streak >= self.patience)
+            shrunk = np.maximum(multiplier * c.multiplier_decay, c.multiplier_min)
+            held = np.where(shrink, shrunk, 1.0)
+        self.multiplier = (grown if count == S else held if not count
+                           else np.where(improved, grown, held))
 
-        self.population_std = X.std(axis=1)
-        self.fitness_std = fs.std(axis=1)
-        self._end_generation()
+        self.population_std = _std(X)
+        self.fitness_std = _std(fs)
+        self.generation += 1
 
-    def check_termination(self, tol: float) -> np.ndarray:
+    def _stop_codes(self, tol: float) -> Optional[np.ndarray]:
         return self._first_reason(
-            (("population-std", self.population_std.max(axis=1) < 1e-12),
+            (("population-std", np.maximum.reduce(self.population_std, 1) < 1e-12),
              ("fitness-std", self.fitness_std < 1e-12)))
 
 
@@ -502,7 +550,7 @@ def init_from_cluster(cluster: Cluster, d: int, eel: float, kind: SearcherKind,
     """
     positions = cluster.positions()
     m = len(positions)
-    mean = positions.mean(axis=0)
+    mean = np.add.reduce(positions, 0) / m
     tiny = (0.01 * eel) ** 2
     if m == 1:
         cov = tiny * np.eye(d)
@@ -512,7 +560,7 @@ def init_from_cluster(cluster: Cluster, d: int, eel: float, kind: SearcherKind,
             cov = deviations.T @ deviations / (m - 1)
         else:
             cov = np.diag((deviations ** 2).sum(axis=0) / (m - 1))
-        if not np.isfinite(cov).all() or np.trace(cov) <= 0.0:
+        if not np.isfinite(cov).all() or cov.trace() <= 0.0:
             cov = tiny * np.eye(d)
     init = GaussianInit(mean=mean, covariance=cov, population_size=population_size)
     founder = cluster.founder

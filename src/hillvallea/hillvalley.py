@@ -159,19 +159,6 @@ def _nearest_better(positions: np.ndarray, k: int,
     return idx, dist
 
 
-def average_edge_length(selection: Sequence[Solution]) -> float:
-    """Mean distance from each solution to its nearest better solution.
-
-    Fallback spacing estimate for when the search-space volume is unknown.
-    """
-    ordered = sorted(selection, key=lambda s: s.fitness)
-    if len(ordered) < 2:
-        raise ValueError("need at least two solutions to measure edges")
-    positions = np.array([s.position for s in ordered])
-    _, dist = _nearest_better(positions, 1)
-    return float(dist[1:, 0].mean())
-
-
 class _LookedAhead:
     """``evaluate``, except that a call while ``first`` holds a fitness (not
     NaN) returns it, charged as one evaluation (``None`` past the budget)."""

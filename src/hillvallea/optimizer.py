@@ -17,8 +17,8 @@ import numpy as np
 
 from .core_search import (DEFAULT_CONSTANTS, CoreSearcher, SearcherConstants,
                           SearcherKind, init_from_cluster, recommended_population_size)
-from .hillvalley import (Solution, _first_tests, _LookedAhead, average_edge_length,
-                         expected_edge_length, hill_valley_clustering, hill_valley_test)
+from .hillvalley import (Solution, _first_tests, _LookedAhead, expected_edge_length,
+                         hill_valley_clustering, hill_valley_test)
 from .problems import (BenchmarkProblem, BudgetedObjective, EvaluationCounter,
                        SearchDomain)
 
@@ -45,7 +45,6 @@ class OptimizerConfig:
     population_growth: float = 2.0
     cluster_growth: float = 1.2
     cluster_size: Optional[int] = None      # overrides the recommended N_c
-    eel_mode: str = "volume"                # or "average" (edge-length fallback)
     trace_every: Optional[int] = None
     constants: SearcherConstants = DEFAULT_CONSTANTS
 
@@ -121,6 +120,7 @@ class RunResult:
     per_restart_log: list
     trace: list
     stop_reasons: dict = field(default_factory=dict)  # core searchers per stop reason
+    side_unverified: int = 0  # side-archive entries appended untested
 
     @property
     def phase_fractions(self) -> dict:
@@ -259,6 +259,7 @@ def _search_niches(niches: Sequence, build: Callable, seeds: np.random.SeedSeque
     trial = BudgetedObjective(evaluate.problem, EvaluationCounter(counter.remaining),
                               evaluate.phase)
     group.run(trial, evaluate.problem.domain, tol=tol, limit=counter.remaining)
+    reasons = group.terminated_reason
     bests = []
     for k, (niche, seq) in enumerate(zip(niches, seqs)):
         if counter.exhausted:
@@ -270,12 +271,12 @@ def _search_niches(niches: Sequence, build: Callable, seeds: np.random.SeedSeque
             searcher, i = build(niche, seq), 0
         else:
             counter.take(evaluate.phase, used)
-            if group.terminated_reason[k] is None:  # paused: it goes on alone
+            if reasons[k] is None:  # paused: it goes on alone
                 searcher, i = group.member(k), 0
         if searcher is not group:
             searcher.run(evaluate, evaluate.problem.domain, tol=tol)
         bests.append(searcher.best_ever[i])
-        reason = searcher.terminated_reason[i]
+        reason = reasons[k] if searcher is group else searcher.terminated_reason[0]
         stop_reasons[reason] = stop_reasons.get(reason, 0) + 1
     return bests
 
@@ -341,6 +342,7 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
 
     archive = ElitistArchive()
     side: list = []
+    side_unverified = 0
     logs: list = []
     stop_reasons: dict = {}
     restarts = 0
@@ -365,15 +367,11 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
                                     kind.tau)
         selection = [Solution(X[i], float(fs[i])) if i < n_fs else injected[i - n_fs]
                      for i in kept.tolist()]
-        eel = None
-        if config.eel_mode == "average" and len(selection) >= 2:
-            eel = average_edge_length(selection)
-        clusters = hill_valley_clustering(selection, volume, d, obj_cluster, eel=eel)
+        clusters = hill_valley_clustering(selection, volume, d, obj_cluster)
         tracer.checkpoint(archive)
 
         # phase 2: one core searcher per niche not already represented
-        searcher_eel = eel if eel is not None else expected_edge_length(
-            volume, len(selection), d)
+        searcher_eel = expected_edge_length(volume, len(selection), d)
         known_ids = set(map(id, archive.solutions))
         if config.injection is InjectionMode.ALL_OPTIMA:
             known_ids.update(map(id, side))
@@ -389,8 +387,9 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
         if config.injection is InjectionMode.ALL_OPTIMA:
             if result.emptied:
                 side.clear()
+                side_unverified = 0
             # presumed local optima, deduplicated into the side archive
-            _merge(result.discarded, side, obj_post)
+            side_unverified += _merge(result.discarded, side, obj_post)[1]
         tracer.checkpoint(archive)
 
         logs.append(RestartLog(
@@ -425,4 +424,5 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
         per_restart_log=logs,
         trace=tracer.rows,
         stop_reasons=stop_reasons,
+        side_unverified=side_unverified,
     )

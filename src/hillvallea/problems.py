@@ -52,7 +52,9 @@ class SearchDomain:
 
     def clip(self, x: np.ndarray) -> np.ndarray:
         """Repair a point (or an (n, d) batch) onto the box, coordinate-wise."""
-        return np.clip(x, self.lower, self.upper)
+        # np.clip bitwise, without its wrapper's cost
+        out = np.maximum(x, self.lower)
+        return np.minimum(out, self.upper, out=out)
 
 
 @dataclass(frozen=True, eq=False)

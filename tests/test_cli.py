@@ -5,9 +5,10 @@ import json
 
 import pytest
 
+from hillvallea import InjectionMode
 from hillvallea.cli import (RECORD_FIELDS, RunConfig, config_from_args,
                             build_parser, execute_sweep, main,
-                            parse_problem_spec)
+                            parse_problem_spec, write_outputs)
 
 
 def _tiny_config(tmp_path, **overrides):
@@ -75,9 +76,21 @@ def test_rerun_reproduces_numeric_fields(tmp_path):
 
 
 def test_parallel_jobs_do_not_change_results(tmp_path):
-    serial = execute_sweep(_tiny_config(tmp_path, jobs=1))
-    parallel = execute_sweep(_tiny_config(tmp_path, jobs=2))
-    for a, b in zip(serial.records, parallel.records):
+    runs = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}.csv"
+        config = _tiny_config(tmp_path, jobs=jobs, trace=100, format="csv", out=str(out),
+                              injection=InjectionMode.ALL_OPTIMA)
+        data = execute_sweep(config)
+        write_outputs(data, config)
+        traces = (tmp_path / f"jobs{jobs}.traces.csv").read_text()
+        runs.append((data.records, traces))
+    (serial, serial_traces), (parallel, parallel_traces) = runs
+    assert serial_traces == parallel_traces
+    assert len(serial_traces.splitlines()) > 1
+    assert any(record["side_size"] for record in serial)
+    assert len(serial) == len(parallel)
+    for a, b in zip(serial, parallel):
         for field in RECORD_FIELDS:
             if field != "wall_time_ms":
                 assert a[field] == b[field]

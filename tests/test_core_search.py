@@ -1,13 +1,17 @@
 """Core searchers: size tables, cluster initialization, generations, termination."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from hillvallea import (Cluster, CmsaSearcher, CoreSearcher, EdaSearcher, GaussianInit,
-                        SearcherKind, Solution, init_from_cluster,
+                        SearchDomain, SearcherKind, Solution, init_from_cluster,
                         recommended_population_size)
+from hillvallea.core_search import _mean, _std
 from helpers import (RecordingObjective, budgeted, make_ripple_problem,
                      make_sphere_problem, ripple, sphere)
 
@@ -282,3 +286,73 @@ def test_stack_rejects_mixed_founders():
     without = _ripple_searchers(SearcherKind.AMU, 2, 1, 0, founders=False)
     with pytest.raises(ValueError):
         CoreSearcher.stack(with_founder + without)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+# magnitudes whose squares and sums stay finite, where numpy's std is defined
+_moderate = st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(a=arrays(np.float64, array_shapes(min_dims=2, max_dims=3, min_side=1, max_side=9),
+                elements=_moderate))
+def test_reductions_equal_numpy_bitwise(a):
+    assert _bits(_mean(a)) == _bits(np.mean(a, axis=1))
+    assert _bits(_std(a)) == _bits(np.std(a, axis=1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), shape=array_shapes(min_dims=2, max_dims=3, min_side=1, max_side=9))
+def test_domain_clip_equals_numpy_bitwise(data, shape):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    x = data.draw(arrays(np.float64, shape, elements=finite))
+    pairs = data.draw(st.lists(st.lists(finite, min_size=2, max_size=2, unique=True),
+                               min_size=shape[-1], max_size=shape[-1]))
+    domain = SearchDomain(*np.sort(np.array(pairs), axis=1).T)
+    assert _bits(domain.clip(x)) == _bits(np.clip(x, domain.lower, domain.upper))
+
+
+def test_fitness_spread_with_infinities_is_defined_without_warning():
+    fs = np.array([[1.0, np.inf, 2.0], [np.inf, np.inf, np.inf], [1.0, 2.0, 4.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spread = _std(fs)
+    assert spread[0] == np.inf
+    assert spread[1] == 0.0
+    assert spread[2] == np.std(fs[2])
+
+
+@pytest.mark.parametrize("kind", [SearcherKind.AM, SearcherKind.AMU, SearcherKind.IAMU])
+def test_eda_fitness_std_stop_fires_on_all_infinite_population(kind):
+    problem = make_sphere_problem(2)
+    s = EdaSearcher(GaussianInit(np.zeros(2), np.eye(2), 8), kind,
+                    rng=np.random.default_rng(3))
+    s.run_generation(RecordingObjective(lambda x: np.inf), problem.domain)
+    assert s.fitness_std[0] == 0.0
+    assert s.check_termination(1e-5) == ["fitness-std"]
+
+
+@pytest.mark.parametrize("kind", list(SearcherKind))
+def test_member_that_never_improves_keeps_its_founder_object(kind):
+    problem = make_sphere_problem(2)
+    init = GaussianInit(np.zeros(2), 0.01 * np.eye(2), recommended_population_size(kind, 2))
+
+    def build(founder, seed):
+        rng = np.random.default_rng(seed)
+        return (CmsaSearcher(init, rng=rng, founder=founder) if kind is SearcherKind.CMSA
+                else EdaSearcher(init, kind, rng=rng, founder=founder))
+
+    # nothing on the sphere beats the minimum, so the first founder is never replaced
+    stuck = Solution(np.zeros(2), 0.0)
+    movable = Solution(np.array([0.05, 0.05]), 10.0)
+    obj, _ = budgeted(problem, 10 ** 6)
+    group = CoreSearcher.stack([build(stuck, 1), build(movable, 2)])
+    group.run(obj, problem.domain, limit=4 * init.population_size)
+    assert group.best_ever[0] is stuck
+    assert group.best_ever[1] is not movable
+    assert group.member(0).best_ever[0] is stuck
+    alone = build(stuck, 1)
+    assert alone.run(obj, problem.domain)[0] is stuck

@@ -44,6 +44,10 @@ RUNS = [
     # the budget ends inside an archive merge, cutting a distinctness test
     (7, "amu", 3_750, "all_optima", 0),
     (7, "cmsa", 2_250, "only_global", 0),
+    # d = 3, the budget ends inside the second restart's lockstep run: 4 of
+    # 12 CMSA and 6 of 9 AMU members are still running when it pauses
+    (8, "cmsa", 21_000, "only_global", 0),
+    (8, "amu", 19_000, "only_global", 0),
 ]
 
 

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from hillvallea import (BenchmarkProblem, KnownOptimum, SearchDomain, Solution,
-                        average_edge_length, expected_edge_length,
-                        hill_valley_clustering, hill_valley_test)
+                        expected_edge_length, hill_valley_clustering, hill_valley_test)
 from hillvallea.hillvalley import _nearest_better
 from hillvallea import test_point_count as n_test_points
 from helpers import RecordingObjective, budgeted, double_well, make_sphere_problem, solution
@@ -195,15 +194,6 @@ def test_clustering_budget_exhaustion_singleton_tail():
     assert counter.used == 1
     members = [s for c in result for s in c.members]
     assert len(members) == len(xs)
-
-
-def test_average_edge_length_simple():
-    fn = lambda x: float(x[0])
-    selection = [solution(x, fn) for x in (0.0, 1.0, 3.0, 6.0)]
-    # nearest better edges: 1->0 (1), 3->1 (2), 6->3 (3)
-    assert average_edge_length(selection) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        average_edge_length(selection[:1])
 
 
 def test_clustering_eel_override_changes_test_points():

@@ -231,6 +231,17 @@ def test_all_optima_injection_builds_side_archive():
     assert all(s.fitness > best + 1e-5 for s in result.side_archive)
 
 
+def test_side_archive_counts_entries_appended_untested():
+    # side entries merged while budget remained were tested for distinctness;
+    # those merged after it ran out were appended untested
+    config = OptimizerConfig(budget=10_000, injection=InjectionMode.ALL_OPTIMA)
+    result = run_hillvallea(make_problem(5), SearcherKind.AMU, config, seed=0)
+    assert 0 < result.side_unverified < len(result.side_archive)
+    plain = run_hillvallea(make_problem(5), SearcherKind.AMU, OptimizerConfig(budget=10_000),
+                           seed=0)
+    assert plain.side_archive == [] and plain.side_unverified == 0
+
+
 def test_seed_determinism_bitwise():
     problem = make_problem(5)
     config = OptimizerConfig(budget=15_000, trace_every=1000)
@@ -263,15 +274,6 @@ def test_budget_must_be_positive():
     problem = make_problem(2)
     with pytest.raises(ValueError):
         run_hillvallea(problem, SearcherKind.AMU, OptimizerConfig(budget=0), seed=0)
-
-
-def test_average_edge_length_mode_runs():
-    problem = make_problem(2)
-    config = OptimizerConfig(budget=5_000, eel_mode="average")
-    result = run_hillvallea(problem, SearcherKind.AMU, config, seed=14)
-    report = peak_ratio(list(result.archive), problem)
-    assert result.evaluations_used == 5_000
-    assert report.ratio >= 0.8  # spacing fallback stays a working configuration
 
 
 def test_scalar_only_custom_problem_matches_batch_form():
