@@ -9,8 +9,9 @@ nearest better neighbours whose cluster passes the test.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -28,20 +29,54 @@ class Solution:
 
 
 @dataclass(eq=False)
-class Cluster:
-    """Solutions presumed to share one niche; the founder (best) comes first."""
+class Selection(Sequence):
+    """Solutions as arrays, best first: row r is ``positions[r]`` with ``fitness[r]``.
 
-    members: list
+    ``solutions`` maps rows to their objects; a row's is built when first read."""
+
+    positions: np.ndarray
+    fitness: np.ndarray
+    solutions: dict
+
+    @classmethod
+    def of(cls, solutions: Sequence[Solution]) -> Selection:
+        """``solutions`` itself if a selection, else sorted best first (stable), same objects."""
+        if isinstance(solutions, Selection):
+            return solutions
+        ordered = sorted(solutions, key=lambda s: s.fitness)
+        return cls(np.array([s.position for s in ordered]),
+                   np.array([s.fitness for s in ordered]), dict(enumerate(ordered)))
+
+    def __len__(self) -> int:
+        return len(self.fitness)
+
+    def __getitem__(self, r: int) -> Solution:
+        if r not in self.solutions:
+            r = range(len(self))[r]  # one key per row; IndexError past either end
+            self.solutions.setdefault(r, Solution(self.positions[r], float(self.fitness[r])))
+        return self.solutions[r]
+
+
+class Cluster:
+    """Rows of a selection (all rows if not given) presumed to share one niche, best first."""
+
+    def __init__(self, selection: Sequence[Solution], rows: Optional[np.ndarray] = None):
+        self.selection = Selection.of(selection)
+        self.rows = np.arange(len(self.selection)) if rows is None else rows
+
+    @property
+    def members(self) -> list:
+        return [self.selection[r] for r in self.rows.tolist()]
 
     @property
     def founder(self) -> Solution:
-        return self.members[0]
+        return self.selection[self.rows[0]]
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.rows)
 
     def positions(self) -> np.ndarray:
-        return np.array([s.position for s in self.members])
+        return self.selection.positions[self.rows]
 
 
 @dataclass(eq=False)
@@ -190,16 +225,14 @@ def _first_tests(evaluate: BudgetedObjective, left, right, f_left, f_right,
 
 
 def hill_valley_clustering(selection: Sequence[Solution], volume: float, d: int,
-                           evaluate: Callable, *,
-                           eel: Optional[float] = None) -> ClusterSet:
-    """Partition a selection into presumed niches.
+                           evaluate: Callable) -> ClusterSet:
+    """Partition a selection (a :class:`Selection`, or solutions to sort) into presumed niches.
 
     Solutions are swept best-first; each is tested against the clusters of
     its d+1 nearest better neighbours (each candidate cluster at most once)
     with a test-point count proportional to the edge length, and founds a new
-    cluster when every check fails. ``eel`` overrides the volume-based
-    expected edge length. On budget exhaustion the solutions not yet swept
-    found singleton clusters and the result is flagged incomplete.
+    cluster when every check fails. On budget exhaustion the solutions not
+    yet swept found singleton clusters and the result is flagged incomplete.
 
     With a :class:`BudgetedObjective`, first test points are looked ahead in
     a batch per neighbour w, for the rows whose tests all rejected at their
@@ -209,16 +242,15 @@ def hill_valley_clustering(selection: Sequence[Solution], volume: float, d: int,
     """
     if not selection:
         raise ValueError("selection must be nonempty")
-    ordered = sorted(selection, key=lambda s: s.fitness)  # stable: ties keep input order
-    n = len(ordered)
-    spacing = eel if eel is not None else expected_edge_length(volume, n, d)
+    sel = Selection.of(selection)
+    positions, fitness = sel.positions, sel.fitness
+    n = len(sel)
+    spacing = expected_edge_length(volume, n, d)
 
-    positions = np.array([s.position for s in ordered])
     nb_idx, nb_dist = _nearest_better(positions, min(d + 1, max(n - 1, 1)))
     first = np.full(nb_idx.shape, np.nan)
     reject = np.zeros(nb_idx.shape, dtype=bool)
     if isinstance(evaluate, BudgetedObjective):
-        fitness = np.array([s.fitness for s in ordered])
         # row i is reached only once each row before it has spent an evaluation
         rows = np.arange(1, min(n, evaluate.counter.remaining + 1))
         for w in range(nb_idx.shape[1]):
@@ -233,11 +265,8 @@ def hill_valley_clustering(selection: Sequence[Solution], volume: float, d: int,
     easy = ~np.isnan(first[:, 0]) & ~reject[:, 0] & (np.floor(nb_dist[:, 0] / spacing) == 0.0)
     # an easy row joins the first row up its neighbour chain that is not easy
     root = np.where(easy, nb_idx[:, 0], np.arange(n))
-    while True:
-        up = root[root]
-        if np.array_equal(up, root):
-            break
-        root = up
+    while not np.array_equal(root[root], root):
+        root = root[root]
 
     cluster_of = np.zeros(n, dtype=np.int64)
     ahead = _LookedAhead(evaluate)
@@ -265,7 +294,7 @@ def hill_valley_clustering(selection: Sequence[Solution], volume: float, d: int,
                 continue  # rejected at its looked-ahead first point
             n_t = test_point_count(nb_dist[i, j], spacing)
             ahead.first = first[i, j]
-            same, _ = hill_valley_test(ordered[neighbour], ordered[i], n_t, ahead)
+            same, _ = hill_valley_test(sel[neighbour], sel[i], n_t, ahead)
             if same:
                 cluster_of[i] = cluster
                 break
@@ -277,8 +306,5 @@ def hill_valley_clustering(selection: Sequence[Solution], volume: float, d: int,
     # the untested tail founds one singleton each
     labels = cluster_of[root]
     labels[tail:] = np.arange(n_clusters, n_clusters + n - tail)
-    order = np.argsort(labels, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(labels)).tolist()
-    return ClusterSet(clusters=[Cluster([ordered[r] for r in order[a:b]])
-                                for a, b in zip([0] + ends, ends)],
-                      complete=tail == n)
+    order, ends = np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels)).tolist()
+    return ClusterSet([Cluster(sel, order[a:b]) for a, b in zip([0] + ends, ends)], tail == n)

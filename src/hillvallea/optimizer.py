@@ -17,8 +17,8 @@ import numpy as np
 
 from .core_search import (DEFAULT_CONSTANTS, CoreSearcher, SearcherConstants,
                           SearcherKind, init_from_cluster, recommended_population_size)
-from .hillvalley import (Solution, _first_tests, _LookedAhead, expected_edge_length,
-                         hill_valley_clustering, hill_valley_test)
+from .hillvalley import (Selection, Solution, _first_tests, _LookedAhead,
+                         expected_edge_length, hill_valley_clustering, hill_valley_test)
 from .problems import (BenchmarkProblem, BudgetedObjective, EvaluationCounter,
                        SearchDomain)
 
@@ -360,13 +360,13 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
         if config.injection is InjectionMode.ALL_OPTIMA:
             injected.extend(side)
 
-        # Solution objects only for the kept rows; injected elites stay the
-        # same objects, so the known-niche check below can match them by id
+        # injected elites stay the same objects: the known-niche check matches them by id
         n_fs = len(fs)
-        kept = truncation_selection(np.concatenate([fs, [s.fitness for s in injected]]),
-                                    kind.tau)
-        selection = [Solution(X[i], float(fs[i])) if i < n_fs else injected[i - n_fs]
-                     for i in kept.tolist()]
+        fitness = np.concatenate([fs, [s.fitness for s in injected]])
+        kept = truncation_selection(fitness, kind.tau)
+        selection = Selection(
+            np.concatenate([X, np.reshape([s.position for s in injected], (-1, d))])[kept],
+            fitness[kept], {r: injected[kept[r] - n_fs] for r in np.flatnonzero(kept >= n_fs)})
         clusters = hill_valley_clustering(selection, volume, d, obj_cluster)
         tracer.checkpoint(archive)
 

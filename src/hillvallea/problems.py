@@ -168,13 +168,16 @@ class BudgetedObjective:
 # ---------------------------------------------------------------------------
 
 
+# segment s of the trap ends at _TRAP_BREAKS[s]; its value is slope * (t - base)
+_TRAP_BREAKS = np.array([2.5, 5.0, 7.5, 12.5, 17.5, 22.5, 27.5])
+_TRAP_SLOPE = np.array([-80.0, 64.0, -64.0, 28.0, -28.0, 32.0, -32.0, 80.0])
+_TRAP_BASE = np.array([2.5, 2.5, 7.5, 7.5, 17.5, 17.5, 27.5, 27.5])
+
+
 def _five_uneven_peak_trap(X: np.ndarray) -> np.ndarray:
     t = X[:, 0]
-    conds = [t < 2.5, t < 5.0, t < 7.5, t < 12.5, t < 17.5, t < 22.5, t < 27.5]
-    vals = [80.0 * (2.5 - t), 64.0 * (t - 2.5), 64.0 * (7.5 - t),
-            28.0 * (t - 7.5), 28.0 * (17.5 - t), 32.0 * (t - 17.5),
-            32.0 * (27.5 - t)]
-    return -np.select(conds, vals, default=80.0 * (t - 27.5))
+    s = np.searchsorted(_TRAP_BREAKS, t, side="right")
+    return -(_TRAP_SLOPE[s] * (t - _TRAP_BASE[s]))  # c * (b - t) == -c * (t - b) exactly
 
 
 def _equal_maxima(X: np.ndarray) -> np.ndarray:
@@ -203,11 +206,12 @@ def _six_hump_camel_back(X: np.ndarray) -> np.ndarray:
 
 
 _SHUBERT_J = np.arange(1.0, 6.0)
+_SHUBERT_J1 = _SHUBERT_J + 1.0
 
 
 def _shubert(X: np.ndarray) -> np.ndarray:
     # the terms are summed, and the factors multiplied, in coordinate order
-    T = _SHUBERT_J * np.cos(X[:, :, None] * (_SHUBERT_J + 1.0) + _SHUBERT_J)
+    T = _SHUBERT_J * np.cos(X[:, :, None] * _SHUBERT_J1 + _SHUBERT_J)
     factors = T[..., 0] + T[..., 1] + T[..., 2] + T[..., 3] + T[..., 4]
     prod = factors[:, 0]
     for i in range(1, X.shape[1]):
@@ -216,7 +220,7 @@ def _shubert(X: np.ndarray) -> np.ndarray:
 
 
 def _vincent(X: np.ndarray) -> np.ndarray:
-    return -np.sin(10.0 * np.log(X)).mean(axis=1)
+    return -(np.add.reduce(np.sin(10.0 * np.log(X)), 1) / X.shape[1])  # np.mean's steps
 
 
 _RASTRIGIN_K = np.array([3.0, 4.0])

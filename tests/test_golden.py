@@ -48,6 +48,11 @@ RUNS = [
     # 12 CMSA and 6 of 9 AMU members are still running when it pauses
     (8, "cmsa", 21_000, "only_global", 0),
     (8, "amu", 19_000, "only_global", 0),
+    # all-optima injection where side-archive entries found clusters that
+    # also hold sampled rows (restarts 4-7)
+    (5, "amu", 5_000, "all_optima", 0),
+    # the budget ends inside clustering a selection of 11,473 rows
+    (10, "amu", 90_000, "only_global", 0),
 ]
 
 

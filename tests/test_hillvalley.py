@@ -196,12 +196,13 @@ def test_clustering_budget_exhaustion_singleton_tail():
     assert len(members) == len(xs)
 
 
-def test_clustering_eel_override_changes_test_points():
+def test_clustering_spacing_from_volume_sets_test_points():
     f = RecordingObjective(double_well)
     selection = [solution(x, double_well) for x in (-1.0, 1.0)]
-    hill_valley_clustering(selection, volume=4.0, d=1, evaluate=f, eel=2.0)
-    # edge length 2, eel 2 -> exactly 2 test points when the pair merges; the
-    # double well rejects at the first interior sample either way
+    hill_valley_clustering(selection, volume=4.0, d=1, evaluate=f)
+    # volume 4 over 2 points: eel 2; edge length 2 -> exactly 2 test points
+    # when the pair merges; the double well rejects at the first interior
+    # sample either way
     assert f.count == 1
 
 

@@ -5,7 +5,8 @@ one solution (or candidate) at a time, every test through
 ``hill_valley_test``, every evaluation charged when it is made. For every
 budget up to what the reference spends, both must produce the same clusters
 in the same member order, the same ``complete`` flag, the same archive and
-the same charged evaluations per phase.
+the same charged evaluations per phase. A :class:`Selection` held as arrays
+must cluster as the list of solutions it stands for.
 """
 
 import numpy as np
@@ -13,17 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hillvallea import (BenchmarkProblem, BudgetedObjective, EvaluationCounter,
-                        KnownOptimum, SearchDomain, Solution, hill_valley_clustering)
+                        KnownOptimum, SearchDomain, Selection, Solution,
+                        hill_valley_clustering)
 from hillvallea.hillvalley import _nearest_better, expected_edge_length, hill_valley_test
 from hillvallea.hillvalley import test_point_count as n_test_points
 from hillvallea.optimizer import ARCHIVE_TEST_POINTS, _merge
 
 
-def reference_clustering(selection, volume, d, evaluate, *, eel=None):
+def reference_clustering(selection, volume, d, evaluate):
     """Sequential sweep: returns (member lists, complete)."""
     ordered = sorted(selection, key=lambda s: s.fitness)
     n = len(ordered)
-    spacing = eel if eel is not None else expected_edge_length(volume, n, d)
+    spacing = expected_edge_length(volume, n, d)
     positions = np.array([s.position for s in ordered])
     nb_idx, nb_dist = _nearest_better(positions, min(d + 1, n - 1))
     members = [[ordered[0]]]
@@ -112,8 +114,10 @@ def instances(draw):
     if draw(st.booleans()):
         fitness = np.round(fitness, 1)  # ties between the selected solutions
     solutions = [Solution(x, float(f)) for x, f in zip(X, fitness)]
+    # test-point spacing: the domain's, or a fixed expected edge length
     eel = draw(st.sampled_from([None, 0.05, 0.3, 2.0]))
-    return problem, solutions, d, eel
+    volume = problem.domain.volume() if eel is None else n * eel ** d
+    return problem, solutions, d, volume
 
 
 def _ids(clusters):
@@ -129,21 +133,20 @@ def _budgeted(problem, budget, used=0):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(instances(), st.integers(0, 3))
 def test_clustering_matches_sequential_sweep(instance, used):
-    problem, selection, d, eel = instance
-    volume = problem.domain.volume()
+    problem, selection, d, volume = instance
     calls = Calls(problem)
-    reference = reference_clustering(selection, volume, d, calls, eel=eel)
+    reference = reference_clustering(selection, volume, d, calls)
     plain = Calls(problem)
-    got = hill_valley_clustering(selection, volume, d, plain, eel=eel)
+    got = hill_valley_clustering(selection, volume, d, plain)
     assert _ids(c.members for c in got) == _ids(reference[0]) and got.complete
     assert len(plain.points) == len(calls.points)
     assert all(np.array_equal(a, b) for a, b in zip(plain.points, calls.points))
     # a budget that ends at every position of the sweep, and one that does not
     for spend in range(len(calls.points) + 2):
         ref_eval, ref_counter = _budgeted(problem, used + spend, used)
-        members, complete = reference_clustering(selection, volume, d, ref_eval, eel=eel)
+        members, complete = reference_clustering(selection, volume, d, ref_eval)
         new_eval, new_counter = _budgeted(problem, used + spend, used)
-        got = hill_valley_clustering(selection, volume, d, new_eval, eel=eel)
+        got = hill_valley_clustering(selection, volume, d, new_eval)
         assert _ids(c.members for c in got) == _ids(members)
         assert got.complete == complete
         assert new_counter.used == ref_counter.used
@@ -174,3 +177,57 @@ def test_merge_matches_sequential_merge(instance, n_elites, used):
         assert [id(s) for s in got_elites] == [id(s) for s in ref_elites]
         assert new_counter.used == ref_counter.used
         assert new_counter.phase_used == ref_counter.phase_used
+
+
+def _array_selection(sampled, injected, d):
+    """Sampled rows as bare arrays and injected solutions as objects, best first,
+    the way a restart hands its selection to the clustering."""
+    fitness = np.concatenate([[s.fitness for s in sampled], [s.fitness for s in injected]])
+    positions = np.reshape([s.position for s in sampled + injected], (-1, d))
+    kept = np.argsort(fitness, kind="stable")
+    return Selection(positions[kept], fitness[kept],
+                     {r: injected[i - len(sampled)] for r, i in enumerate(kept.tolist())
+                      if i >= len(sampled)})
+
+
+def _rows(clusters, ordered):
+    """Each cluster's members as rows of ``ordered``."""
+    row = {id(s): r for r, s in enumerate(ordered)}
+    return [[row[id(s)] for s in c.members] for c in clusters]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(instances(), st.integers(0, 40), st.integers(0, 3))
+def test_array_selection_clusters_as_its_solution_list(instance, n_injected, used):
+    problem, solutions, d, volume = instance
+    injected, sampled = solutions[:n_injected], solutions[n_injected:]
+    ordered = sorted(sampled + injected, key=lambda s: s.fitness)
+
+    def check(list_eval, array_eval):
+        want = hill_valley_clustering(sampled + injected, volume, d, list_eval)
+        selection = _array_selection(sampled, injected, d)
+        got = hill_valley_clustering(selection, volume, d, array_eval)
+        assert [c.rows.tolist() for c in got] == _rows(want, ordered)
+        assert got.complete == want.complete
+        for g, w in zip(got, want):
+            if any(w.founder is s for s in injected):
+                assert g.founder is w.founder  # an injected founder stays the same object
+            else:
+                assert np.array_equal(g.founder.position, w.founder.position)
+                assert g.founder.fitness == w.founder.fitness
+            assert np.array_equal(g.positions(), np.array([s.position for s in w.members]))
+        # a row read again, by any index, gives the same object
+        rows = [r for c in got for r in c.rows.tolist()]
+        assert all(s is selection[r] for s, r in zip([s for c in got for s in c.members], rows))
+        assert selection[-1] is selection[len(selection) - 1]
+
+    plain, calls = Calls(problem), Calls(problem)
+    check(plain, calls)
+    assert len(plain.points) == len(calls.points)
+    assert all(np.array_equal(a, b) for a, b in zip(plain.points, calls.points))
+    for spend in range(len(plain.points) + 2):
+        list_eval, list_counter = _budgeted(problem, used + spend, used)
+        array_eval, array_counter = _budgeted(problem, used + spend, used)
+        check(list_eval, array_eval)
+        assert array_counter.used == list_counter.used
+        assert array_counter.phase_used == list_counter.phase_used

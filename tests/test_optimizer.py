@@ -214,6 +214,20 @@ def test_only_global_injection_skips_elite_clusters():
         assert log.n_searchers + log.n_skipped_elites == log.n_clusters
 
 
+def test_restart_builds_solutions_only_where_read(monkeypatch):
+    # the selection stays arrays: Solutions are built for cluster founders,
+    # tested endpoints and searcher bests, not for every selected row
+    built = []
+    init = Solution.__init__
+    monkeypatch.setattr(Solution, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    config = OptimizerConfig(budget=60_000)
+    result = run_hillvallea(make_problem(10), SearcherKind.AMU, config, seed=0)
+    selected = sum(log.selection_size for log in result.per_restart_log)
+    assert selected > 14_000
+    assert len(built) < selected / 3
+
+
 def test_injection_none_never_skips():
     problem = make_problem(4)
     config = OptimizerConfig(budget=10_000, injection=InjectionMode.NONE)

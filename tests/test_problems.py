@@ -101,6 +101,47 @@ def test_shubert_batch_matches_column_loop_bitwise(pid):
         assert np.array_equal(p.objective_batch(X), _shubert_column_loop(X))
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _trap_select(X):
+    """Reference: the trap as np.select over its seven segment conditions."""
+    t = X[:, 0]
+    conds = [t < 2.5, t < 5.0, t < 7.5, t < 12.5, t < 17.5, t < 22.5, t < 27.5]
+    vals = [80.0 * (2.5 - t), 64.0 * (t - 2.5), 64.0 * (7.5 - t),
+            28.0 * (t - 7.5), 28.0 * (17.5 - t), 32.0 * (t - 17.5),
+            32.0 * (27.5 - t)]
+    return -np.select(conds, vals, default=80.0 * (t - 27.5))
+
+
+def test_trap_segment_lookup_matches_select_bitwise():
+    # every breakpoint, the domain ends and their float neighbours, signed
+    # zeros included, plus uniform points
+    edges = np.array([0.0, -0.0, 2.5, 5.0, 7.5, 12.5, 17.5, 22.5, 27.5, 30.0])
+    t = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                        np.random.default_rng(1).uniform(0.0, 30.0, 200_000)])
+    X = t[:, None]
+    assert np.array_equal(_bits(make_problem(1).objective_batch(X)), _bits(_trap_select(X)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_vincent_and_shubert_match_their_plain_expressions_bitwise(d):
+    from hillvallea.problems import _shubert, _vincent
+    rng = np.random.default_rng(d)
+    for n in (1, 8, 4099):
+        X = rng.uniform(0.25, 10.0, size=(n, d))
+        assert np.array_equal(_bits(_vincent(X)), _bits(-np.sin(10.0 * np.log(X)).mean(axis=1)))
+        X = rng.uniform(-10.0, 10.0, size=(n, d))
+        j = np.arange(1.0, 6.0)
+        T = j * np.cos(X[:, :, None] * (j + 1.0) + j)
+        factors = T[..., 0] + T[..., 1] + T[..., 2] + T[..., 3] + T[..., 4]
+        prod = factors[:, 0]
+        for i in range(1, d):
+            prod = prod * factors[:, i]
+        assert np.array_equal(_bits(_shubert(X)), _bits(prod))
+
+
 @pytest.mark.parametrize("pid", range(1, 11))
 def test_batch_rows_are_independent(pid):
     # the hill-valley tests evaluate points ahead in batches of any size and
