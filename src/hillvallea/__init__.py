@@ -8,9 +8,8 @@ evaluation budget is spent.
 """
 
 from .core_search import (CmsaSearcher, CoreSearcher, EdaSearcher, GaussianInit,
-                          SearcherConstants, SearcherKind, init_from_cluster,
-                          recommended_population_size)
-from .evaluation import AggregateSummary, PeakRatioReport, aggregate, peak_ratio
+                          SearcherKind, init_from_cluster, recommended_population_size)
+from .evaluation import PeakRatioReport, peak_ratio
 from .hillvalley import (Cluster, ClusterSet, Selection, Solution, expected_edge_length,
                          hill_valley_clustering, hill_valley_test, test_point_count)
 from .optimizer import (ElitistArchive, InjectionMode, OptimizerConfig,
@@ -21,17 +20,14 @@ from .problems import (BenchmarkProblem, BudgetedObjective, EvaluationCounter,
                        make_problem, problem_names)
 
 __all__ = [
-    "AggregateSummary", "BenchmarkProblem", "BudgetedObjective", "Cluster",
-    "ClusterSet", "CmsaSearcher", "CoreSearcher", "EdaSearcher",
-    "ElitistArchive", "EvaluationCounter", "GaussianInit", "InjectionMode",
-    "KnownOptimum", "OptimizerConfig", "PeakRatioReport", "RestartLog",
-    "RunResult", "SearchDomain", "SearcherConstants", "SearcherKind",
-    "Selection", "Solution", "UnsupportedProblemError", "aggregate",
-    "expected_edge_length", "hill_valley_clustering",
-    "hill_valley_test", "init_from_cluster", "make_problem", "peak_ratio",
-    "postprocess", "problem_names", "recommended_population_size",
-    "run_hillvallea", "test_point_count", "truncation_selection",
-    "uniform_sample",
+    "BenchmarkProblem", "BudgetedObjective", "Cluster", "ClusterSet", "CmsaSearcher",
+    "CoreSearcher", "EdaSearcher", "ElitistArchive", "EvaluationCounter", "GaussianInit",
+    "InjectionMode", "KnownOptimum", "OptimizerConfig", "PeakRatioReport", "RestartLog",
+    "RunResult", "SearchDomain", "SearcherKind", "Selection", "Solution",
+    "UnsupportedProblemError", "expected_edge_length", "hill_valley_clustering",
+    "hill_valley_test", "init_from_cluster", "make_problem", "peak_ratio", "postprocess",
+    "problem_names", "recommended_population_size", "run_hillvallea", "test_point_count",
+    "truncation_selection", "uniform_sample",
 ]
 
 __version__ = "0.1.0"

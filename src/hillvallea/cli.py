@@ -14,12 +14,14 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .core_search import DEFAULT_CONSTANTS, STOP_REASONS, SearcherConstants, SearcherKind
-from .evaluation import aggregate, peak_ratio
+import numpy as np
+
+from .core_search import STOP_REASONS, SearcherKind
+from .evaluation import peak_ratio
 from .optimizer import InjectionMode, OptimizerConfig, run_hillvallea
 from .problems import make_problem, problem_names
 
@@ -55,11 +57,16 @@ class RunConfig:
     out: str = "results.json"
     format: str = "json"
     jobs: int = 1
-    constants: SearcherConstants = DEFAULT_CONSTANTS
 
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if self.budget is not None and self.budget <= 0:
+            raise ValueError("budget must be positive")
+        if self.epsilon <= 0:
+            raise ValueError("epsilon must be positive")
+        if (self.trace or 0) < 0:
+            raise ValueError("trace spacing must be >= 0")
         if self.budget_multiplier is not None and self.budget_multiplier <= 0:
             raise ValueError("budget multiplier must be positive")
         if self.budget is not None and self.budget_multiplier is not None:
@@ -93,13 +100,13 @@ def parse_problem_spec(spec: str) -> tuple:
 
 
 def _execute_task(sweep: RunConfig, problem_id: int, seed: int):
-    """Run one repetition; returns (record, trace rows, run result, report)."""
+    """Run one repetition; returns its record and its trace rows."""
     problem = make_problem(problem_id)
     budget = sweep.budget
     if budget is None and sweep.budget_multiplier is not None:
         budget = int(round(problem.budget * sweep.budget_multiplier))
     config = OptimizerConfig(tol=sweep.tol, injection=sweep.injection, budget=budget,
-                             trace_every=sweep.trace, constants=sweep.constants)
+                             trace_every=sweep.trace)
     metric = None
     if sweep.trace:
         metric = lambda archive: peak_ratio(
@@ -134,7 +141,7 @@ def _execute_task(sweep: RunConfig, problem_id: int, seed: int):
          "evaluations": evals, "peak_ratio": value}
         for evals, value in result.trace
     ]
-    return record, trace_rows, result, report
+    return record, trace_rows
 
 
 @dataclass
@@ -156,24 +163,21 @@ def execute_sweep(config: RunConfig) -> SweepData:
         outcomes = list(map(_execute_task, configs, pids, seeds))
 
     data = SweepData()
-    by_problem: dict = {}
-    for record, trace_rows, result, report in outcomes:
+    for record, trace_rows in outcomes:
         data.records.append(record)
         data.traces.extend(trace_rows)
-        by_problem.setdefault(record["problem_id"], []).append((result, report))
     for pid in config.problems:
-        summary = aggregate(by_problem[pid])
+        rows = [r for r in data.records if r["problem_id"] == pid]
+        ratios = [r["peak_ratio"] for r in rows]
         data.aggregates.append({
             "problem_id": pid,
             "kind": config.kind.value,
-            "runs": summary.runs,
-            "mean_peak_ratio": summary.mean_ratio,
-            "min_peak_ratio": summary.min_ratio,
-            "max_peak_ratio": summary.max_ratio,
-            "mean_evaluations": summary.mean_evaluations,
-            "mean_phase_init": summary.mean_phase_fractions.get("init", 0.0),
-            "mean_phase_hvc": summary.mean_phase_fractions.get("clustering", 0.0),
-            "mean_phase_lopt": summary.mean_phase_fractions.get("local_opt", 0.0),
+            "runs": len(rows),
+            "mean_peak_ratio": float(np.mean(ratios)),
+            "min_peak_ratio": min(ratios),
+            "max_peak_ratio": max(ratios),
+            **{"mean_" + key.removesuffix("_used"): float(np.mean([r[key] for r in rows]))
+               for key in ("evaluations_used", "phase_init", "phase_hvc", "phase_lopt")},
         })
     return data
 
@@ -215,42 +219,6 @@ def run_sweep(config: RunConfig) -> int:
     return 0
 
 
-# --- flag and config-file handling -----------------------------------------
-
-_CONSTANT_KEYS = {f.name for f in fields(SearcherConstants)}
-_INT_KEYS = {"reps", "seed", "budget", "trace", "jobs"}
-_FLOAT_KEYS = {"budget_multiplier", "tol", "epsilon"}
-
-
-def load_config_file(path) -> dict:
-    """Read a key=value file mirroring the CLI flags plus searcher constants."""
-    overrides: dict = {}
-    constants: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        value = value.strip()
-        if key in _CONSTANT_KEYS:
-            constants[key] = None if value.lower() == "none" else (
-                int(value) if key == "stagnation_patience" else float(value))
-        elif key in _INT_KEYS:
-            overrides[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            overrides[key] = float(value)
-        elif key in ("problems", "algo", "injection", "out", "format"):
-            overrides[key] = value
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-    if constants:
-        overrides["constants"] = constants
-    return overrides
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hillvallea",
@@ -273,36 +241,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output path (default results.json)")
     parser.add_argument("--format", choices=["json", "csv"], help="output format")
     parser.add_argument("--jobs", type=int, help="parallel repetitions")
-    parser.add_argument("--config", help="key=value file mirroring the flags")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    settings: dict = {}
-    if args.config:
-        settings.update(load_config_file(args.config))
-    for key in ("problems", "reps", "seed", "budget", "budget_multiplier", "tol",
-                "epsilon", "trace", "out", "format", "jobs"):
-        value = getattr(args, key)
-        if value is not None:
-            settings[key] = value
-    if args.algo:
-        settings["algo"] = args.algo
-    if args.injection:
-        settings["injection"] = args.injection
-
-    if "problems" not in settings:
-        raise ValueError("no problems given (use --problems or a config file)")
-    constants = settings.pop("constants", None)
-    kwargs = {
-        "problems": parse_problem_spec(str(settings.pop("problems"))),
-        "kind": SearcherKind(settings.pop("algo", "amu")),
-        "injection": _INJECTION_FLAGS[settings.pop("injection", "global")],
-    }
-    if constants:
-        kwargs["constants"] = replace(DEFAULT_CONSTANTS, **constants)
-    kwargs.update(settings)
-    return RunConfig(**kwargs)
+    if args.problems is None:
+        raise ValueError("no problems given (use --problems)")
+    settings = {key: getattr(args, key)
+                for key in ("reps", "seed", "budget", "budget_multiplier", "tol",
+                            "epsilon", "trace", "out", "format", "jobs")
+                if getattr(args, key) is not None}
+    return RunConfig(problems=parse_problem_spec(args.problems),
+                     kind=SearcherKind(args.algo or "amu"),
+                     injection=_INJECTION_FLAGS[args.injection or "global"], **settings)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -310,7 +261,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -63,26 +63,11 @@ def recommended_population_size(kind: SearcherKind, d: int) -> int:
     return max(4, base)
 
 
-@dataclass(frozen=True)
-class SearcherConstants:
-    """Tunable searcher constants (defaults match the shipped configuration).
-
-    ``tau_sigma``/``tau_c`` default to the dimension-dependent formulas
-    1/sqrt(2d) and 1 + d(d+1)/(2*mu_sel) when left as None.
-    """
-
-    tau_sigma: Optional[float] = None
-    tau_c: Optional[float] = None
-    memory_eta: float = 0.7            # covariance smoothing of the i* variants
-    multiplier_decay: float = 0.9
-    mahalanobis_threshold: float = 1.0
-    multiplier_min: float = 1e-4
-    multiplier_max: float = 1e4
-    ams_fraction: float = 0.5          # of tau * N_c samples get the mean shift
-    stagnation_patience: Optional[int] = None  # None -> 25 + d generations
-
-
-DEFAULT_CONSTANTS = SearcherConstants()
+#: Covariance smoothing of the incremental (i*) EDA variants.
+MEMORY_ETA = 0.7
+#: EDA distribution multiplier: decay factor per adaptation, and its bounds.
+MULTIPLIER_DECAY = 0.9
+MULTIPLIER_MIN, MULTIPLIER_MAX = 1e-4, 1e4
 
 
 @dataclass
@@ -135,15 +120,17 @@ def _mean(a: np.ndarray) -> np.ndarray:
 def _std(a: np.ndarray) -> np.ndarray:
     """``a.std(axis=1)``, bitwise, by numpy's own steps without its wrapper.
 
-    Where numpy gives NaN with a warning, a slice holding +inf has spread inf,
-    or 0 when all of it is +inf.
+    Where numpy gives NaN, a slice holding inf or NaN has spread 0 when all its
+    values are equal (all +inf or all -inf), else inf. The check comes before
+    the sum, which would warn on a slice holding both +inf and -inf.
     """
     n = a.shape[1]
-    mean = np.add.reduce(a, 1, keepdims=True) / n
-    finite = np.isfinite(mean)
+    finite = np.isfinite(a)
     if np.count_nonzero(finite) < finite.size:
+        rows = np.logical_and.reduce(finite, 1, keepdims=True)
         spread = np.where(np.minimum.reduce(a, 1) == np.maximum.reduce(a, 1), 0.0, np.inf)
-        return np.where(finite[:, 0], _std(np.where(finite, a, 0.0)), spread)
+        return np.where(rows[:, 0], _std(np.where(rows, a, 0.0)), spread)
+    mean = np.add.reduce(a, 1, keepdims=True) / n
     x = a - mean
     return np.sqrt(np.add.reduce(np.square(x, out=x), 1) / n)
 
@@ -174,11 +161,9 @@ class CoreSearcher:
     _STATE = ("members", "rngs", "fresh", "best_f", "best_x", "mean")
 
     def __init__(self, init: GaussianInit, *, rng: Optional[np.random.Generator] = None,
-                 constants: SearcherConstants = DEFAULT_CONSTANTS,
                  founder: Optional[Solution] = None):
         self.dimension = len(init.mean)
         self.population_size = init.population_size
-        self.constants = constants
         self.generation = 0
         self.window = 10 + (30 * self.dimension) // self.population_size
         # per member: its best as a Solution as of its last settling, its stop code
@@ -354,15 +339,15 @@ class CmsaSearcher(CoreSearcher):
 
     def __init__(self, init: GaussianInit, **kwargs):
         super().__init__(init, **kwargs)
-        d, c = self.dimension, self.constants
+        d = self.dimension
         sigma2 = float(np.add.reduce(np.diag(init.covariance))) / d
         self.sigma = np.array([math.sqrt(sigma2)])
         self.shape = (init.covariance / sigma2)[None]
         # best fitness after each of the last window+1 generations, as a ring
         self.recent = np.zeros((1, self.window + 1))
-        self.tau_sigma = c.tau_sigma if c.tau_sigma is not None else 1.0 / math.sqrt(2.0 * d)
+        self.tau_sigma = 1.0 / math.sqrt(2.0 * d)
         self.mu_sel = max(1, self.population_size // 2)
-        self.tau_c = c.tau_c if c.tau_c is not None else 1.0 + d * (d + 1) / (2.0 * self.mu_sel)
+        self.tau_c = 1.0 + d * (d + 1) / (2.0 * self.mu_sel)
 
     def run_generation(self, evaluate: BudgetedObjective, domain: SearchDomain) -> None:
         S, lam, d = len(self.members), self.population_size, self.dimension
@@ -431,7 +416,7 @@ class EdaSearcher(CoreSearcher):
             raise ValueError("EdaSearcher covers the AMaLGaM variants only")
         super().__init__(init, **kwargs)
         self.kind = kind
-        c, n, d = self.constants, self.population_size, self.dimension
+        n, d = self.population_size, self.dimension
         cov = np.asarray(init.covariance, dtype=float)
         self.covariance = (np.diag(np.diag(cov)) if kind.univariate else cov.copy())[None]
         self.multiplier = np.ones(1)
@@ -440,9 +425,9 @@ class EdaSearcher(CoreSearcher):
         # NaN until the first generation: no stop criterion fires on it
         self.population_std = np.full((1, d), math.nan)
         self.fitness_std = np.full(1, math.nan)
-        self.n_ams = int(c.ams_fraction * kind.tau * n)
+        self.n_ams = int(0.5 * kind.tau * n)  # samples that get the anticipated mean shift
         self.n_sel = max(1, int(kind.tau * n))
-        self.patience = c.stagnation_patience if c.stagnation_patience is not None else 25 + d
+        self.patience = 25 + d
         self.eye = np.eye(d)
 
     def _rows(self) -> int:
@@ -463,7 +448,6 @@ class EdaSearcher(CoreSearcher):
         return out
 
     def run_generation(self, evaluate: BudgetedObjective, domain: SearchDomain) -> None:
-        c = self.constants
         S, n, d = len(self.members), self.population_size, self.dimension
 
         fresh = self._rows()
@@ -507,8 +491,7 @@ class EdaSearcher(CoreSearcher):
             # a degenerate member stops; its rows are dropped before the next generation
             self._codes[self.members[~usable]] = _CODE["degenerate"]
         if self.kind.incremental:
-            eta = c.memory_eta
-            self.covariance = (1.0 - eta) * self.covariance + eta * fitted
+            self.covariance = (1.0 - MEMORY_ETA) * self.covariance + MEMORY_ETA * fitted
         else:
             self.covariance = fitted
 
@@ -516,12 +499,13 @@ class EdaSearcher(CoreSearcher):
         self.no_improvement_streak = np.where(improved, 0, self.no_improvement_streak + 1)
         if count:
             grown = np.maximum(multiplier, 1.0)
-            grown = np.where(maha_sq > c.mahalanobis_threshold ** 2,
-                             np.minimum(grown / c.multiplier_decay, c.multiplier_max), grown)
+            # grow further where the improvement lies outside the unit Mahalanobis ball
+            grown = np.where(maha_sq > 1.0,
+                             np.minimum(grown / MULTIPLIER_DECAY, MULTIPLIER_MAX), grown)
         if count < S:
             # without improvement: shrink, or hold at 1 until the stagnation stretch matures
             shrink = (multiplier > 1.0) | (self.no_improvement_streak >= self.patience)
-            shrunk = np.maximum(multiplier * c.multiplier_decay, c.multiplier_min)
+            shrunk = np.maximum(multiplier * MULTIPLIER_DECAY, MULTIPLIER_MIN)
             held = np.where(shrink, shrunk, 1.0)
         self.multiplier = (grown if count == S else held if not count
                            else np.where(improved, grown, held))
@@ -538,8 +522,7 @@ class EdaSearcher(CoreSearcher):
 
 def init_from_cluster(cluster: Cluster, d: int, eel: float, kind: SearcherKind,
                       population_size: int, *,
-                      rng: Optional[np.random.Generator] = None,
-                      constants: SearcherConstants = DEFAULT_CONSTANTS) -> CoreSearcher:
+                      rng: Optional[np.random.Generator] = None) -> CoreSearcher:
     """Build a searcher (a group of one) from a cluster.
 
     The mean is the cluster mean. The covariance is the sample covariance for
@@ -565,5 +548,5 @@ def init_from_cluster(cluster: Cluster, d: int, eel: float, kind: SearcherKind,
     init = GaussianInit(mean=mean, covariance=cov, population_size=population_size)
     founder = cluster.founder
     if kind is SearcherKind.CMSA:
-        return CmsaSearcher(init, rng=rng, constants=constants, founder=founder)
-    return EdaSearcher(init, kind, rng=rng, constants=constants, founder=founder)
+        return CmsaSearcher(init, rng=rng, founder=founder)
+    return EdaSearcher(init, kind, rng=rng, founder=founder)

@@ -1,4 +1,4 @@
-"""Peak-ratio scoring against ground-truth optima and sweep aggregation."""
+"""Peak-ratio scoring against ground-truth optima."""
 
 from __future__ import annotations
 
@@ -52,34 +52,3 @@ def peak_ratio(reported: Sequence[Solution], problem: BenchmarkProblem,
     return PeakRatioReport(found=found, total=total, ratio=found / total,
                            matched_pairs=pairs)
 
-
-@dataclass
-class AggregateSummary:
-    """Arithmetic aggregation of a repetition sweep on one problem."""
-
-    runs: int
-    mean_ratio: float
-    min_ratio: float
-    max_ratio: float
-    mean_evaluations: float
-    mean_phase_fractions: dict
-
-
-def aggregate(results: Sequence[tuple]) -> AggregateSummary:
-    """Aggregate (RunResult, PeakRatioReport) pairs over repetitions."""
-    if not results:
-        raise ValueError("need at least one result to aggregate")
-    ratios = [report.ratio for _, report in results]
-    evals = [run.evaluations_used for run, _ in results]
-    phases = {}
-    for run, _ in results:
-        for phase, frac in run.phase_fractions.items():
-            phases.setdefault(phase, []).append(frac)
-    return AggregateSummary(
-        runs=len(results),
-        mean_ratio=float(np.mean(ratios)),
-        min_ratio=float(np.min(ratios)),
-        max_ratio=float(np.max(ratios)),
-        mean_evaluations=float(np.mean(evals)),
-        mean_phase_fractions={p: float(np.mean(v)) for p, v in phases.items()},
-    )

@@ -3,7 +3,9 @@
 Each restart uniformly samples the domain, injects known elites, truncation-
 selects, clusters the selection into presumed niches, runs one core searcher
 per new niche and post-processes the resulting candidates into the archive.
-Restarts that add no elite double the population and grow the cluster size.
+The first restart samples 16 d points and sizes each searcher's population
+by :func:`recommended_population_size`; a restart that adds no elite doubles
+the sample and grows the searcher population by a factor 1.2, rounded up.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core_search import (DEFAULT_CONSTANTS, CoreSearcher, SearcherConstants,
-                          SearcherKind, init_from_cluster, recommended_population_size)
+from .core_search import (CoreSearcher, SearcherKind, init_from_cluster,
+                          recommended_population_size)
 from .hillvalley import (Selection, Solution, _first_tests, _LookedAhead,
                          expected_edge_length, hill_valley_clustering, hill_valley_test)
 from .problems import (BenchmarkProblem, BudgetedObjective, EvaluationCounter,
@@ -41,12 +43,7 @@ class OptimizerConfig:
     tol: float = 1e-5
     injection: InjectionMode = InjectionMode.ONLY_GLOBAL
     budget: Optional[int] = None            # overrides the problem budget
-    population_per_dim: int = 16            # initial N = 16 d
-    population_growth: float = 2.0
-    cluster_growth: float = 1.2
-    cluster_size: Optional[int] = None      # overrides the recommended N_c
-    trace_every: Optional[int] = None
-    constants: SearcherConstants = DEFAULT_CONSTANTS
+    trace_every: Optional[int] = None       # 0 or None: no trace
 
 
 @dataclass
@@ -320,6 +317,8 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
     budget = config.budget if config.budget is not None else problem.budget
     if budget <= 0:
         raise ValueError("budget must be positive")
+    if (config.trace_every or 0) < 0:
+        raise ValueError("trace spacing must be >= 0")
     d = problem.domain.dimension
     volume = problem.domain.volume()
     counter = EvaluationCounter(budget)
@@ -336,9 +335,8 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
     tracer = _Tracer(config.trace_every, trace_metric or (lambda a: float(len(a))),
                      counter)
 
-    population_size = config.population_per_dim * d
-    cluster_size = (config.cluster_size if config.cluster_size is not None
-                    else recommended_population_size(kind, d))
+    population_size = 16 * d
+    cluster_size = recommended_population_size(kind, d)
 
     archive = ElitistArchive()
     side: list = []
@@ -379,7 +377,7 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
         candidates = _search_niches(
             niches, lambda cluster, seq: init_from_cluster(
                 cluster, d, searcher_eel, kind, cluster_size,
-                rng=np.random.default_rng(seq), constants=config.constants),
+                rng=np.random.default_rng(seq)),
             searcher_seq, obj_local, config.tol, stop_reasons)
         tracer.checkpoint(archive)
 
@@ -407,8 +405,8 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
         ))
         restarts += 1
         if result.added == 0:
-            population_size = int(round(population_size * config.population_growth))
-            cluster_size = math.ceil(config.cluster_growth * cluster_size)
+            population_size *= 2
+            cluster_size = math.ceil(1.2 * cluster_size)
 
     tracer.finish(archive)
     return RunResult(

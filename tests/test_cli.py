@@ -1,11 +1,13 @@
-"""Command-line harness: sweeps, output formats, config files, error paths."""
+"""Command-line harness: sweeps, aggregates, output formats, error paths."""
 
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from hillvallea import InjectionMode
+from hillvallea import (InjectionMode, OptimizerConfig, SearcherKind, make_problem,
+                       run_hillvallea)
 from hillvallea.cli import (RECORD_FIELDS, RunConfig, config_from_args,
                             build_parser, execute_sweep, main,
                             parse_problem_spec, write_outputs)
@@ -36,6 +38,35 @@ def test_execute_sweep_counts_and_seeds(tmp_path):
     for record in data.records:
         assert tuple(record) == RECORD_FIELDS
         assert record["evaluations_used"] <= 600
+
+
+def test_aggregates_summarise_their_records(tmp_path):
+    data = execute_sweep(_tiny_config(tmp_path, problems=(2, 4), budget=1000, seed=3))
+    for agg in data.aggregates:
+        rows = [r for r in data.records if r["problem_id"] == agg["problem_id"]]
+        ratios = [r["peak_ratio"] for r in rows]
+        assert agg["runs"] == len(rows) == 2
+        assert agg["mean_peak_ratio"] == pytest.approx(np.mean(ratios))
+        assert agg["min_peak_ratio"] == min(ratios)
+        assert agg["max_peak_ratio"] == max(ratios)
+        assert agg["mean_evaluations"] == pytest.approx(
+            np.mean([r["evaluations_used"] for r in rows]))
+        for phase in ("phase_init", "phase_hvc", "phase_lopt"):
+            assert agg["mean_" + phase] == pytest.approx(np.mean([r[phase] for r in rows]))
+    # P4 at seed 3 and 4 finds 2 and 3 of its 4 optima
+    p4 = data.aggregates[1]
+    assert (p4["min_peak_ratio"], p4["mean_peak_ratio"], p4["max_peak_ratio"]) == (
+        0.5, 0.625, 0.75)
+
+
+def test_single_run_aggregate_is_that_run(tmp_path):
+    data = execute_sweep(_tiny_config(tmp_path, problems=(4,), reps=1))
+    (record,), (agg,) = data.records, data.aggregates
+    assert agg["runs"] == 1
+    assert agg["mean_peak_ratio"] == agg["min_peak_ratio"] == agg["max_peak_ratio"] == (
+        record["peak_ratio"])
+    assert agg["mean_evaluations"] == record["evaluations_used"]
+    assert agg["mean_phase_lopt"] == record["phase_lopt"]
 
 
 def test_json_and_csv_outputs_match(tmp_path):
@@ -108,38 +139,6 @@ def test_trace_file_spacing(tmp_path):
     assert {r["problem_id"] for r in rows} == {"4"}
 
 
-def test_config_file_round_trip(tmp_path):
-    cfg_file = tmp_path / "sweep.cfg"
-    cfg_file.write_text(
-        "# tiny smoke sweep\n"
-        "problems = 2\n"
-        "algo = iamu\n"
-        "reps = 2\n"
-        "seed = 11\n"
-        "budget = 400\n"
-        "injection = none\n"
-        "format = json\n"
-        f"out = {tmp_path / 'c.json'}\n"
-        "memory_eta = 0.6\n")
-    parser = build_parser()
-    args = parser.parse_args(["--config", str(cfg_file)])
-    config = config_from_args(args)
-    assert config.problems == (2,)
-    assert config.kind.value == "iamu"
-    assert config.reps == 2 and config.seed == 11 and config.budget == 400
-    assert config.injection.value == "none"
-    assert config.constants.memory_eta == 0.6
-
-
-def test_cli_flags_override_config_file(tmp_path):
-    cfg_file = tmp_path / "sweep.cfg"
-    cfg_file.write_text("problems = 2\nreps = 4\nseed = 1\n")
-    parser = build_parser()
-    args = parser.parse_args(["--config", str(cfg_file), "--reps", "2"])
-    config = config_from_args(args)
-    assert config.reps == 2 and config.problems == (2,)
-
-
 def test_unknown_problem_exits_nonzero(capsys):
     assert main(["--problems", "99"]) == 2
     assert "error" in capsys.readouterr().err
@@ -179,3 +178,21 @@ def test_run_config_validation():
         RunConfig(problems=(1,), budget=5, budget_multiplier=2.0)
     with pytest.raises(ValueError):
         RunConfig(problems=(1,), format="yaml")
+    for bad in ({"budget": 0}, {"budget": -5}, {"epsilon": 0.0}, {"trace": -5}):
+        with pytest.raises(ValueError):
+            RunConfig(problems=(1,), **bad)
+    assert RunConfig(problems=(1,), trace=0).trace == 0  # 0: no trace
+
+
+@pytest.mark.parametrize("flags", [["--budget", "-5"], ["--budget", "0"],
+                                   ["--epsilon", "0"], ["--trace", "-5"]])
+def test_invalid_values_exit_with_usage_error(flags, tmp_path, capsys):
+    assert main(["--problems", "2", "--out", str(tmp_path / "r.json"), *flags]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_negative_trace_spacing_is_rejected_by_the_library():
+    with pytest.raises(ValueError):
+        run_hillvallea(make_problem(2), SearcherKind.AMU,
+                       OptimizerConfig(budget=100, trace_every=-5))

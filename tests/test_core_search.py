@@ -316,13 +316,15 @@ def test_domain_clip_equals_numpy_bitwise(data, shape):
 
 
 def test_fitness_spread_with_infinities_is_defined_without_warning():
-    fs = np.array([[1.0, np.inf, 2.0], [np.inf, np.inf, np.inf], [1.0, 2.0, 4.0]])
+    fs = np.array([[1.0, np.inf, 2.0], [np.inf, np.inf, np.inf], [1.0, 2.0, 4.0],
+                   [np.inf, -np.inf, 1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         spread = _std(fs)
     assert spread[0] == np.inf
     assert spread[1] == 0.0
     assert spread[2] == np.std(fs[2])
+    assert spread[3] == np.inf  # numpy's own sum of +inf and -inf warns
 
 
 @pytest.mark.parametrize("kind", [SearcherKind.AM, SearcherKind.AMU, SearcherKind.IAMU])

@@ -1,9 +1,9 @@
-"""Peak-ratio matching rules and sweep aggregation."""
+"""Peak-ratio matching rules."""
 
 import numpy as np
 import pytest
 
-from hillvallea import Solution, aggregate, make_problem, peak_ratio
+from hillvallea import Solution, make_problem, peak_ratio
 from helpers import make_sphere_problem
 
 
@@ -74,33 +74,3 @@ def test_epsilon_must_be_positive():
     with pytest.raises(ValueError):
         peak_ratio([], p, epsilon=0.0)
 
-
-class _FakeRun:
-    def __init__(self, evals, fractions):
-        self.evaluations_used = evals
-        self.phase_fractions = fractions
-
-
-class _FakeReport:
-    def __init__(self, ratio):
-        self.ratio = ratio
-
-
-def test_aggregate_arithmetic():
-    runs = [(_FakeRun(100, {"init": 0.5, "local_opt": 0.5}), _FakeReport(1.0)),
-            (_FakeRun(300, {"init": 0.1, "local_opt": 0.9}), _FakeReport(0.5))]
-    summary = aggregate(runs)
-    assert summary.mean_ratio == pytest.approx(0.75)
-    assert summary.min_ratio == 0.5 and summary.max_ratio == 1.0
-    assert summary.mean_evaluations == pytest.approx(200.0)
-    assert summary.mean_phase_fractions["init"] == pytest.approx(0.3)
-
-
-def test_aggregate_single_run_identity():
-    summary = aggregate([(_FakeRun(10, {"init": 1.0}), _FakeReport(0.25))])
-    assert summary.mean_ratio == summary.min_ratio == summary.max_ratio == 0.25
-
-
-def test_aggregate_requires_results():
-    with pytest.raises(ValueError):
-        aggregate([])

@@ -1,5 +1,8 @@
 """Fixed-seed golden runs: every archive bit must match the recorded result.
 
+A small CLI sweep is recorded too: its records (without wall times),
+aggregates and traces file must match at ``--jobs 1`` and ``--jobs 2``.
+
 Recorded with numpy 2.4.6 and scipy 1.17.1 on Python 3.11. Another numpy or
 scipy build may round differently in the last bit; re-record only when the
 change in outputs is explained. To re-record, run
@@ -7,13 +10,20 @@ change in outputs is explained. To re-record, run
 """
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from hillvallea import InjectionMode, OptimizerConfig, SearcherKind, make_problem, run_hillvallea
+from hillvallea.cli import main
 
 GOLDEN_PATH = Path(__file__).with_name("golden_runs.json")
+SWEEP_PATH = Path(__file__).with_name("golden_sweep.json")
+
+# per-problem aggregates over unequal peak ratios (P4: 0.5 and 0.75)
+SWEEP_ARGS = ["--problems", "2,4", "--reps", "2", "--seed", "3", "--budget", "1000",
+              "--trace", "250", "--injection", "all"]
 
 # (problem id, searcher kind, budget, injection, seed[, trace spacing])
 RUNS = [
@@ -84,6 +94,16 @@ def snapshot(run) -> dict:
     return out
 
 
+def sweep_snapshot(directory, jobs: int) -> dict:
+    out = Path(directory) / "sweep.json"
+    assert main(SWEEP_ARGS + ["--jobs", str(jobs), "--out", str(out)]) == 0
+    blob = json.loads(out.read_text())
+    for record in blob["runs"]:
+        del record["wall_time_ms"]
+    blob["traces"] = out.with_name("sweep.traces.csv").read_text()
+    return blob
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN_PATH.read_text())
@@ -94,5 +114,12 @@ def test_fixed_seed_run_matches_golden(run, golden):
     assert snapshot(run) == golden[_key(run)]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cli_sweep_matches_golden(jobs, tmp_path):
+    assert sweep_snapshot(tmp_path, jobs) == json.loads(SWEEP_PATH.read_text())
+
+
 if __name__ == "__main__":
     GOLDEN_PATH.write_text(json.dumps({_key(r): snapshot(r) for r in RUNS}, indent=1) + "\n")
+    with tempfile.TemporaryDirectory() as directory:
+        SWEEP_PATH.write_text(json.dumps(sweep_snapshot(directory, 2), indent=1) + "\n")
