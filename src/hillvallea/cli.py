@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -22,8 +23,8 @@ import numpy as np
 
 from .core_search import STOP_REASONS, SearcherKind
 from .evaluation import peak_ratio
-from .optimizer import InjectionMode, OptimizerConfig, run_hillvallea
-from .problems import make_problem, problem_names
+from .optimizer import ElitistArchive, InjectionMode, OptimizerConfig, run_hillvallea
+from .problems import BenchmarkProblem, EvaluationCounter, make_problem, problem_names
 
 _STOP_FIELDS = {reason: "stop_" + reason.replace("-", "_") for reason in STOP_REASONS}
 RECORD_FIELDS = ("problem_id", "kind", "seed", "evaluations_used", "peak_ratio",
@@ -63,16 +64,27 @@ class RunConfig:
             raise ValueError("reps must be >= 1")
         if self.budget is not None and self.budget <= 0:
             raise ValueError("budget must be positive")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        if not self.tol >= 0:
+            raise ValueError("tol must be >= 0")
         if (self.trace or 0) < 0:
             raise ValueError("trace spacing must be >= 0")
-        if self.budget_multiplier is not None and self.budget_multiplier <= 0:
-            raise ValueError("budget multiplier must be positive")
         if self.budget is not None and self.budget_multiplier is not None:
             raise ValueError("give either a budget override or a multiplier, not both")
+        if self.budget_multiplier is not None:
+            if not 0 < self.budget_multiplier < math.inf:
+                raise ValueError("budget multiplier must be positive and finite")
+            if any(self.budget_for(make_problem(pid)) == 0 for pid in self.problems):
+                raise ValueError("budget multiplier rounds a problem's budget to 0")
         if self.format not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.format!r}")
+
+    def budget_for(self, problem: BenchmarkProblem) -> Optional[int]:
+        """The budget override of one run on ``problem`` (None: its own budget)."""
+        if self.budget_multiplier is None:
+            return self.budget
+        return int(round(problem.budget * self.budget_multiplier))
 
 
 def parse_problem_spec(spec: str) -> tuple:
@@ -99,21 +111,28 @@ def parse_problem_spec(spec: str) -> tuple:
     return tuple(ids)
 
 
+class _PeakRatioTrace:
+    """Run observer: a (k·every, peak ratio) row once k·every evaluations are used."""
+
+    def __init__(self, every: int, problem: BenchmarkProblem, epsilon: float):
+        self.every, self.problem, self.epsilon = every, problem, epsilon
+        self.rows: list = []
+
+    def __call__(self, counter: EvaluationCounter, archive: ElitistArchive) -> None:
+        first, last = len(self.rows) + 1, counter.used // self.every
+        if last >= first:
+            ratio = peak_ratio(list(archive), self.problem, self.epsilon).ratio
+            self.rows += [(k * self.every, ratio) for k in range(first, last + 1)]
+
+
 def _execute_task(sweep: RunConfig, problem_id: int, seed: int):
     """Run one repetition; returns its record and its trace rows."""
     problem = make_problem(problem_id)
-    budget = sweep.budget
-    if budget is None and sweep.budget_multiplier is not None:
-        budget = int(round(problem.budget * sweep.budget_multiplier))
-    config = OptimizerConfig(tol=sweep.tol, injection=sweep.injection, budget=budget,
-                             trace_every=sweep.trace)
-    metric = None
-    if sweep.trace:
-        metric = lambda archive: peak_ratio(
-            list(archive), problem, sweep.epsilon).ratio
+    config = OptimizerConfig(tol=sweep.tol, injection=sweep.injection,
+                             budget=sweep.budget_for(problem))
+    trace = _PeakRatioTrace(sweep.trace, problem, sweep.epsilon) if sweep.trace else None
     start = time.perf_counter()
-    result = run_hillvallea(problem, sweep.kind, config, seed=seed,
-                            trace_metric=metric)
+    result = run_hillvallea(problem, sweep.kind, config, seed=seed, observe=trace)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     report = peak_ratio(list(result.archive), problem, sweep.epsilon)
     fractions = result.phase_fractions
@@ -136,10 +155,15 @@ def _execute_task(sweep: RunConfig, problem_id: int, seed: int):
     }
     for reason, name in _STOP_FIELDS.items():
         record[name] = result.stop_reasons.get(reason, 0)
+    rows = []
+    if trace is not None:
+        # the last row is the run's own result; it replaces a milestone at that count
+        rows = [row for row in trace.rows if row[0] != result.evaluations_used]
+        rows.append((result.evaluations_used, report.ratio))
     trace_rows = [
         {"problem_id": problem_id, "kind": sweep.kind.value, "seed": seed,
          "evaluations": evals, "peak_ratio": value}
-        for evals, value in result.trace
+        for evals, value in rows
     ]
     return record, trace_rows
 

@@ -18,7 +18,6 @@ class PeakRatioReport:
     found: int
     total: int
     ratio: float
-    matched_pairs: list  # (reported solution, known optimum, distance)
 
 
 def peak_ratio(reported: Sequence[Solution], problem: BenchmarkProblem,
@@ -30,25 +29,19 @@ def peak_ratio(reported: Sequence[Solution], problem: BenchmarkProblem,
     is injective and greedy: reported solutions are walked best-fitness-first
     and each claims its nearest still-unclaimed qualifying optimum.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     optima = problem.known_global_optima
     total = len(optima)
     positions = np.array([o.position for o in optima])
     fitnesses = np.array([o.fitness for o in optima])
     unmatched = np.ones(total, dtype=bool)
-    pairs = []
     for sol in sorted(reported, key=lambda s: s.fitness):
         dist = np.linalg.norm(positions - sol.position, axis=1)
         ok = (unmatched & (dist <= problem.niche_radius)
               & (np.abs(fitnesses - sol.fitness) <= epsilon))
-        if not ok.any():
-            continue
-        dist_masked = np.where(ok, dist, np.inf)
-        j = int(np.argmin(dist_masked))
-        unmatched[j] = False
-        pairs.append((sol, optima[j], float(dist[j])))
-    found = len(pairs)
-    return PeakRatioReport(found=found, total=total, ratio=found / total,
-                           matched_pairs=pairs)
+        if ok.any():
+            unmatched[np.argmin(np.where(ok, dist, np.inf))] = False
+    found = total - int(unmatched.sum())
+    return PeakRatioReport(found=found, total=total, ratio=found / total)
 

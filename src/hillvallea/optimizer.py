@@ -43,7 +43,6 @@ class OptimizerConfig:
     tol: float = 1e-5
     injection: InjectionMode = InjectionMode.ONLY_GLOBAL
     budget: Optional[int] = None            # overrides the problem budget
-    trace_every: Optional[int] = None       # 0 or None: no trace
 
 
 @dataclass
@@ -115,7 +114,6 @@ class RunResult:
     phase_used: dict
     restarts: int
     per_restart_log: list
-    trace: list
     stop_reasons: dict = field(default_factory=dict)  # core searchers per stop reason
     side_unverified: int = 0  # side-archive entries appended untested
 
@@ -278,47 +276,20 @@ def _search_niches(niches: Sequence, build: Callable, seeds: np.random.SeedSeque
     return bests
 
 
-class _Tracer:
-    """Emits (evaluations, metric) rows at a fixed evaluation spacing."""
-
-    def __init__(self, every: Optional[int], metric: Callable, counter: EvaluationCounter):
-        self.every = every
-        self.metric = metric
-        self.counter = counter
-        self.rows: list = []
-        self._next = every if every else 0
-
-    def checkpoint(self, archive: ElitistArchive) -> None:
-        if not self.every:
-            return
-        while self.counter.used >= self._next:
-            self.rows.append((self._next, float(self.metric(archive))))
-            self._next += self.every
-
-    def finish(self, archive: ElitistArchive) -> None:
-        if not self.every:
-            return
-        self.checkpoint(archive)
-        last = self.rows[-1][0] if self.rows else -1
-        if self.counter.used != last:
-            self.rows.append((self.counter.used, float(self.metric(archive))))
-
-
 def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
                    config: Optional[OptimizerConfig] = None, seed: int = 0,
-                   trace_metric: Optional[Callable[[ElitistArchive], float]] = None
+                   observe: Optional[Callable[[EvaluationCounter, ElitistArchive], None]] = None
                    ) -> RunResult:
     """Run the full restart scheme on one problem until the budget is spent.
 
-    ``trace_metric`` maps the archive to the traced value (defaults to the
-    archive size); it is only consulted when tracing is enabled.
+    ``observe(counter, archive)`` is called just before and just after each
+    restart's postprocess, the only phase that changes the archive; it must
+    change neither argument.
     """
     config = config or OptimizerConfig()
     budget = config.budget if config.budget is not None else problem.budget
     if budget <= 0:
         raise ValueError("budget must be positive")
-    if (config.trace_every or 0) < 0:
-        raise ValueError("trace spacing must be >= 0")
     d = problem.domain.dimension
     volume = problem.domain.volume()
     counter = EvaluationCounter(budget)
@@ -331,9 +302,6 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
     obj_cluster = BudgetedObjective(problem, counter, "clustering")
     obj_local = BudgetedObjective(problem, counter, "local_opt")
     obj_post = BudgetedObjective(problem, counter, "postprocess")
-
-    tracer = _Tracer(config.trace_every, trace_metric or (lambda a: float(len(a))),
-                     counter)
 
     population_size = 16 * d
     cluster_size = recommended_population_size(kind, d)
@@ -350,7 +318,6 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
         n_sample = min(population_size, counter.remaining)
         X = uniform_sample(problem.domain, n_sample, sample_rng)
         fs = obj_init.batch(X)
-        tracer.checkpoint(archive)
 
         injected: list = []
         if config.injection is not InjectionMode.NONE:
@@ -366,7 +333,6 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
             np.concatenate([X, np.reshape([s.position for s in injected], (-1, d))])[kept],
             fitness[kept], {r: injected[kept[r] - n_fs] for r in np.flatnonzero(kept >= n_fs)})
         clusters = hill_valley_clustering(selection, volume, d, obj_cluster)
-        tracer.checkpoint(archive)
 
         # phase 2: one core searcher per niche not already represented
         searcher_eel = expected_edge_length(volume, len(selection), d)
@@ -379,8 +345,9 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
                 cluster, d, searcher_eel, kind, cluster_size,
                 rng=np.random.default_rng(seq)),
             searcher_seq, obj_local, config.tol, stop_reasons)
-        tracer.checkpoint(archive)
 
+        if observe is not None:
+            observe(counter, archive)
         result = postprocess(candidates, archive, config.tol, obj_post)
         if config.injection is InjectionMode.ALL_OPTIMA:
             if result.emptied:
@@ -388,7 +355,8 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
                 side_unverified = 0
             # presumed local optima, deduplicated into the side archive
             side_unverified += _merge(result.discarded, side, obj_post)[1]
-        tracer.checkpoint(archive)
+        if observe is not None:
+            observe(counter, archive)
 
         logs.append(RestartLog(
             index=restarts,
@@ -408,7 +376,6 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
             population_size *= 2
             cluster_size = math.ceil(1.2 * cluster_size)
 
-    tracer.finish(archive)
     return RunResult(
         problem_id=problem.id,
         kind=kind,
@@ -420,7 +387,6 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
         phase_used=dict(counter.phase_used),
         restarts=restarts,
         per_restart_log=logs,
-        trace=tracer.rows,
         stop_reasons=stop_reasons,
         side_unverified=side_unverified,
     )

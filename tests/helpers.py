@@ -30,6 +30,16 @@ class RecordingObjective:
         return len(self.points)
 
 
+class RecordingObserver:
+    """``run_hillvallea`` observer that logs (evaluations used, archive size) per call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, counter, archive):
+        self.calls.append((counter.used, len(archive)))
+
+
 def solution(position, fn) -> Solution:
     pos = np.atleast_1d(np.asarray(position, dtype=float))
     return Solution(pos, float(fn(pos)))

@@ -17,7 +17,7 @@ from hillvallea import (InjectionMode, OptimizerConfig, SearcherKind, Solution,
                         run_hillvallea)
 from hillvallea import test_point_count as n_test_points
 from hillvallea.cli import RunConfig, execute_sweep
-from helpers import RecordingObjective, double_well, solution
+from helpers import RecordingObjective, RecordingObserver, double_well, solution
 
 SEEDS = 20
 JOBS = int(os.environ.get("HILLVALLEA_TEST_JOBS", "0")) or min(2, os.cpu_count() or 1)
@@ -196,11 +196,11 @@ def test_criterion_10c_run_invariants_and_determinism():
         problem = make_problem(pid)
         config = OptimizerConfig(
             budget=int(rng.integers(150, 800)),
-            injection=injections[int(rng.integers(0, 3))],
-            trace_every=500)
+            injection=injections[int(rng.integers(0, 3))])
         kind = kinds[int(rng.integers(0, len(kinds)))]
         seed = int(rng.integers(0, 10 ** 6))
-        result = run_hillvallea(problem, kind, config, seed=seed)
+        seen, seen_replay = RecordingObserver(), RecordingObserver()
+        result = run_hillvallea(problem, kind, config, seed=seed, observe=seen)
         ok &= result.evaluations_used <= config.budget
         ok &= result.evaluations_used == sum(result.phase_used.values())
         ok &= all(log.archive_spread <= config.tol + 1e-12
@@ -210,10 +210,10 @@ def test_criterion_10c_run_invariants_and_determinism():
         for log in result.per_restart_log:
             ok &= log.population_size == 16 * d * 2 ** stagnant
             stagnant += log.n_new_elites == 0
-        replay = run_hillvallea(problem, kind, config, seed=seed)
+        replay = run_hillvallea(problem, kind, config, seed=seed, observe=seen_replay)
         ok &= replay.evaluations_used == result.evaluations_used
         ok &= replay.phase_used == result.phase_used
-        ok &= replay.trace == result.trace
+        ok &= seen_replay.calls == seen.calls
         ok &= len(replay.archive) == len(result.archive)
         ok &= all(np.array_equal(x.position, y.position) and x.fitness == y.fitness
                   for x, y in zip(result.archive, replay.archive))

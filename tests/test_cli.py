@@ -6,8 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from hillvallea import (InjectionMode, OptimizerConfig, SearcherKind, make_problem,
-                       run_hillvallea)
+from hillvallea import InjectionMode, make_problem
 from hillvallea.cli import (RECORD_FIELDS, RunConfig, config_from_args,
                             build_parser, execute_sweep, main,
                             parse_problem_spec, write_outputs)
@@ -139,6 +138,37 @@ def test_trace_file_spacing(tmp_path):
     assert {r["problem_id"] for r in rows} == {"4"}
 
 
+def test_trace_spacing_and_metric(tmp_path):
+    out = tmp_path / "t.json"
+    assert main(["--problems", "2", "--seed", "13", "--budget", "20000",
+                 "--trace", "1000", "--out", str(out)]) == 0
+    (record,) = json.loads(out.read_text())["runs"]
+    rows = list(csv.DictReader(open(tmp_path / "t.traces.csv")))
+    evals = [int(r["evaluations"]) for r in rows]
+    assert evals == sorted(evals)
+    assert all(b - a <= 1000 for a, b in zip(evals, evals[1:]))
+    assert evals[-1] == record["evaluations_used"]
+    assert float(rows[-1]["peak_ratio"]) == record["peak_ratio"] == 1.0
+
+
+def test_trace_ends_at_each_runs_record(tmp_path):
+    # the budget ends inside core search of P4 seeds 3 and 4; the last row
+    # still counts the elites that restart's postprocess adds
+    out = tmp_path / "s.json"
+    assert main(["--problems", "2,4", "--reps", "2", "--seed", "3", "--budget", "1000",
+                 "--trace", "250", "--injection", "all", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(open(tmp_path / "s.traces.csv")))
+    records = json.loads(out.read_text())["runs"]
+    for record in records:
+        run = [r for r in rows
+               if (int(r["problem_id"]), int(r["seed"])) == (record["problem_id"],
+                                                              record["seed"])]
+        assert [int(r["evaluations"]) for r in run] == [250, 500, 750, 1000]
+        assert (int(run[-1]["evaluations"]), float(run[-1]["peak_ratio"])) == (
+            record["evaluations_used"], record["peak_ratio"])
+    assert [r["peak_ratio"] for r in records if r["problem_id"] == 4] == [0.5, 0.75]
+
+
 def test_unknown_problem_exits_nonzero(capsys):
     assert main(["--problems", "99"]) == 2
     assert "error" in capsys.readouterr().err
@@ -178,21 +208,28 @@ def test_run_config_validation():
         RunConfig(problems=(1,), budget=5, budget_multiplier=2.0)
     with pytest.raises(ValueError):
         RunConfig(problems=(1,), format="yaml")
-    for bad in ({"budget": 0}, {"budget": -5}, {"epsilon": 0.0}, {"trace": -5}):
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"budget": 0}, {"budget": -5}, {"epsilon": 0.0}, {"epsilon": nan},
+                {"trace": -5}, {"tol": -1.0}, {"tol": nan}, {"budget_multiplier": 0.0},
+                {"budget_multiplier": nan}, {"budget_multiplier": inf},
+                {"budget_multiplier": 1e-9}):
         with pytest.raises(ValueError):
             RunConfig(problems=(1,), **bad)
+    # P2's budget of 50,000 rounds to 0 under this multiplier; P6's 200,000 does not
+    with pytest.raises(ValueError):
+        RunConfig(problems=(6, 2), budget_multiplier=5e-6)
+    assert RunConfig(problems=(6,), budget_multiplier=5e-6).budget_for(make_problem(6)) == 1
     assert RunConfig(problems=(1,), trace=0).trace == 0  # 0: no trace
+    assert RunConfig(problems=(1,), tol=0.0).tol == 0.0
 
 
 @pytest.mark.parametrize("flags", [["--budget", "-5"], ["--budget", "0"],
-                                   ["--epsilon", "0"], ["--trace", "-5"]])
+                                   ["--epsilon", "0"], ["--trace", "-5"],
+                                   ["--budget-multiplier", "1e-9"],
+                                   ["--budget-multiplier", "nan"],
+                                   ["--budget-multiplier", "inf"],
+                                   ["--epsilon", "nan"], ["--tol", "-1"], ["--tol", "nan"]])
 def test_invalid_values_exit_with_usage_error(flags, tmp_path, capsys):
     assert main(["--problems", "2", "--out", str(tmp_path / "r.json"), *flags]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "r.json").exists()
-
-
-def test_negative_trace_spacing_is_rejected_by_the_library():
-    with pytest.raises(ValueError):
-        run_hillvallea(make_problem(2), SearcherKind.AMU,
-                       OptimizerConfig(budget=100, trace_every=-5))

@@ -71,6 +71,7 @@ def test_monotone_in_added_qualifying_solution():
 
 def test_epsilon_must_be_positive():
     p = make_problem(2)
-    with pytest.raises(ValueError):
-        peak_ratio([], p, epsilon=0.0)
+    for bad in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            peak_ratio([], p, epsilon=bad)
 

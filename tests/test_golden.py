@@ -17,6 +17,7 @@ import pytest
 
 from hillvallea import InjectionMode, OptimizerConfig, SearcherKind, make_problem, run_hillvallea
 from hillvallea.cli import main
+from helpers import RecordingObserver
 
 GOLDEN_PATH = Path(__file__).with_name("golden_runs.json")
 SWEEP_PATH = Path(__file__).with_name("golden_sweep.json")
@@ -76,11 +77,21 @@ def _solutions(solutions) -> list:
              "fitness": float(s.fitness).hex()} for s in solutions]
 
 
+def _size_trace(calls, every: int, result) -> list:
+    """(k·every, archive size) rows as ``--trace`` writes them; the run's own size is last."""
+    rows = []
+    for used, size in calls:
+        rows += [(k * every, size) for k in range(len(rows) + 1, used // every + 1)]
+    return [row for row in rows if row[0] != result.evaluations_used] + [
+        (result.evaluations_used, len(result.archive))]
+
+
 def snapshot(run) -> dict:
     pid, kind, budget, injection, seed, *every = run
-    config = OptimizerConfig(budget=budget, injection=InjectionMode(injection),
-                             trace_every=every[0] if every else None)
-    result = run_hillvallea(make_problem(pid), SearcherKind(kind), config, seed=seed)
+    config = OptimizerConfig(budget=budget, injection=InjectionMode(injection))
+    seen = RecordingObserver()
+    result = run_hillvallea(make_problem(pid), SearcherKind(kind), config, seed=seed,
+                            observe=seen)
     out = {
         "evaluations_used": result.evaluations_used,
         "phase_used": result.phase_used,
@@ -90,7 +101,8 @@ def snapshot(run) -> dict:
         "side_archive": _solutions(result.side_archive),
     }
     if every:
-        out["trace"] = [[evals, float(value).hex()] for evals, value in result.trace]
+        out["trace"] = [[evals, float(value).hex()]
+                        for evals, value in _size_trace(seen.calls, every[0], result)]
     return out
 
 

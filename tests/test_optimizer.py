@@ -9,8 +9,8 @@ from hillvallea import (BenchmarkProblem, ElitistArchive, InjectionMode,
                         OptimizerConfig, SearchDomain, SearcherKind, Solution,
                         hill_valley_test, make_problem, peak_ratio, postprocess,
                         run_hillvallea, truncation_selection, uniform_sample)
-from helpers import (RecordingObjective, budgeted, double_well, make_ripple_problem,
-                     make_sphere_problem, solution)
+from helpers import (RecordingObjective, RecordingObserver, budgeted, double_well,
+                     make_ripple_problem, make_sphere_problem, solution)
 
 
 def _kept(fitness, tau):
@@ -258,30 +258,49 @@ def test_side_archive_counts_entries_appended_untested():
 
 def test_seed_determinism_bitwise():
     problem = make_problem(5)
-    config = OptimizerConfig(budget=15_000, trace_every=1000)
-    a = run_hillvallea(problem, SearcherKind.IAM, config, seed=12)
-    b = run_hillvallea(problem, SearcherKind.IAM, config, seed=12)
+    config = OptimizerConfig(budget=15_000)
+    seen_a, seen_b = RecordingObserver(), RecordingObserver()
+    a = run_hillvallea(problem, SearcherKind.IAM, config, seed=12, observe=seen_a)
+    b = run_hillvallea(problem, SearcherKind.IAM, config, seed=12, observe=seen_b)
     assert a.evaluations_used == b.evaluations_used
     assert a.phase_used == b.phase_used
     assert len(a.archive) == len(b.archive)
     for sa, sb in zip(a.archive, b.archive):
         assert sa.fitness == sb.fitness
         assert np.array_equal(sa.position, sb.position)
-    assert a.trace == b.trace
+    assert seen_a.calls == seen_b.calls
     assert a.per_restart_log == b.per_restart_log
 
 
-def test_trace_spacing_and_metric():
-    problem = make_problem(2)
-    config = OptimizerConfig(budget=20_000, trace_every=1000)
-    result = run_hillvallea(
-        problem, SearcherKind.AMU, config, seed=13,
-        trace_metric=lambda archive: peak_ratio(list(archive), problem).ratio)
-    evals = [e for e, _ in result.trace]
-    assert evals == sorted(evals)
-    assert all(b - a <= 1000 for a, b in zip(evals, evals[1:]))
-    assert evals[-1] == result.evaluations_used
-    assert result.trace[-1][1] == 1.0
+def _outputs(result) -> tuple:
+    """Everything a run returns but its archive and side archive, which compare by bits."""
+    return (result.evaluations_used, result.phase_used, result.restarts,
+            result.per_restart_log, result.stop_reasons, result.archive.n_unverified,
+            result.side_unverified)
+
+
+def _bits(solutions) -> list:
+    return [(s.position.tobytes(), float(s.fitness).hex()) for s in solutions]
+
+
+def test_observer_changes_nothing_and_sees_each_postprocess():
+    problem = make_problem(7)
+    config = OptimizerConfig(budget=5_000, injection=InjectionMode.ALL_OPTIMA)
+    seen = RecordingObserver()
+    plain = run_hillvallea(problem, SearcherKind.AMU, config, seed=1)
+    observed = run_hillvallea(problem, SearcherKind.AMU, config, seed=1, observe=seen)
+    assert _outputs(observed) == _outputs(plain)
+    assert _bits(observed.archive) == _bits(plain.archive)
+    assert _bits(observed.side_archive) == _bits(plain.side_archive)
+    assert len(plain.side_archive) > 0
+    # one call just before and one just after each restart's postprocess
+    assert len(seen.calls) == 2 * observed.restarts
+    used = [u for u, _ in seen.calls]
+    assert used == sorted(used) and used[-1] == observed.evaluations_used
+    # and postprocess is the only phase that changes the archive
+    sizes = [log.archive_size for log in observed.per_restart_log]
+    assert [size for _, size in seen.calls[1::2]] == sizes
+    assert [size for _, size in seen.calls[0::2]] == [0] + sizes[:-1]
 
 
 def test_budget_must_be_positive():
@@ -304,13 +323,14 @@ def test_scalar_only_custom_problem_matches_batch_form():
             objective=ring, known_global_optima=[], budget=5_000, niche_radius=0.5,
             **batch)
 
-    config = OptimizerConfig(trace_every=500)
-    a = run_hillvallea(build(), SearcherKind.CMSA, config, seed=0)
-    b = run_hillvallea(build(objective_batch=ring_batch), SearcherKind.CMSA, config, seed=0)
+    seen_a, seen_b = RecordingObserver(), RecordingObserver()
+    a = run_hillvallea(build(), SearcherKind.CMSA, seed=0, observe=seen_a)
+    b = run_hillvallea(build(objective_batch=ring_batch), SearcherKind.CMSA, seed=0,
+                       observe=seen_b)
     assert a.evaluations_used == b.evaluations_used == 5_000
     assert a.phase_used == b.phase_used
     assert a.per_restart_log == b.per_restart_log
-    assert a.trace == b.trace
+    assert seen_a.calls == seen_b.calls
     assert len(a.archive) == len(b.archive) > 0
     for sa, sb in zip(a.archive, b.archive):
         assert sa.fitness == sb.fitness
