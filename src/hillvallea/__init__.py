@@ -7,8 +7,8 @@ restart scheme with an elitist archive grows the population until the
 evaluation budget is spent.
 """
 
-from .core_search import (CmsaSearcher, CoreSearcher, EdaSearcher, GaussianInit,
-                          SearcherKind, init_from_cluster, recommended_population_size)
+from .core_search import (CmsaSearcher, CoreSearcher, EdaSearcher, SearcherKind,
+                          init_from_cluster, recommended_population_size)
 from .evaluation import PeakRatioReport, peak_ratio
 from .hillvalley import (Cluster, ClusterSet, Selection, Solution, expected_edge_length,
                          hill_valley_clustering, hill_valley_test, test_point_count)
@@ -21,7 +21,7 @@ from .problems import (BenchmarkProblem, BudgetedObjective, EvaluationCounter,
 
 __all__ = [
     "BenchmarkProblem", "BudgetedObjective", "Cluster", "ClusterSet", "CmsaSearcher",
-    "CoreSearcher", "EdaSearcher", "ElitistArchive", "EvaluationCounter", "GaussianInit",
+    "CoreSearcher", "EdaSearcher", "ElitistArchive", "EvaluationCounter",
     "InjectionMode", "KnownOptimum", "OptimizerConfig", "PeakRatioReport", "RestartLog",
     "RunResult", "SearchDomain", "SearcherKind", "Selection", "Solution",
     "UnsupportedProblemError", "expected_edge_length", "hill_valley_clustering",

@@ -62,6 +62,10 @@ class RunConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.budget is not None and self.budget <= 0:
             raise ValueError("budget must be positive")
         if not self.epsilon > 0:
@@ -181,7 +185,8 @@ def execute_sweep(config: RunConfig) -> SweepData:
     seeds = [config.seed + rep for _ in config.problems for rep in range(config.reps)]
     configs = [config] * len(pids)
     if config.jobs > 1 and len(pids) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # no more workers than runs: under fork, every worker starts at the first submit
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(pids))) as pool:
             outcomes = list(pool.map(_execute_task, configs, pids, seeds))
     else:
         outcomes = list(map(_execute_task, configs, pids, seeds))

@@ -1,8 +1,9 @@
 """Gaussian core searchers: CMSA and AMaLGaM-style EDA variants.
 
 Each searcher optimizes one niche from a cluster-derived Gaussian
-(mean/covariance/population size) until its termination criteria or the
-shared evaluation budget stop it, and reports the best solution it saw.
+(mean/covariance/population size), with the cluster's best solution (its
+founder) as its best so far, until its termination criteria or the shared
+evaluation budget stop it, and reports the best solution it saw.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -68,15 +68,6 @@ MEMORY_ETA = 0.7
 #: EDA distribution multiplier: decay factor per adaptation, and its bounds.
 MULTIPLIER_DECAY = 0.9
 MULTIPLIER_MIN, MULTIPLIER_MAX = 1e-4, 1e4
-
-
-@dataclass
-class GaussianInit:
-    """Initial sampling model for one core searcher."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-    population_size: int
 
 
 def _sqrt_factor(matrices: np.ndarray) -> np.ndarray:
@@ -147,8 +138,9 @@ class CoreSearcher:
     in lockstep. Each member draws from its own generator, in the order it
     would alone, and otherwise shares stacked arithmetic with the others, so
     every member follows the trajectory it would follow alone. A searcher
-    built from one initial model is a group of one; :meth:`stack` joins
-    fresh ones.
+    built from one initial model (mean, covariance and population size), its
+    founder and its generator is a group of one; :meth:`stack` joins fresh
+    ones.
 
     Results are indexed by member: ``best_ever`` (a list of solutions),
     ``terminated_reason`` (None while running) and ``evaluations``. The
@@ -160,10 +152,11 @@ class CoreSearcher:
     #: Attributes stacked along the member axis; rows go when members stop.
     _STATE = ("members", "rngs", "fresh", "best_f", "best_x", "mean")
 
-    def __init__(self, init: GaussianInit, *, rng: Optional[np.random.Generator] = None,
-                 founder: Optional[Solution] = None):
-        self.dimension = len(init.mean)
-        self.population_size = init.population_size
+    def __init__(self, mean: np.ndarray, population_size: int, *, founder: Solution,
+                 rng: np.random.Generator):
+        self.dimension = len(mean)
+        self.population_size = population_size
+        self.samples = population_size  # rows each member evaluates per generation
         self.generation = 0
         self.window = 10 + (30 * self.dimension) // self.population_size
         # per member: its best as a Solution as of its last settling, its stop code
@@ -171,24 +164,18 @@ class CoreSearcher:
         self._codes = np.zeros(1, dtype=np.int8)
         self.evaluations = np.zeros(1, dtype=np.int64)
         self.members = np.zeros(1, dtype=np.int64)
-        self.rngs = [rng if rng is not None else np.random.default_rng()]
-        # every member has a best (its founder or a sample), or none has
-        self.has_best = founder is not None
-        self.best_f = np.array([founder.fitness if founder is not None else math.inf])
-        self.best_x = np.array([founder.position if founder is not None
-                                else np.zeros(self.dimension)], dtype=float)
-        self.mean = np.array(init.mean, dtype=float, ndmin=2)
+        self.rngs = [rng]
+        self.best_f = np.array([founder.fitness])
+        self.best_x = np.array([founder.position], dtype=float)
+        self.mean = np.array(mean, dtype=float, ndmin=2)
         self.fresh = np.zeros(1, dtype=bool)  # rows whose best is newer than _best
 
     @staticmethod
     def stack(searchers: Sequence[CoreSearcher]) -> CoreSearcher:
         """Join fresh searchers of one kind, dimension and population size.
 
-        Members keep their order, generators and founders. Either all of them
-        have a founder or none has.
+        Members keep their order, generators and founders.
         """
-        if len({s.has_best for s in searchers}) > 1:
-            raise ValueError("either every member of a group has a founder or none has")
         group = copy.copy(searchers[0])
         for name in group._STATE + ("_best", "_codes", "evaluations"):
             parts = [getattr(s, name) for s in searchers]
@@ -231,10 +218,6 @@ class CoreSearcher:
             setattr(self, name, list(itertools.compress(value, rows))
                     if isinstance(value, list) else value[rows])
 
-    def _rows(self) -> int:
-        """Samples each member evaluates per generation."""
-        return self.population_size
-
     def _evaluate(self, evaluate: BudgetedObjective, X: np.ndarray) -> Optional[np.ndarray]:
         """Fitness of the (S, n, d) samples from one batch call, as (S, n).
 
@@ -253,13 +236,13 @@ class CoreSearcher:
         granted = np.clip(len(fs) - n * np.arange(S), 0, n)
         padded = np.full(S * n, math.inf)
         padded[:len(fs)] = fs
-        self._record_best(X, padded.reshape(S, n), np.arange(S), granted > 0)
+        # ungranted rows read +inf, so they never improve a best
+        self._record_best(X, padded.reshape(S, n), np.arange(S))
         self.evaluations[self.members] += granted
         self._codes[self.members] = _CODE["budget"]
         return None
 
-    def _record_best(self, X: np.ndarray, fs: np.ndarray, rows: np.ndarray,
-                     evaluated: Optional[np.ndarray] = None) -> tuple:
+    def _record_best(self, X: np.ndarray, fs: np.ndarray, rows: np.ndarray) -> tuple:
         """Track each member's all-time best; ``rows`` is ``arange(S)``.
 
         Returns which members improved it, how many and, if any did, each
@@ -267,11 +250,7 @@ class CoreSearcher:
         """
         i = fs.argmin(axis=1)
         f = fs[rows, i]
-        if not self.has_best:
-            improved = np.ones(len(rows), dtype=bool) if evaluated is None else evaluated
-        else:
-            improved = f < self.best_f if evaluated is None else evaluated & (f < self.best_f)
-        self.has_best |= evaluated is None
+        improved = f < self.best_f
         count = np.count_nonzero(improved)
         if not count:
             return improved, 0, None
@@ -292,17 +271,11 @@ class CoreSearcher:
                 codes[(codes == 0) & hit] = _CODE[reason]
         return codes if np.count_nonzero(codes) else None
 
-    def check_termination(self, tol: float) -> list:
-        """Stop reason per running member (None for members that go on)."""
-        codes = self._stop_codes(tol)
-        return [_REASONS[c] for c in ([0] * len(self.members) if codes is None
-                                      else codes.tolist())]
-
     def run_generation(self, evaluate: BudgetedObjective, domain: SearchDomain) -> None:
         """One generation of every running member, with one batch evaluation."""
         raise NotImplementedError
 
-    def run(self, evaluate: BudgetedObjective, domain: SearchDomain, tol: float = 1e-5,
+    def run(self, evaluate: BudgetedObjective, domain: SearchDomain, tol: float,
             limit: Optional[int] = None) -> list:
         """Run generations until every member has stopped; returns ``best_ever``.
 
@@ -320,7 +293,7 @@ class CoreSearcher:
                 self._keep(~stopped)
             running = len(self.members)
             if running == 0 or (limit is not None and np.add.reduce(self.evaluations)
-                                + running * self._rows() > limit):
+                                + running * self.samples > limit):
                 return self.best_ever
             self.run_generation(evaluate, domain)
 
@@ -337,12 +310,13 @@ class CmsaSearcher(CoreSearcher):
     kind = SearcherKind.CMSA
     _STATE = CoreSearcher._STATE + ("recent", "sigma", "shape")
 
-    def __init__(self, init: GaussianInit, **kwargs):
-        super().__init__(init, **kwargs)
+    def __init__(self, mean: np.ndarray, covariance: np.ndarray, population_size: int,
+                 **kwargs):
+        super().__init__(mean, population_size, **kwargs)
         d = self.dimension
-        sigma2 = float(np.add.reduce(np.diag(init.covariance))) / d
+        sigma2 = float(np.add.reduce(np.diag(covariance))) / d
         self.sigma = np.array([math.sqrt(sigma2)])
-        self.shape = (init.covariance / sigma2)[None]
+        self.shape = (covariance / sigma2)[None]
         # best fitness after each of the last window+1 generations, as a ring
         self.recent = np.zeros((1, self.window + 1))
         self.tau_sigma = 1.0 / math.sqrt(2.0 * d)
@@ -363,11 +337,10 @@ class CmsaSearcher(CoreSearcher):
             return
 
         rows = np.arange(S)
-        if self.has_best:  # elitism: the all-time best replaces the worst offspring
-            worst = fs.argmax(axis=1)
-            X[rows, worst] = self.best_x
-            fs[rows, worst] = self.best_f
-            sigmas[rows, worst] = self.sigma
+        worst = fs.argmax(axis=1)  # elitism: the all-time best replaces the worst offspring
+        X[rows, worst] = self.best_x
+        fs[rows, worst] = self.best_f
+        sigmas[rows, worst] = self.sigma
         self._record_best(X, fs, rows)
 
         selected = (rows[:, None], fs.argsort(axis=1, kind="stable")[:, :self.mu_sel])
@@ -411,13 +384,16 @@ class EdaSearcher(CoreSearcher):
     _STATE = CoreSearcher._STATE + ("covariance", "multiplier", "mean_shift",
                                     "no_improvement_streak", "population_std", "fitness_std")
 
-    def __init__(self, init: GaussianInit, kind: SearcherKind, **kwargs):
+    def __init__(self, mean: np.ndarray, covariance: np.ndarray, population_size: int,
+                 kind: SearcherKind, **kwargs):
         if kind is SearcherKind.CMSA:
             raise ValueError("EdaSearcher covers the AMaLGaM variants only")
-        super().__init__(init, **kwargs)
+        super().__init__(mean, population_size, **kwargs)
         self.kind = kind
         n, d = self.population_size, self.dimension
-        cov = np.asarray(init.covariance, dtype=float)
+        # elitism: the all-time best stays in the population, n-1 fresh samples
+        self.samples = n - 1
+        cov = np.asarray(covariance, dtype=float)
         self.covariance = (np.diag(np.diag(cov)) if kind.univariate else cov.copy())[None]
         self.multiplier = np.ones(1)
         self.mean_shift = np.zeros((1, d))
@@ -429,10 +405,6 @@ class EdaSearcher(CoreSearcher):
         self.n_sel = max(1, int(kind.tau * n))
         self.patience = 25 + d
         self.eye = np.eye(d)
-
-    def _rows(self) -> int:
-        # elitism: the all-time best stays in the population, n-1 fresh samples
-        return self.population_size - self.has_best
 
     def _mahalanobis_sq(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Squared distances of x under each member's sampling model, at ``rows`` only."""
@@ -448,10 +420,8 @@ class EdaSearcher(CoreSearcher):
         return out
 
     def run_generation(self, evaluate: BudgetedObjective, domain: SearchDomain) -> None:
-        S, n, d = len(self.members), self.population_size, self.dimension
-
-        fresh = self._rows()
-        noise = np.empty((S, fresh, d))
+        S, d = len(self.members), self.dimension
+        noise = np.empty((S, self.samples, d))
         for rng, block in zip(self.rngs, noise):
             rng.standard_normal(out=block)
         multiplier = self.multiplier[:, None, None]
@@ -467,9 +437,8 @@ class EdaSearcher(CoreSearcher):
         fs = self._evaluate(evaluate, X)
         if fs is None:
             return
-        if fresh < n:
-            X = np.concatenate([X, self.best_x[:, None, :]], axis=1)
-            fs = np.concatenate([fs, self.best_f[:, None]], axis=1)
+        X = np.concatenate([X, self.best_x[:, None, :]], axis=1)
+        fs = np.concatenate([fs, self.best_f[:, None]], axis=1)
 
         rows = np.arange(S)
         improved, count, gen_best = self._record_best(X, fs, rows)
@@ -520,9 +489,8 @@ class EdaSearcher(CoreSearcher):
              ("fitness-std", self.fitness_std < 1e-12)))
 
 
-def init_from_cluster(cluster: Cluster, d: int, eel: float, kind: SearcherKind,
-                      population_size: int, *,
-                      rng: Optional[np.random.Generator] = None) -> CoreSearcher:
+def init_from_cluster(cluster: Cluster, eel: float, kind: SearcherKind,
+                      population_size: int, *, rng: np.random.Generator) -> CoreSearcher:
     """Build a searcher (a group of one) from a cluster.
 
     The mean is the cluster mean. The covariance is the sample covariance for
@@ -532,7 +500,7 @@ def init_from_cluster(cluster: Cluster, d: int, eel: float, kind: SearcherKind,
     founded the cluster. The cluster founder seeds the best-ever solution.
     """
     positions = cluster.positions()
-    m = len(positions)
+    m, d = positions.shape
     mean = np.add.reduce(positions, 0) / m
     tiny = (0.01 * eel) ** 2
     if m == 1:
@@ -545,8 +513,6 @@ def init_from_cluster(cluster: Cluster, d: int, eel: float, kind: SearcherKind,
             cov = np.diag((deviations ** 2).sum(axis=0) / (m - 1))
         if not np.isfinite(cov).all() or cov.trace() <= 0.0:
             cov = tiny * np.eye(d)
-    init = GaussianInit(mean=mean, covariance=cov, population_size=population_size)
-    founder = cluster.founder
     if kind is SearcherKind.CMSA:
-        return CmsaSearcher(init, rng=rng, founder=founder)
-    return EdaSearcher(init, kind, rng=rng, founder=founder)
+        return CmsaSearcher(mean, cov, population_size, founder=cluster.founder, rng=rng)
+    return EdaSearcher(mean, cov, population_size, kind, founder=cluster.founder, rng=rng)

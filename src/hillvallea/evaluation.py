@@ -33,6 +33,8 @@ def peak_ratio(reported: Sequence[Solution], problem: BenchmarkProblem,
         raise ValueError("epsilon must be positive")
     optima = problem.known_global_optima
     total = len(optima)
+    if total == 0:
+        raise ValueError(f"problem {problem.name!r} has no known global optima to score against")
     positions = np.array([o.position for o in optima])
     fitnesses = np.array([o.fitness for o in optima])
     unmatched = np.ones(total, dtype=bool)

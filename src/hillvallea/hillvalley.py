@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -58,11 +58,10 @@ class Selection(Sequence):
 
 
 class Cluster:
-    """Rows of a selection (all rows if not given) presumed to share one niche, best first."""
+    """Rows of a selection presumed to share one niche, best first."""
 
-    def __init__(self, selection: Sequence[Solution], rows: Optional[np.ndarray] = None):
-        self.selection = Selection.of(selection)
-        self.rows = np.arange(len(self.selection)) if rows is None else rows
+    def __init__(self, selection: Selection, rows: np.ndarray):
+        self.selection, self.rows = selection, rows
 
     @property
     def members(self) -> list:

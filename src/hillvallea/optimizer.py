@@ -342,8 +342,7 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
         niches = [c for c in clusters if id(c.founder) not in known_ids]
         candidates = _search_niches(
             niches, lambda cluster, seq: init_from_cluster(
-                cluster, d, searcher_eel, kind, cluster_size,
-                rng=np.random.default_rng(seq)),
+                cluster, searcher_eel, kind, cluster_size, rng=np.random.default_rng(seq)),
             searcher_seq, obj_local, config.tol, stop_reasons)
 
         if observe is not None:

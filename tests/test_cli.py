@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from hillvallea import InjectionMode, make_problem
+from hillvallea import InjectionMode, cli, make_problem
 from hillvallea.cli import (RECORD_FIELDS, RunConfig, config_from_args,
                             build_parser, execute_sweep, main,
                             parse_problem_spec, write_outputs)
@@ -126,6 +126,31 @@ def test_parallel_jobs_do_not_change_results(tmp_path):
                 assert a[field] == b[field]
 
 
+def test_pool_has_no_more_workers_than_runs(tmp_path, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records ``max_workers``, starts no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    for jobs, reps in ((8, 3), (2, 3)):
+        data = execute_sweep(_tiny_config(tmp_path, problems=(2,), reps=reps, budget=300,
+                                          jobs=jobs))
+        assert len(data.records) == reps
+    assert sizes == [3, 2]
+
+
 def test_trace_file_spacing(tmp_path):
     out = tmp_path / "t.json"
     rc = main(["--problems", "4", "--reps", "1", "--seed", "0", "--budget", "3000",
@@ -212,7 +237,7 @@ def test_run_config_validation():
     for bad in ({"budget": 0}, {"budget": -5}, {"epsilon": 0.0}, {"epsilon": nan},
                 {"trace": -5}, {"tol": -1.0}, {"tol": nan}, {"budget_multiplier": 0.0},
                 {"budget_multiplier": nan}, {"budget_multiplier": inf},
-                {"budget_multiplier": 1e-9}):
+                {"budget_multiplier": 1e-9}, {"jobs": 0}, {"jobs": -1}, {"seed": -1}):
         with pytest.raises(ValueError):
             RunConfig(problems=(1,), **bad)
     # P2's budget of 50,000 rounds to 0 under this multiplier; P6's 200,000 does not
@@ -228,7 +253,8 @@ def test_run_config_validation():
                                    ["--budget-multiplier", "1e-9"],
                                    ["--budget-multiplier", "nan"],
                                    ["--budget-multiplier", "inf"],
-                                   ["--epsilon", "nan"], ["--tol", "-1"], ["--tol", "nan"]])
+                                   ["--epsilon", "nan"], ["--tol", "-1"], ["--tol", "nan"],
+                                   ["--jobs", "0"], ["--seed", "-1"]])
 def test_invalid_values_exit_with_usage_error(flags, tmp_path, capsys):
     assert main(["--problems", "2", "--out", str(tmp_path / "r.json"), *flags]) == 2
     assert capsys.readouterr().err.startswith("error:")

@@ -69,6 +69,15 @@ def test_monotone_in_added_qualifying_solution():
     assert peak_ratio(more, p).ratio >= peak_ratio(partial, p).ratio
 
 
+@pytest.mark.parametrize("n_reported", [0, 1])
+def test_problem_without_known_optima_cannot_be_scored(n_reported):
+    p = make_sphere_problem(2)
+    p.known_global_optima = []
+    reported = _report_solutions(p, [[0.0, 0.0]])[:n_reported]
+    with pytest.raises(ValueError, match="no known global optima"):
+        peak_ratio(reported, p)
+
+
 def test_epsilon_must_be_positive():
     p = make_problem(2)
     for bad in (0.0, float("nan")):
