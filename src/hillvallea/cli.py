@@ -60,6 +60,8 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        if len(set(self.problems)) < len(self.problems):
+            raise ValueError(f"problem ids must be distinct, got {self.problems}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.jobs < 1:
@@ -92,26 +94,26 @@ class RunConfig:
 
 
 def parse_problem_spec(spec: str) -> tuple:
-    """Parse '1-5,10' or comma-separated problem names into a tuple of ids."""
+    """Parse '1-5,10' or problem names into distinct ids; a range is lo-hi with lo <= hi."""
     names = problem_names()
     ids = []
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if "-" in token and not token.lstrip("-").isalpha():
-            lo, _, hi = token.partition("-")
-            ids.extend(range(int(lo), int(hi) + 1))
-        elif token.lstrip("+-").isdigit():
-            ids.append(int(token))
-        elif token in names:
-            ids.append(names[token])
+    for token in filter(None, map(str.strip, spec.split(","))):
+        lo, dash, hi = token.partition("-")
+        if token in names:
+            new = [names[token]]
+        elif token.removeprefix("+").isdecimal():
+            new = [int(token)]
+        elif dash and lo.isdecimal() and hi.isdecimal() and int(lo) <= int(hi):
+            new = range(int(lo), int(hi) + 1)
         else:
-            raise ValueError(f"unknown problem {token!r}")
+            raise ValueError(f"unknown problem or invalid range {token!r}")
+        for pid in new:
+            if pid in ids:
+                raise ValueError(f"problem {pid} repeated by {token!r}")
+            make_problem(pid)  # rejects unknown and unsupported ids up front
+            ids.append(pid)
     if not ids:
         raise ValueError("no problems selected")
-    for pid in ids:
-        make_problem(pid)  # rejects unknown and unsupported ids up front
     return tuple(ids)
 
 

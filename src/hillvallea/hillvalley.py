@@ -11,13 +11,12 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .problems import BudgetedObjective, EvaluationCounter
+from .problems import BudgetedObjective
 
 
 @dataclass(eq=False)
@@ -37,15 +36,6 @@ class Selection(Sequence):
     positions: np.ndarray
     fitness: np.ndarray
     solutions: dict
-
-    @classmethod
-    def of(cls, solutions: Sequence[Solution]) -> Selection:
-        """``solutions`` itself if a selection, else sorted best first (stable), same objects."""
-        if isinstance(solutions, Selection):
-            return solutions
-        ordered = sorted(solutions, key=lambda s: s.fitness)
-        return cls(np.array([s.position for s in ordered]),
-                   np.array([s.fitness for s in ordered]), dict(enumerate(ordered)))
 
     def __len__(self) -> int:
         return len(self.fitness)
@@ -119,27 +109,25 @@ def _reject_bar(f_left, f_right):
 
 
 def hill_valley_test(x_left: Solution, x_right: Solution, n_test: int,
-                     evaluate: Callable) -> tuple[bool, int]:
+                     evaluate: BudgetedObjective) -> tuple[bool, int]:
     """Test whether two solutions share a niche.
 
-    Evaluates up to ``n_test`` equidistant points on the segment between the
-    solutions and rejects at the first point strictly worse than both
-    endpoints. Returns ``(same_niche, evaluations_spent)``. If the budget runs
-    out mid-test the points seen so far decide, i.e. the test passes.
+    The ``n_test`` equidistant points on the segment between the solutions
+    are evaluated in one batch on a trial count; the test rejects at the first
+    point strictly worse than both endpoints. The points up to that one (or
+    all, if none is) are then charged in one take. Returns ``(same_niche,
+    evaluations_charged)``. If the budget grants fewer, the charged points
+    decide, i.e. the test passes.
     """
-    left = x_left.position
-    right = x_right.position
+    left, right = x_left.position, x_right.position
     if left.shape != right.shape:
         raise ValueError("solutions have mismatched dimensions")
-    bar = _reject_bar(x_left.fitness, x_right.fitness)
-    segment = left - right
-    for k in range(1, n_test + 1):
-        f = evaluate(right + (k / (n_test + 1)) * segment)
-        if f is None:
-            return True, k - 1
-        if f > bar:
-            return False, k
-    return True, n_test
+    t = np.arange(1, n_test + 1) / (n_test + 1)
+    f = evaluate.trial(n_test).batch(right + t[:, None] * (left - right))
+    worse = np.flatnonzero(f > _reject_bar(x_left.fitness, x_right.fitness))
+    spent = int(worse[0]) + 1 if worse.size else n_test
+    granted = evaluate.counter.take(evaluate.phase, spent)
+    return granted < spent or not worse.size, granted
 
 
 def _nearest_better(positions: np.ndarray, k: int,
@@ -193,39 +181,21 @@ def _nearest_better(positions: np.ndarray, k: int,
     return idx, dist
 
 
-class _LookedAhead:
-    """``evaluate``, except that a call while ``first`` holds a fitness (not
-    NaN) returns it, charged as one evaluation (``None`` past the budget)."""
-
-    __slots__ = ("evaluate", "first")
-
-    def __init__(self, evaluate: Callable):
-        self.evaluate, self.first = evaluate, math.nan
-
-    def __call__(self, x):
-        f, self.first = self.first, math.nan
-        if f != f:
-            return self.evaluate(x)
-        return f if self.evaluate.counter.take(self.evaluate.phase, 1) else None
-
-
-def _first_tests(evaluate: BudgetedObjective, left, right, f_left, f_right,
-                 n_test) -> tuple[np.ndarray, np.ndarray]:
-    """Fitness at the first point of many hill-valley tests, and whether each rejects there.
+def _first_rejects(evaluate: BudgetedObjective, left, right, f_left, f_right,
+                   n_test) -> np.ndarray:
+    """Whether many hill-valley tests reject at their first point.
 
     Row i is :func:`hill_valley_test` from ``left[i]`` to ``right[i]`` with
     ``n_test[i]`` points (arguments broadcast), bit for bit. The points are
-    evaluated in one batch on a trial counter, uncharged.
+    evaluated in one batch on a trial count, uncharged.
     """
     X = right + np.reshape(1.0 / (n_test + 1.0), (-1, 1)) * (left - right)
-    trial = BudgetedObjective(evaluate.problem, EvaluationCounter(len(X)), evaluate.phase)
-    f = trial.batch(X)
-    return f, f > _reject_bar(f_left, f_right)
+    return evaluate.trial(len(X)).batch(X) > _reject_bar(f_left, f_right)
 
 
-def hill_valley_clustering(selection: Sequence[Solution], volume: float, d: int,
-                           evaluate: Callable) -> ClusterSet:
-    """Partition a selection (a :class:`Selection`, or solutions to sort) into presumed niches.
+def hill_valley_clustering(selection: Selection, volume: float, d: int,
+                           evaluate: BudgetedObjective) -> ClusterSet:
+    """Partition a selection into presumed niches.
 
     Solutions are swept best-first; each is tested against the clusters of
     its d+1 nearest better neighbours (each candidate cluster at most once)
@@ -233,42 +203,40 @@ def hill_valley_clustering(selection: Sequence[Solution], volume: float, d: int,
     cluster when every check fails. On budget exhaustion the solutions not
     yet swept found singleton clusters and the result is flagged incomplete.
 
-    With a :class:`BudgetedObjective`, first test points are looked ahead in
-    a batch per neighbour w, for the rows whose tests all rejected at their
-    first point before w. A row whose first test passes at its only point
-    joins that neighbour's cluster outside the loop, which runs over the
-    other rows only and charges every evaluation in sweep order.
+    First test points are looked ahead in a batch per neighbour w, for the
+    rows whose tests all rejected at their first point before w. A row whose
+    first test passes at its only point joins that neighbour's cluster
+    outside the loop, which runs over the other rows only and charges every
+    evaluation in sweep order.
     """
     if not selection:
         raise ValueError("selection must be nonempty")
-    sel = Selection.of(selection)
-    positions, fitness = sel.positions, sel.fitness
-    n = len(sel)
+    positions, fitness = selection.positions, selection.fitness
+    n = len(selection)
     spacing = expected_edge_length(volume, n, d)
 
     nb_idx, nb_dist = _nearest_better(positions, min(d + 1, max(n - 1, 1)))
-    first = np.full(nb_idx.shape, np.nan)
     reject = np.zeros(nb_idx.shape, dtype=bool)
-    if isinstance(evaluate, BudgetedObjective):
-        # row i is reached only once each row before it has spent an evaluation
-        rows = np.arange(1, min(n, evaluate.counter.remaining + 1))
-        for w in range(nb_idx.shape[1]):
-            rows = rows[rows > w]
-            if not rows.size:
-                break
-            nb = nb_idx[rows, w]
-            n_test = np.floor(nb_dist[rows, w] / spacing) + 1.0
-            first[rows, w], reject[rows, w] = _first_tests(
-                evaluate, positions[nb], positions[rows], fitness[nb], fitness[rows], n_test)
-            rows = rows[reject[rows, w]]
-    easy = ~np.isnan(first[:, 0]) & ~reject[:, 0] & (np.floor(nb_dist[:, 0] / spacing) == 0.0)
+    easy = np.zeros(n, dtype=bool)
+    # row i is reached only once each row before it has spent an evaluation
+    rows = np.arange(1, min(n, evaluate.counter.remaining + 1))
+    for w in range(nb_idx.shape[1]):
+        rows = rows[rows > w]
+        if not rows.size:
+            break
+        nb = nb_idx[rows, w]
+        n_test = np.floor(nb_dist[rows, w] / spacing) + 1.0
+        reject[rows, w] = _first_rejects(
+            evaluate, positions[nb], positions[rows], fitness[nb], fitness[rows], n_test)
+        if w == 0:  # passes at its first and only point
+            easy[rows] = ~reject[rows, 0] & (n_test == 1.0)
+        rows = rows[reject[rows, w]]
     # an easy row joins the first row up its neighbour chain that is not easy
     root = np.where(easy, nb_idx[:, 0], np.arange(n))
     while not np.array_equal(root[root], root):
         root = root[root]
 
     cluster_of = np.zeros(n, dtype=np.int64)
-    ahead = _LookedAhead(evaluate)
     n_clusters, prev, tail = 1, 0, n  # tail: first row of the untested tail
     for i in np.flatnonzero(~easy)[1:].tolist() + [n]:
         gap = i - prev - 1  # easy rows since the last row swept here
@@ -279,7 +247,7 @@ def hill_valley_clustering(selection: Sequence[Solution], volume: float, d: int,
                 break
         if i == n:
             break
-        if getattr(evaluate, "exhausted", False):
+        if evaluate.exhausted:
             tail = i
             break
         checked = set()
@@ -291,9 +259,8 @@ def hill_valley_clustering(selection: Sequence[Solution], volume: float, d: int,
             checked.add(cluster)
             if reject[i, j] and evaluate.counter.take(evaluate.phase, 1):
                 continue  # rejected at its looked-ahead first point
-            n_t = test_point_count(nb_dist[i, j], spacing)
-            ahead.first = first[i, j]
-            same, _ = hill_valley_test(sel[neighbour], sel[i], n_t, ahead)
+            same, _ = hill_valley_test(selection[neighbour], selection[i],
+                                       test_point_count(nb_dist[i, j], spacing), evaluate)
             if same:
                 cluster_of[i] = cluster
                 break
@@ -306,4 +273,5 @@ def hill_valley_clustering(selection: Sequence[Solution], volume: float, d: int,
     labels = cluster_of[root]
     labels[tail:] = np.arange(n_clusters, n_clusters + n - tail)
     order, ends = np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels)).tolist()
-    return ClusterSet([Cluster(sel, order[a:b]) for a, b in zip([0] + ends, ends)], tail == n)
+    return ClusterSet([Cluster(selection, order[a:b]) for a, b in zip([0] + ends, ends)],
+                      tail == n)

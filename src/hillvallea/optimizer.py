@@ -19,8 +19,8 @@ import numpy as np
 
 from .core_search import (CoreSearcher, SearcherKind, init_from_cluster,
                           recommended_population_size)
-from .hillvalley import (Selection, Solution, _first_tests, _LookedAhead,
-                         expected_edge_length, hill_valley_clustering, hill_valley_test)
+from .hillvalley import (Selection, Solution, _first_rejects, expected_edge_length,
+                         hill_valley_clustering, hill_valley_test)
 from .problems import (BenchmarkProblem, BudgetedObjective, EvaluationCounter,
                        SearchDomain)
 
@@ -143,7 +143,7 @@ def truncation_selection(fitness: np.ndarray, tau: float) -> np.ndarray:
 
 
 def postprocess(candidates: Sequence[Solution], archive: ElitistArchive, tol: float,
-                evaluate: Callable) -> PostprocessResult:
+                evaluate: BudgetedObjective) -> PostprocessResult:
     """Fold terminated-searcher bests into the archive.
 
     Candidates more than ``tol`` worse than the all-time best are discarded.
@@ -174,7 +174,7 @@ def postprocess(candidates: Sequence[Solution], archive: ElitistArchive, tol: fl
 
 
 def _merge(candidates: Sequence[Solution], elites: list,
-           evaluate: Callable) -> tuple[int, int]:
+           evaluate: BudgetedObjective) -> tuple[int, int]:
     """Deduplicate candidates, best first, into ``elites`` as :func:`postprocess` describes.
 
     Returns (insertions plus replacements, candidates appended untested).
@@ -185,7 +185,7 @@ def _merge(candidates: Sequence[Solution], elites: list,
     fitness = np.array([s.fitness for s in elites + cands])
     added = untested = 0
     for cand in cands:
-        exhausted = getattr(evaluate, "exhausted", False)
+        exhausted = evaluate.exhausted
         untested += exhausted
         i = None if exhausted else _first_shared_niche(cand, elites, positions, fitness,
                                                        evaluate)
@@ -202,18 +202,15 @@ def _merge(candidates: Sequence[Solution], elites: list,
 
 
 def _first_shared_niche(cand: Solution, elites: list, positions: np.ndarray,
-                        fitness: np.ndarray, evaluate: Callable) -> Optional[int]:
+                        fitness: np.ndarray, evaluate: BudgetedObjective) -> Optional[int]:
     """Index of the first elite that passes the hill-valley test with ``cand``, or None.
 
-    With a :class:`BudgetedObjective`, every test's first point is looked
-    ahead in one batch; the tests that reject there are charged in bulk.
+    Every test's first point is looked ahead in one batch; the tests that
+    reject there are charged in bulk.
     """
     m = len(elites)
-    first, reject = np.full(m, np.nan), np.zeros(m, dtype=bool)
-    if isinstance(evaluate, BudgetedObjective) and m:
-        first, reject = _first_tests(evaluate, cand.position, positions[:m], cand.fitness,
-                                     fitness[:m], float(ARCHIVE_TEST_POINTS))
-    ahead = _LookedAhead(evaluate)
+    reject = _first_rejects(evaluate, cand.position, positions[:m], cand.fitness,
+                            fitness[:m], float(ARCHIVE_TEST_POINTS))
     i = 0
     while i < m:
         # if the budget ends among these rejections, the next test passes
@@ -222,8 +219,7 @@ def _first_shared_niche(cand: Solution, elites: list, positions: np.ndarray,
             i += evaluate.counter.take(evaluate.phase, run)
             if i == m:
                 return None
-        ahead.first = first[i]
-        if hill_valley_test(cand, elites[i], ARCHIVE_TEST_POINTS, ahead)[0]:
+        if hill_valley_test(cand, elites[i], ARCHIVE_TEST_POINTS, evaluate)[0]:
             return i
         i += 1
     return None
@@ -251,9 +247,8 @@ def _search_niches(niches: Sequence, build: Callable, seeds: np.random.SeedSeque
         return [niche.founder for niche in niches]
     seqs = seeds.spawn(len(niches))
     group = CoreSearcher.stack([build(niche, seq) for niche, seq in zip(niches, seqs)])
-    trial = BudgetedObjective(evaluate.problem, EvaluationCounter(counter.remaining),
-                              evaluate.phase)
-    group.run(trial, evaluate.problem.domain, tol=tol, limit=counter.remaining)
+    group.run(evaluate.trial(counter.remaining), evaluate.problem.domain, tol=tol,
+              limit=counter.remaining)
     reasons = group.terminated_reason
     bests = []
     for k, (niche, seq) in enumerate(zip(niches, seqs)):

@@ -100,9 +100,9 @@ class BenchmarkProblem:
     """Objective on a bounded box with budget and ground-truth optima.
 
     ``objective`` maps a point to a minimization fitness. ``objective_batch``
-    is its vectorized form over an (n, d) array, which every phase uses; the
-    hill-valley tests call ``objective`` only for points they could not batch.
-    When it is not given, a row loop over ``objective`` stands in for it.
+    is its vectorized form over an (n, d) array, which every phase uses, every
+    hill-valley test point included. When it is not given, a row loop over
+    ``objective`` stands in for it.
     """
 
     id: int
@@ -130,7 +130,6 @@ class BenchmarkProblem:
 class BudgetedObjective:
     """Objective bound to a counter and a phase tag.
 
-    Calling it evaluates one point (``None`` once the budget is exhausted);
     ``batch`` evaluates as many rows of an (n, d) array as the budget allows.
     A NaN fitness reads as +inf, worse than any number, so that every sort
     and comparison downstream sees one total order.
@@ -143,12 +142,6 @@ class BudgetedObjective:
         self.counter = counter
         self.phase = phase
 
-    def __call__(self, x):
-        if self.counter.take(self.phase, 1) == 0:
-            return None
-        f = self.problem.objective(x)
-        return math.inf if f != f else f
-
     def batch(self, X: np.ndarray) -> np.ndarray:
         grant = self.counter.take(self.phase, len(X))
         if grant == 0:
@@ -156,6 +149,10 @@ class BudgetedObjective:
         fs = self.problem.objective_batch(X[:grant])
         nan = np.isnan(fs)
         return np.where(nan, np.inf, fs) if nan.any() else fs
+
+    def trial(self, budget: int) -> BudgetedObjective:
+        """The same objective and phase on a fresh counter, for work charged later."""
+        return BudgetedObjective(self.problem, EvaluationCounter(budget), self.phase)
 
     @property
     def exhausted(self) -> bool:

@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from hillvallea import (BenchmarkProblem, BudgetedObjective, EvaluationCounter,
-                        KnownOptimum, SearchDomain, Solution)
+                        KnownOptimum, SearchDomain, Selection, Solution)
 
 
 class RecordingObjective:
-    """Unbudgeted callable objective that logs every evaluated point."""
+    """Objective function that logs every point it evaluates."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -19,15 +19,27 @@ class RecordingObjective:
         self.points.append(np.array(x, dtype=float))
         return float(self.fn(x))
 
-    def batch(self, X):
-        out = np.empty(len(X))
-        for i, row in enumerate(X):
-            out[i] = self(row)
-        return out
-
     @property
     def count(self):
         return len(self.points)
+
+
+def budgeted_fn(fn, budget: int = 10 ** 6, phase: str = "clustering") -> BudgetedObjective:
+    """``fn`` (point -> fitness) as the optimizer evaluates it: in batches, on its own
+    counter of ``budget`` evaluations (``.counter``), charged to ``phase``.
+
+    ``fn`` sees every evaluated row, also look-ahead rows that are never charged."""
+    problem = BenchmarkProblem(
+        id=0, name="test_function", domain=SearchDomain(np.full(1, -np.inf), np.full(1, np.inf)),
+        objective=fn, known_global_optima=[], budget=budget, niche_radius=1.0)
+    return BudgetedObjective(problem, EvaluationCounter(budget), phase)
+
+
+def selection_of(solutions) -> Selection:
+    """A :class:`Selection` of ``solutions``: sorted best first (stable), same objects."""
+    ordered = sorted(solutions, key=lambda s: s.fitness)
+    return Selection(np.array([s.position for s in ordered]),
+                     np.array([s.fitness for s in ordered]), dict(enumerate(ordered)))
 
 
 class RecordingObserver:

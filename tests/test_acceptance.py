@@ -17,7 +17,7 @@ from hillvallea import (InjectionMode, OptimizerConfig, SearcherKind, Solution,
                         run_hillvallea)
 from hillvallea import test_point_count as n_test_points
 from hillvallea.cli import RunConfig, execute_sweep
-from helpers import RecordingObjective, RecordingObserver, double_well, solution
+from helpers import RecordingObserver, budgeted_fn, double_well, selection_of, solution
 
 SEEDS = 20
 JOBS = int(os.environ.get("HILLVALLEA_TEST_JOBS", "0")) or min(2, os.cpu_count() or 1)
@@ -127,17 +127,18 @@ def test_criterion_08_convex_clustering():
     for case in range(200):
         n = int(rng.integers(2, 40))
         pts = rng.uniform(-5.0, 5.0, size=(n, 2))
-        selection = [Solution(p, fn(p)) for p in pts]
-        result = hill_valley_clustering(selection, volume=100.0, d=2, evaluate=fn)
+        selection = selection_of(Solution(p, fn(p)) for p in pts)
+        result = hill_valley_clustering(selection, volume=100.0, d=2,
+                                        evaluate=budgeted_fn(fn))
         ok = ok and len(result) == 1
     _criterion(8, "convex objective clusters to a single niche (200 cases)",
                "all single-cluster" if ok else "split detected", ok)
 
 
 def test_criterion_09_double_well_trace():
-    selection = [solution(x, double_well) for x in (-1.0, 1.0, -0.9, 0.9)]
+    selection = selection_of(solution(x, double_well) for x in (-1.0, 1.0, -0.9, 0.9))
     result = hill_valley_clustering(selection, volume=4.0, d=1,
-                                    evaluate=lambda x: double_well(x))
+                                    evaluate=budgeted_fn(double_well))
     members = sorted(tuple(sorted(s.position[0] for s in c.members))
                      for c in result)
     expected = [(-1.0, -0.9), (0.9, 1.0)]
@@ -156,12 +157,12 @@ def test_criterion_10a_hill_valley_symmetry_and_bound():
         a, b = rng.uniform(-3.0, 3.0, size=(2, d))
         sa, sb = Solution(a, fn(a)), Solution(b, fn(b))
         n = int(rng.integers(1, 6))
-        fwd = RecordingObjective(fn)
-        rev = RecordingObjective(fn)
+        fwd = budgeted_fn(fn)
+        rev = budgeted_fn(fn)
         same_ab, spent_ab = hill_valley_test(sa, sb, n, fwd)
         same_ba, spent_ba = hill_valley_test(sb, sa, n, rev)
         ok &= same_ab == same_ba
-        ok &= 1 <= spent_ab <= n and spent_ab == fwd.count
+        ok &= 1 <= spent_ab <= n and spent_ab == fwd.counter.used
         ok &= (not same_ab) or spent_ab == n
     _criterion("10a", "hill-valley symmetry and evaluation bound (1000 cases)",
                "all held" if ok else "violated", ok)
@@ -176,7 +177,8 @@ def test_criterion_10b_partition_property():
         w = rng.standard_normal(d)
         fn = lambda x: float(np.sin(2.0 * (x @ w)) + 0.1 * (x @ x))
         selection = [Solution(p, fn(p)) for p in rng.uniform(-4, 4, size=(n, d))]
-        result = hill_valley_clustering(selection, volume=8.0 ** d, d=d, evaluate=fn)
+        result = hill_valley_clustering(selection_of(selection), volume=8.0 ** d, d=d,
+                                        evaluate=budgeted_fn(fn))
         members = [s for c in result for s in c.members]
         ok &= len(members) == n
         ok &= {id(s) for s in members} == {id(s) for s in selection}

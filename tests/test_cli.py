@@ -27,6 +27,13 @@ def test_parse_problem_spec():
         parse_problem_spec("nonexistent_problem")
     with pytest.raises(ValueError):
         parse_problem_spec("")
+    assert parse_problem_spec("3-3,equal_maxima") == (3, 2)
+    # a range is lo-hi with integers lo <= hi, and no id may repeat; the error names the token
+    for spec, token in (("1,5-3", "5-3"), ("1--2", "1--2"), ("-1", "-1"), ("2-", "2-"),
+                        ("2,2", "2"), ("1-3,2", "2"), ("equal_maxima,2", "2"),
+                        ("2,1-3", "1-3")):
+        with pytest.raises(ValueError, match=repr(token)):
+            parse_problem_spec(spec)
 
 
 def test_execute_sweep_counts_and_seeds(tmp_path):
@@ -246,6 +253,8 @@ def test_run_config_validation():
     assert RunConfig(problems=(6,), budget_multiplier=5e-6).budget_for(make_problem(6)) == 1
     assert RunConfig(problems=(1,), trace=0).trace == 0  # 0: no trace
     assert RunConfig(problems=(1,), tol=0.0).tol == 0.0
+    with pytest.raises(ValueError):
+        RunConfig(problems=(2, 2))
 
 
 @pytest.mark.parametrize("flags", [["--budget", "-5"], ["--budget", "0"],
@@ -254,7 +263,11 @@ def test_run_config_validation():
                                    ["--budget-multiplier", "nan"],
                                    ["--budget-multiplier", "inf"],
                                    ["--epsilon", "nan"], ["--tol", "-1"], ["--tol", "nan"],
-                                   ["--jobs", "0"], ["--seed", "-1"]])
+                                   ["--jobs", "0"], ["--seed", "-1"],
+                                   ["--problems", "1,5-3"], ["--problems", "1--2"],
+                                   ["--problems", "-1"], ["--problems", "2-"],
+                                   ["--problems", "2,2"], ["--problems", "1-3,2"],
+                                   ["--problems", "equal_maxima,2"]])
 def test_invalid_values_exit_with_usage_error(flags, tmp_path, capsys):
     assert main(["--problems", "2", "--out", str(tmp_path / "r.json"), *flags]) == 2
     assert capsys.readouterr().err.startswith("error:")

@@ -1,6 +1,5 @@
 """Core searchers: size tables, cluster initialization, generations, termination."""
 
-import dataclasses
 import warnings
 
 import numpy as np
@@ -10,17 +9,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from hillvallea import (Cluster, CmsaSearcher, CoreSearcher, EdaSearcher, SearchDomain,
-                        SearcherKind, Selection, Solution, init_from_cluster,
+                        SearcherKind, Solution, init_from_cluster,
                         recommended_population_size)
 from hillvallea.core_search import _mean, _std
-from helpers import (RecordingObjective, budgeted, make_ripple_problem,
-                     make_sphere_problem, ripple, sphere)
+from helpers import (RecordingObjective, budgeted, budgeted_fn, make_ripple_problem,
+                     make_sphere_problem, ripple, selection_of, sphere)
 
 
 def _cluster(points, fn):
     sols = [Solution(np.atleast_1d(np.asarray(p, float)), fn(np.atleast_1d(p)))
             for p in points]
-    return Cluster(Selection.of(sols), np.arange(len(sols)))
+    return Cluster(selection_of(sols), np.arange(len(sols)))
 
 
 def _searcher(kind, mean, covariance, population_size, seed, founder=None, fn=sphere):
@@ -99,7 +98,7 @@ def test_cmsa_generation_updates():
     founder = Solution(np.array([0.5, 0.5]), 0.5)
     s = _searcher(SearcherKind.CMSA, [2.0, 2.0], np.eye(2), 8, 5, founder=founder)
     rec = RecordingObjective(sphere)
-    s.run_generation(rec, problem.domain)
+    s.run_generation(budgeted_fn(rec), problem.domain)
     assert np.allclose(s.shape[0], s.shape[0].T)
     # the founder replaces the worst offspring; the new mean is the exact mean
     # of the best half of that population
@@ -117,7 +116,7 @@ def test_cmsa_constant_objective_keeps_best():
     s = _searcher(SearcherKind.CMSA, np.zeros(2), np.eye(2), 8, 6,
                   founder=Solution(np.zeros(2), 1.0))
     for _ in range(3):
-        s.run_generation(RecordingObjective(lambda x: 1.0), problem.domain)
+        s.run_generation(budgeted_fn(lambda x: 1.0), problem.domain)
     assert s.best_ever[0].fitness == 1.0
     assert np.allclose(s.best_ever[0].position, np.zeros(2))
 
@@ -141,7 +140,7 @@ def test_eda_selection_floor_and_refit_mean():
     founder = Solution(np.array([0.2, 0.2]), 0.08)
     s = _searcher(SearcherKind.AMU, [1.0, 1.0], np.eye(2), 15, 7, founder=founder)
     rec = RecordingObjective(sphere)
-    s.run_generation(rec, problem.domain)
+    s.run_generation(budgeted_fn(rec), problem.domain)
     assert rec.count == 14  # the founder is the population's 15th row
     X = np.vstack([rec.points, founder.position])
     fs = np.array([sphere(x) for x in rec.points] + [founder.fitness])
@@ -162,7 +161,7 @@ def test_amu_quadratic_oracle_from_singleton_init():
     c = _cluster([[-0.2]], quad)
     s = init_from_cluster(c, eel=1.0, kind=SearcherKind.AMU,
                           population_size=10, rng=np.random.default_rng(2))
-    s.run(quad, problem.domain, tol=1e-5)
+    s.run(budgeted_fn(quad), problem.domain, tol=1e-5)
     assert s.terminated_reason[0] in ("population-std", "fitness-std")
     assert abs(s.best_ever[0].position[0] - 0.3) < 1e-4
 
@@ -178,38 +177,39 @@ def test_eda_degenerate_population_terminates():
         s = _searcher(SearcherKind.AMU, np.zeros(2), np.eye(2), 8, 1)
         s.population_std[0] = np.full(2, population_std)
         s.fitness_std[0] = 0.0
-        rec = RecordingObjective(sphere)
-        s.run(rec, problem.domain, tol=1e-5)
+        obj = budgeted_fn(sphere)
+        s.run(obj, problem.domain, tol=1e-5)
         assert s.terminated_reason == [reason]
-        assert rec.count == 0  # it stops before its first generation
+        assert obj.counter.used == 0  # it stops before its first generation
 
 
 def test_cmsa_ill_conditioned_termination():
     problem = make_sphere_problem(2)
     s = _searcher(SearcherKind.CMSA, np.zeros(2), np.eye(2), 8, 0)
     s.shape[0] = np.diag([1.0, 1e-15])
-    rec = RecordingObjective(sphere)
-    s.run(rec, problem.domain, tol=1e-5)
+    obj = budgeted_fn(sphere)
+    s.run(obj, problem.domain, tol=1e-5)
     assert s.terminated_reason == ["ill-conditioned"]
-    assert rec.count == 0
+    assert obj.counter.used == 0
 
 
 def test_cmsa_no_improvement_termination():
     problem = make_sphere_problem(1)
     s = _searcher(SearcherKind.CMSA, np.zeros(1), np.eye(1), 8, 0,
                   founder=Solution(np.zeros(1), 5.0))
-    flat = RecordingObjective(lambda x: 5.0)
+    flat = budgeted_fn(lambda x: 5.0)
     s.run(flat, problem.domain, tol=1e-5)
     # the best must stall over window + 1 generations
     assert s.terminated_reason == ["no-improvement"]
     assert s.generation == s.window + 1
-    assert flat.count == (s.window + 1) * 8
+    assert flat.counter.used == (s.window + 1) * 8
 
 
 def test_budget_exhaustion_mid_generation():
     rec = RecordingObjective(sphere)
-    problem = dataclasses.replace(make_sphere_problem(2), objective_batch=rec.batch)
-    obj, counter = budgeted(problem, 5)
+    problem = make_sphere_problem(2)
+    obj = budgeted_fn(rec, 5)
+    counter = obj.counter
     founder = Solution(np.array([3.0, 3.0]), 18.0)
     s = _searcher(SearcherKind.CMSA, [3.0, 3.0], np.eye(2), 8, 3, founder=founder)
     s.run_generation(obj, problem.domain)
@@ -231,11 +231,12 @@ def test_best_ever_monotone_and_in_domain(kind):
         return float(np.sin(3 * x[0]) + 0.5 * (x @ x))
 
     rec = RecordingObjective(fn)
+    obj = budgeted_fn(rec)
     s = _searcher(kind, [1.5, -1.0], 0.25 * np.eye(2), recommended_population_size(kind, 2),
                   9, fn=fn)
     prev = np.inf
     for _ in range(30):
-        s.run_generation(rec, problem.domain)
+        s.run_generation(obj, problem.domain)
         assert s.best_ever[0].fitness <= prev + 1e-15
         prev = s.best_ever[0].fitness
     pts = np.array(rec.points)
@@ -341,7 +342,7 @@ def test_eda_fitness_std_stop_fires_on_all_infinite_population(kind):
     problem = make_sphere_problem(2)
     # a founder whose objective returned NaN reads as +inf
     s = _searcher(kind, np.zeros(2), np.eye(2), 8, 3, founder=Solution(np.zeros(2), np.inf))
-    s.run(RecordingObjective(lambda x: np.inf), problem.domain, tol=1e-5)
+    s.run(budgeted_fn(lambda x: np.inf), problem.domain, tol=1e-5)
     assert s.terminated_reason == ["fitness-std"]
     assert s.generation == 1
 

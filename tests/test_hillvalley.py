@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from hillvallea import (BenchmarkProblem, KnownOptimum, SearchDomain, Solution,
-                        expected_edge_length, hill_valley_clustering, hill_valley_test)
+from hillvallea import (BenchmarkProblem, BudgetedObjective, EvaluationCounter,
+                        KnownOptimum, SearchDomain, Solution, expected_edge_length,
+                        hill_valley_clustering, hill_valley_test)
 from hillvallea.hillvalley import _nearest_better
 from hillvallea import test_point_count as n_test_points
-from helpers import RecordingObjective, budgeted, double_well, make_sphere_problem, solution
+from helpers import (RecordingObjective, budgeted, budgeted_fn, double_well,
+                     make_sphere_problem, selection_of, solution)
 
 
 def test_expected_edge_length_examples():
@@ -32,23 +34,28 @@ def test_test_point_count_examples():
 
 def test_hill_valley_convex_segment():
     f = RecordingObjective(lambda x: x[0] ** 2)
-    same, spent = hill_valley_test(solution(-1.0, f.fn), solution(1.0, f.fn), 1, f)
-    assert same is True and spent == 1 and f.count == 1
+    obj = budgeted_fn(f)
+    same, spent = hill_valley_test(solution(-1.0, f.fn), solution(1.0, f.fn), 1, obj)
+    assert same is True and spent == 1 and obj.counter.used == f.count == 1
 
 
 def test_hill_valley_double_well_rejects():
     f = RecordingObjective(double_well)
-    same, spent = hill_valley_test(solution(-1.0, f.fn), solution(1.0, f.fn), 1, f)
-    assert same is False and spent == 1
+    obj = budgeted_fn(f)
+    same, spent = hill_valley_test(solution(-1.0, f.fn), solution(1.0, f.fn), 1, obj)
+    assert same is False and spent == 1 and obj.counter.used == 1
     assert f.points[0][0] == pytest.approx(0.0)
 
 
 def test_hill_valley_early_exit_two_points():
-    # first test point x = 1/3 evaluates to (8/9)^2, worse than both endpoints
+    # first test point x = 1/3 evaluates to (8/9)^2, worse than both endpoints:
+    # both points are evaluated in one batch, and only the first is charged
     f = RecordingObjective(double_well)
-    same, spent = hill_valley_test(solution(-1.0, f.fn), solution(1.0, f.fn), 2, f)
-    assert same is False and spent == 1 and f.count == 1
-    assert f.points[0][0] == pytest.approx(1.0 / 3.0)
+    obj = budgeted_fn(f, phase="postprocess")
+    same, spent = hill_valley_test(solution(-1.0, f.fn), solution(1.0, f.fn), 2, obj)
+    assert same is False and spent == 1
+    assert obj.counter.used == obj.counter.phase_used["postprocess"] == 1
+    assert [x[0] for x in f.points] == pytest.approx([1.0 / 3.0, -1.0 / 3.0])
     assert double_well(f.points[0]) == pytest.approx((8.0 / 9.0) ** 2)
 
 
@@ -79,7 +86,7 @@ def test_hill_valley_rejects_across_nan_point():
 def test_hill_valley_dimension_mismatch():
     with pytest.raises(ValueError):
         hill_valley_test(Solution(np.zeros(2), 0.0), Solution(np.zeros(3), 0.0),
-                         1, lambda x: 0.0)
+                         1, budgeted_fn(lambda x: 0.0))
 
 
 def test_hill_valley_symmetry_property():
@@ -92,7 +99,8 @@ def test_hill_valley_symmetry_property():
         a, b = rng.uniform(-3, 3, size=(2, d))
         sa, sb = Solution(a, fn(a)), Solution(b, fn(b))
         n = int(rng.integers(1, 6))
-        assert hill_valley_test(sa, sb, n, fn)[0] == hill_valley_test(sb, sa, n, fn)[0]
+        assert (hill_valley_test(sa, sb, n, budgeted_fn(fn))[0]
+                == hill_valley_test(sb, sa, n, budgeted_fn(fn))[0])
 
 
 def test_hill_valley_evaluation_bound_property():
@@ -101,13 +109,75 @@ def test_hill_valley_evaluation_bound_property():
         d = int(rng.integers(1, 4))
         w = rng.standard_normal(d)
         fn = lambda x: float(np.cos(x @ w) + 0.05 * (x @ x))
-        obj = RecordingObjective(fn)
+        obj = budgeted_fn(fn)
         a, b = rng.uniform(-3, 3, size=(2, d))
         n = int(rng.integers(1, 7))
         same, spent = hill_valley_test(Solution(a, fn(a)), Solution(b, fn(b)), n, obj)
-        assert 1 <= spent <= n and spent == obj.count
+        assert 1 <= spent <= n and spent == obj.counter.used
         assert not same or spent == n  # passing means every point was evaluated
         assert spent == n or not same  # stopping early only happens on rejection
+
+
+def reference_hill_valley_test(x_left, x_right, n_test, problem, counter, phase):
+    """Sequential reference: charge a point, evaluate it, stop at the first worse point.
+
+    A NaN fitness reads as +inf; the points charged before the budget ends decide."""
+    worst = max(x_left.fitness, x_right.fitness)
+    bar = worst + 1e-12 * max(1.0, abs(worst))
+    segment = x_left.position - x_right.position
+    for k in range(1, n_test + 1):
+        if not counter.take(phase, 1):
+            return True, k - 1
+        f = problem.objective(x_right.position + (k / (n_test + 1)) * segment)
+        if f != f or f > bar:
+            return False, k
+    return True, n_test
+
+
+_coordinates = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 3), n_test=st.integers(1, 8), data=st.data())
+def test_hill_valley_test_matches_sequential_reference(d, n_test, data):
+    ends = data.draw(st.lists(st.lists(_coordinates, min_size=d, max_size=d),
+                              min_size=2, max_size=2))
+    f_left = data.draw(st.floats(-1e3, 1e3, allow_nan=False))
+    f_right = data.draw(st.sampled_from([f_left, -f_left])
+                        | st.floats(-1e3, 1e3, allow_nan=False))
+    a, b = Solution(np.array(ends[0]), f_left), Solution(np.array(ends[1]), f_right)
+    worst = max(f_left, f_right)
+    bar = worst + 1e-12 * max(1.0, abs(worst))
+    # each test point's fitness: better, tied with the worse end, tied with the
+    # reject bar, just past it, or NaN
+    levels = {"below": min(f_left, f_right) - 1.0, "worst": worst, "bar": bar,
+              "above": np.nextafter(bar, np.inf), "nan": math.nan}
+    picks = data.draw(st.lists(st.sampled_from(sorted(levels)), min_size=n_test,
+                               max_size=n_test))
+    left, right = (a, b) if data.draw(st.booleans()) else (b, a)
+    segment = left.position - right.position
+    table = {}
+    for k, pick in enumerate(picks, 1):
+        table.setdefault((right.position + (k / (n_test + 1)) * segment).tobytes(),
+                         levels[pick])
+    problem = BenchmarkProblem(
+        id=0, name="table", domain=SearchDomain(np.full(d, -10.0), np.full(d, 10.0)),
+        objective=lambda x: table[np.asarray(x, dtype=float).tobytes()],
+        known_global_optima=[], budget=100, niche_radius=1.0)
+    used = data.draw(st.integers(0, 2))
+    for budget in range(n_test + 2):
+        counters = []
+        for _ in range(2):
+            counter = EvaluationCounter(used + budget)
+            counter.take("init", used)
+            counters.append(counter)
+        want = reference_hill_valley_test(left, right, n_test, problem, counters[0],
+                                          "clustering")
+        got = hill_valley_test(left, right, n_test,
+                               BudgetedObjective(problem, counters[1], "clustering"))
+        assert got == want
+        assert counters[1].used == counters[0].used
+        assert counters[1].phase_used == counters[0].phase_used
 
 
 def _cluster_members(cluster_set):
@@ -115,9 +185,9 @@ def _cluster_members(cluster_set):
 
 
 def test_clustering_double_well_trace():
-    f = RecordingObjective(double_well)
-    selection = [solution(x, double_well) for x in (-1.0, 1.0, -0.9, 0.9)]
-    result = hill_valley_clustering(selection, volume=4.0, d=1, evaluate=f)
+    selection = selection_of(solution(x, double_well) for x in (-1.0, 1.0, -0.9, 0.9))
+    result = hill_valley_clustering(selection, volume=4.0, d=1,
+                                    evaluate=budgeted_fn(double_well))
     assert result.complete
     assert len(result) == 2
     assert _cluster_members(result) == [[-1.0, -0.9], [0.9, 1.0]]
@@ -128,16 +198,18 @@ def test_clustering_double_well_trace():
 def test_clustering_convex_single_cluster():
     rng = np.random.default_rng(13)
     fn = lambda x: float(x @ x)
-    selection = [Solution(p, fn(p)) for p in rng.uniform(-5, 5, size=(40, 2))]
-    result = hill_valley_clustering(selection, volume=100.0, d=2, evaluate=fn)
+    selection = selection_of(Solution(p, fn(p)) for p in rng.uniform(-5, 5, size=(40, 2)))
+    result = hill_valley_clustering(selection, volume=100.0, d=2, evaluate=budgeted_fn(fn))
     assert len(result) == 1
     assert len(result.clusters[0]) == 40
 
 
 def test_clustering_singleton_selection():
     f = RecordingObjective(lambda x: float(x[0]))
-    result = hill_valley_clustering([solution(0.5, f.fn)], volume=1.0, d=1, evaluate=f)
-    assert len(result) == 1 and f.count == 0 and result.complete
+    obj = budgeted_fn(f)
+    result = hill_valley_clustering(selection_of([solution(0.5, f.fn)]), volume=1.0, d=1,
+                                    evaluate=obj)
+    assert len(result) == 1 and f.count == obj.counter.used == 0 and result.complete
 
 
 def test_clustering_partition_property():
@@ -148,7 +220,8 @@ def test_clustering_partition_property():
         w = rng.standard_normal(d)
         fn = lambda x: float(np.sin(2.0 * x @ w) + 0.1 * (x @ x))
         selection = [Solution(p, fn(p)) for p in rng.uniform(-4, 4, size=(n, d))]
-        result = hill_valley_clustering(selection, volume=8.0 ** d, d=d, evaluate=fn)
+        result = hill_valley_clustering(selection_of(selection), volume=8.0 ** d, d=d,
+                                        evaluate=budgeted_fn(fn))
         members = [s for c in result for s in c.members]
         assert len(members) == n
         assert {id(s) for s in members} == {id(s) for s in selection}
@@ -161,9 +234,9 @@ def test_clustering_partition_property():
 def test_clustering_determinism():
     rng = np.random.default_rng(15)
     fn = lambda x: float(np.sin(3 * x[0]) + np.cos(2 * x[1]))
-    selection = [Solution(p, fn(p)) for p in rng.uniform(-3, 3, size=(60, 2))]
-    a = hill_valley_clustering(selection, volume=36.0, d=2, evaluate=fn)
-    b = hill_valley_clustering(selection, volume=36.0, d=2, evaluate=fn)
+    selection = selection_of(Solution(p, fn(p)) for p in rng.uniform(-3, 3, size=(60, 2)))
+    a = hill_valley_clustering(selection, volume=36.0, d=2, evaluate=budgeted_fn(fn))
+    b = hill_valley_clustering(selection, volume=36.0, d=2, evaluate=budgeted_fn(fn))
     assert [[id(s) for s in c.members] for c in a] == \
            [[id(s) for s in c.members] for c in b]
 
@@ -177,18 +250,18 @@ def test_clustering_neighbour_cap_evaluation_budget():
     def needle(x):
         dist = np.linalg.norm(centers - x, axis=1).min()
         return float(-max(0.0, 1.0 - 200.0 * dist))
-    obj = RecordingObjective(needle)
-    selection = [Solution(c.copy(), needle(c)) for c in centers]
+    obj = budgeted_fn(needle)
+    selection = selection_of(Solution(c.copy(), needle(c)) for c in centers)
     result = hill_valley_clustering(selection, volume=400.0, d=d, evaluate=obj)
     assert len(result) == 25
-    assert obj.count <= sum(min(i, d + 1) for i in range(1, 25))
+    assert obj.counter.used <= sum(min(i, d + 1) for i in range(1, 25))
 
 
 def test_clustering_budget_exhaustion_singleton_tail():
     problem = make_sphere_problem(1, half_width=2.0)
     obj, counter = budgeted(problem, 1, phase="clustering")
     xs = (-1.0, 1.0, -0.9, 0.9, 0.5, -0.5)
-    selection = [solution(x, double_well) for x in xs]
+    selection = selection_of(solution(x, double_well) for x in xs)
     result = hill_valley_clustering(selection, volume=4.0, d=1, evaluate=obj)
     assert not result.complete
     assert counter.used == 1
@@ -197,13 +270,13 @@ def test_clustering_budget_exhaustion_singleton_tail():
 
 
 def test_clustering_spacing_from_volume_sets_test_points():
-    f = RecordingObjective(double_well)
-    selection = [solution(x, double_well) for x in (-1.0, 1.0)]
-    hill_valley_clustering(selection, volume=4.0, d=1, evaluate=f)
+    obj = budgeted_fn(double_well)
+    selection = selection_of(solution(x, double_well) for x in (-1.0, 1.0))
+    hill_valley_clustering(selection, volume=4.0, d=1, evaluate=obj)
     # volume 4 over 2 points: eel 2; edge length 2 -> exactly 2 test points
     # when the pair merges; the double well rejects at the first interior
     # sample either way
-    assert f.count == 1
+    assert obj.counter.used == 1
 
 
 def _brute_nearest_better(positions, k):

@@ -2,11 +2,11 @@
 
 The references below are the plain loops the looked-ahead versions replace:
 one solution (or candidate) at a time, every test through
-``hill_valley_test``, every evaluation charged when it is made. For every
-budget up to what the reference spends, both must produce the same clusters
-in the same member order, the same ``complete`` flag, the same archive and
-the same charged evaluations per phase. A :class:`Selection` held as arrays
-must cluster as the list of solutions it stands for.
+``hill_valley_test``, each test's evaluations charged when it is made. For
+every budget up to what the reference spends, both must produce the same
+clusters in the same member order, the same ``complete`` flag, the same
+archive and the same charged evaluations per phase. A :class:`Selection`
+held as arrays must cluster as one holding every row as a :class:`Solution`.
 """
 
 import numpy as np
@@ -19,6 +19,7 @@ from hillvallea import (BenchmarkProblem, BudgetedObjective, EvaluationCounter,
 from hillvallea.hillvalley import _nearest_better, expected_edge_length, hill_valley_test
 from hillvallea.hillvalley import test_point_count as n_test_points
 from hillvallea.optimizer import ARCHIVE_TEST_POINTS, _merge
+from helpers import selection_of
 
 
 def reference_clustering(selection, volume, d, evaluate):
@@ -31,7 +32,7 @@ def reference_clustering(selection, volume, d, evaluate):
     members = [[ordered[0]]]
     cluster_of = np.zeros(n, dtype=np.int64)
     for i in range(1, n):
-        if getattr(evaluate, "exhausted", False):
+        if evaluate.exhausted:
             members.extend([s] for s in ordered[i:])
             return members, False
         checked = set()
@@ -56,7 +57,7 @@ def reference_merge(candidates, elites, evaluate):
     """Sequential merge: returns (added, untested); ``elites`` is updated in place."""
     added = untested = 0
     for cand in sorted(candidates, key=lambda s: s.fitness):
-        if getattr(evaluate, "exhausted", False):
+        if evaluate.exhausted:
             elites.append(cand)
             added += 1
             untested += 1
@@ -84,18 +85,6 @@ def terraced_problem(d: int, step: float) -> BenchmarkProblem:
         objective=lambda x: float(batch(np.reshape(x, (1, -1)))[0]),
         objective_batch=batch, known_global_optima=[KnownOptimum(np.full(d, 2.0), 0.0)],
         budget=10 ** 6, niche_radius=0.5)
-
-
-class Calls:
-    """Bare callable objective (no budget, no batch form) that logs its points."""
-
-    def __init__(self, problem):
-        self.problem = problem
-        self.points = []
-
-    def __call__(self, x):
-        self.points.append(np.array(x, dtype=float))
-        return self.problem.objective(x)
 
 
 @st.composite
@@ -130,21 +119,23 @@ def _budgeted(problem, budget, used=0):
     return BudgetedObjective(problem, counter, "clustering"), counter
 
 
+def _unbudgeted_spend(reference, problem, *args):
+    """Evaluations ``reference(*args, evaluate)`` charges when the budget never ends."""
+    evaluate, counter = _budgeted(problem, 10 ** 9)
+    reference(*args, evaluate)
+    return counter.used
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(instances(), st.integers(0, 3))
 def test_clustering_matches_sequential_sweep(instance, used):
-    problem, selection, d, volume = instance
-    calls = Calls(problem)
-    reference = reference_clustering(selection, volume, d, calls)
-    plain = Calls(problem)
-    got = hill_valley_clustering(selection, volume, d, plain)
-    assert _ids(c.members for c in got) == _ids(reference[0]) and got.complete
-    assert len(plain.points) == len(calls.points)
-    assert all(np.array_equal(a, b) for a, b in zip(plain.points, calls.points))
+    problem, solutions, d, volume = instance
+    selection = selection_of(solutions)
+    spend_all = _unbudgeted_spend(reference_clustering, problem, solutions, volume, d)
     # a budget that ends at every position of the sweep, and one that does not
-    for spend in range(len(calls.points) + 2):
+    for spend in range(spend_all + 2):
         ref_eval, ref_counter = _budgeted(problem, used + spend, used)
-        members, complete = reference_clustering(selection, volume, d, ref_eval)
+        members, complete = reference_clustering(solutions, volume, d, ref_eval)
         new_eval, new_counter = _budgeted(problem, used + spend, used)
         got = hill_valley_clustering(selection, volume, d, new_eval)
         assert _ids(c.members for c in got) == _ids(members)
@@ -158,16 +149,8 @@ def test_clustering_matches_sequential_sweep(instance, used):
 def test_merge_matches_sequential_merge(instance, n_elites, used):
     problem, solutions, _, _ = instance
     elites, candidates = solutions[:n_elites], solutions[n_elites:]
-    calls = Calls(problem)
-    ref_elites = list(elites)
-    reference = reference_merge(candidates, ref_elites, calls)
-    plain = Calls(problem)
-    got_elites = list(elites)
-    assert _merge(candidates, got_elites, plain) == reference
-    assert [id(s) for s in got_elites] == [id(s) for s in ref_elites]
-    assert all(np.array_equal(a, b) for a, b in zip(plain.points, calls.points))
-    assert len(plain.points) == len(calls.points)
-    for spend in range(len(calls.points) + 2):
+    spend_all = _unbudgeted_spend(reference_merge, problem, candidates, list(elites))
+    for spend in range(spend_all + 2):
         ref_eval, ref_counter = _budgeted(problem, used + spend, used)
         ref_elites = list(elites)
         reference = reference_merge(candidates, ref_elites, ref_eval)
@@ -204,7 +187,7 @@ def test_array_selection_clusters_as_its_solution_list(instance, n_injected, use
     ordered = sorted(sampled + injected, key=lambda s: s.fitness)
 
     def check(list_eval, array_eval):
-        want = hill_valley_clustering(sampled + injected, volume, d, list_eval)
+        want = hill_valley_clustering(selection_of(sampled + injected), volume, d, list_eval)
         selection = _array_selection(sampled, injected, d)
         got = hill_valley_clustering(selection, volume, d, array_eval)
         assert [c.rows.tolist() for c in got] == _rows(want, ordered)
@@ -221,11 +204,8 @@ def test_array_selection_clusters_as_its_solution_list(instance, n_injected, use
         assert all(s is selection[r] for s, r in zip([s for c in got for s in c.members], rows))
         assert selection[-1] is selection[len(selection) - 1]
 
-    plain, calls = Calls(problem), Calls(problem)
-    check(plain, calls)
-    assert len(plain.points) == len(calls.points)
-    assert all(np.array_equal(a, b) for a, b in zip(plain.points, calls.points))
-    for spend in range(len(plain.points) + 2):
+    spend_all = _unbudgeted_spend(reference_clustering, problem, sampled + injected, volume, d)
+    for spend in range(spend_all + 2):
         list_eval, list_counter = _budgeted(problem, used + spend, used)
         array_eval, array_counter = _budgeted(problem, used + spend, used)
         check(list_eval, array_eval)

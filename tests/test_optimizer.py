@@ -9,7 +9,7 @@ from hillvallea import (BenchmarkProblem, ElitistArchive, InjectionMode,
                         OptimizerConfig, SearchDomain, SearcherKind, Solution,
                         hill_valley_test, make_problem, peak_ratio, postprocess,
                         run_hillvallea, truncation_selection, uniform_sample)
-from helpers import (RecordingObjective, RecordingObserver, budgeted, double_well,
+from helpers import (RecordingObserver, budgeted, budgeted_fn, double_well,
                      make_ripple_problem, make_sphere_problem, solution)
 
 
@@ -39,7 +39,7 @@ def test_truncation_selection_stable_ties(fitness, tau):
 
 def test_postprocess_tol_filter_discards():
     archive = ElitistArchive([Solution(np.array([0.0]), 0.0)])
-    obj = RecordingObjective(lambda x: 0.0)
+    obj = budgeted_fn(lambda x: 0.0, phase="postprocess")
     result = postprocess([Solution(np.array([2.0]), 0.5)], archive, 1e-5, obj)
     assert result.added == 0 and len(archive) == 1
     assert [c.fitness for c in result.discarded] == [0.5]
@@ -48,7 +48,7 @@ def test_postprocess_tol_filter_discards():
 def test_postprocess_empties_archive_for_better_optimum():
     stale = Solution(np.array([1.0]), 0.5)
     archive = ElitistArchive([stale])
-    obj = RecordingObjective(lambda x: 1.0)  # any interior point reads as a hill
+    obj = budgeted_fn(lambda x: 1.0, phase="postprocess")  # any interior point is a hill
     fresh = Solution(np.array([0.0]), 0.0)
     result = postprocess([fresh], archive, 1e-5, obj)
     assert result.emptied
@@ -56,7 +56,7 @@ def test_postprocess_empties_archive_for_better_optimum():
 
 
 def test_postprocess_double_well_distinctness():
-    obj = RecordingObjective(double_well)
+    obj = budgeted_fn(double_well, phase="postprocess")
     left = solution(-1.0, double_well)
     right = solution(1.0, double_well)
     archive = ElitistArchive([left])
@@ -64,7 +64,7 @@ def test_postprocess_double_well_distinctness():
     assert result.added == 1
     assert archive.solutions == [left, right]
     # the five-point test rejected at its first interior sample
-    assert obj.count == 1
+    assert obj.counter.used == 1
 
 
 def test_postprocess_same_niche_replacement_rules():
@@ -72,10 +72,11 @@ def test_postprocess_same_niche_replacement_rules():
     elite = solution(0.1, fn)
     archive = ElitistArchive([elite])
     worse_dup = solution(0.2, fn)
-    result = postprocess([worse_dup], archive, 1.0, fn)
+    obj = budgeted_fn(fn, phase="postprocess")
+    result = postprocess([worse_dup], archive, 1.0, obj)
     assert result.added == 0 and archive.solutions == [elite]
     better_dup = solution(0.05, fn)
-    result = postprocess([better_dup], archive, 1.0, fn)
+    result = postprocess([better_dup], archive, 1.0, obj)
     assert result.added == 1 and archive.solutions == [better_dup]
 
 

@@ -175,14 +175,18 @@ def test_six_hump_camel_back_optimum_value():
 
 def test_evaluate_counts_and_budget_signal():
     p = make_problem(4)
-    counter = EvaluationCounter(2)
-    assert BudgetedObjective(p, counter, "init")(np.array([3.0, 2.0])) == -200.0
-    assert counter.used == 1 and counter.phase_used["init"] == 1
+    counter = EvaluationCounter(5)
+    init = BudgetedObjective(p, counter, "init")
+    assert init.batch(np.array([[3.0, 2.0], [0.0, 0.0]])).tolist() == [-200.0, -30.0]
+    assert counter.used == 2 and counter.phase_used["init"] == 2
+    # the budget grants a prefix of the rows
     clustering = BudgetedObjective(p, counter, "clustering")
-    assert clustering(np.array([0.0, 0.0])) is not None
-    # used == budget now: the signal comes back without evaluating
-    assert clustering(np.array([1.0, 1.0])) is None
-    assert counter.used == 2
+    X = np.array([[0.0, 0.0], [3.0, 2.0], [1.0, 1.0], [2.0, 2.0]])
+    assert clustering.batch(X).tolist() == [-30.0, -200.0, -94.0]
+    assert counter.used == 5 and counter.phase_used["clustering"] == 3
+    # used == budget now: the signal is an empty result, without evaluating
+    assert clustering.batch(X).shape == (0,) and clustering.exhausted
+    assert counter.used == 5
     assert counter.used == sum(counter.phase_used.values())
 
 
