@@ -13,8 +13,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .problems import BudgetedObjective
 
@@ -113,21 +111,129 @@ def hill_valley_test(x_left: Solution, x_right: Solution, n_test: int,
     """Test whether two solutions share a niche.
 
     The ``n_test`` equidistant points on the segment between the solutions
-    are evaluated in one batch on a trial count; the test rejects at the first
-    point strictly worse than both endpoints. The points up to that one (or
-    all, if none is) are then charged in one take. Returns ``(same_niche,
-    evaluations_charged)``. If the budget grants fewer, the charged points
-    decide, i.e. the test passes.
+    are evaluated on a trial count in batches of 8, 16, 32, ... points; the
+    test rejects at the first point strictly worse than both endpoints. The
+    points up to that one (or all, if none is) are then charged in one take.
+    Returns ``(same_niche, evaluations_charged)``. If the budget grants
+    fewer, the charged points decide, i.e. the test passes.
     """
     left, right = x_left.position, x_right.position
     if left.shape != right.shape:
         raise ValueError("solutions have mismatched dimensions")
     t = np.arange(1, n_test + 1) / (n_test + 1)
-    f = evaluate.trial(n_test).batch(right + t[:, None] * (left - right))
-    worse = np.flatnonzero(f > _reject_bar(x_left.fitness, x_right.fitness))
-    spent = int(worse[0]) + 1 if worse.size else n_test
+    X, bar = right + t[:, None] * (left - right), _reject_bar(x_left.fitness, x_right.fitness)
+    trial, spent, size, same = evaluate.trial(n_test), 0, 8, True
+    while same and spent < n_test:
+        worse = np.flatnonzero(trial.batch(X[spent:spent + size]) > bar)
+        same = not worse.size
+        spent, size = min(n_test, spent + size) if same else spent + int(worse[0]) + 1, 2 * size
     granted = evaluate.counter.take(evaluate.phase, spent)
-    return granted < spent or not worse.size, granted
+    return granted < spent or same, granted
+
+
+#: Grid search: entries per candidate matrix, padding per run, lines per block.
+_BLOCK, _SLACK, _LINES = 1 << 17, 8192, 1024
+
+
+def _k_nearest(XT: np.ndarray, rows: np.ndarray, J: np.ndarray,
+               k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``rows``, its k nearest earlier rows among ``J`` (which
+    broadcasts), in (distance, index) order and padded with inf / -1. Squares
+    are summed axis by axis, the sequential sum that ``cdist`` computes."""
+    D = 0.0
+    for x in XT:
+        diff = np.take(x, J) - x[rows, None]
+        D = np.add(D, np.multiply(diff, diff, out=diff), out=diff)
+    D = np.where(J < rows[:, None], np.sqrt(D, out=D), np.inf)
+    J, ar = np.broadcast_to(J, D.shape), np.arange(len(D))[:, None]
+    part = np.argsort(D, axis=1)[:, :k + 1]
+    near = D[ar, part]
+    tie = ((near[:, 1:] == near[:, :-1]) & (near[:, 1:] < np.inf)).any(axis=1)
+    if tie.any():
+        part[tie] = np.lexsort((J[tie], D[tie]), axis=1)[:, :k + 1]
+        near[tie] = D[np.flatnonzero(tie)[:, None], part[tie]]
+    return near[:, :k], np.where(near[:, :k] < np.inf, J[ar, part[:, :k]], -1)
+
+
+def _grid(P: np.ndarray, lo: int) -> tuple:
+    """A uniform grid over the rows of P on its 3 widest axes, narrowest first
+    (one cell on an axis narrower than a cell), its width refined once for 2
+    rows per occupied cell. Returns the width, cells and key stride per axis,
+    the rows by key, where each key's rows start, and the cell coordinates of
+    rows [lo, len(P)), exact and whole."""
+    hi, corner = len(P), P.min(axis=0)
+    ext = P.max(axis=0) - corner
+    axes = np.argsort(ext, kind="stable")[-3:]
+    a = len(axes)
+    while (w := (np.prod(ext[axes[-a:]]) / (hi / 2)) ** (1 / a)) >= ext[axes[-a]] and a > 1:
+        a -= 1
+    X, ext, w = P[:, axes] - corner[axes], ext[axes], w or 1.0  # w 0: all rows coincide
+    for refine in (True, False):
+        width = np.where(np.arange(len(axes)) < len(axes) - a, np.inf, w)
+        n_cell = np.floor(ext / width).astype(np.int64) + 1
+        U = X / width
+        C = np.floor(U).astype(np.int64)
+        stride = np.cumprod(np.append(n_cell[1:], 1)[::-1])[::-1]
+        key = C @ stride
+        if refine:
+            occupied = np.count_nonzero(np.bincount(key))
+            w = max(w * max(2.0 * occupied / hi, 0.25) ** (1 / a), ext[-1] / 2 ** 20)
+    first = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=np.prod(n_cell)))))
+    return w, n_cell, stride, np.argsort(key), first, U[lo:], C[lo:]
+
+
+def _grid_search(positions: np.ndarray, XT: np.ndarray, m: int, k: int,
+                 idx: np.ndarray, dist: np.ndarray) -> None:
+    """Serve rows [m, n) from a :func:`_grid` per doubling prefix, all in step:
+    rows in [P/2, P) gather the rows of [0, P) in the block of cells within r
+    of their own (r = 1, 2, 4, ...; past ``_LINES`` lines, the whole grid). A
+    row is done once its k-th distance is below its distance to the block's
+    nearest face, or the block holds the grid: exact, as a distance is never
+    below its projection onto the grid axes."""
+    n = len(positions)  # a grid per prefix [0, 2 lo), lo = m, 2m, 4m, ... below n
+    grids = [_grid(positions[:2 * lo], lo) for lo in m << np.arange(((n - 1) // m).bit_length())]
+    w, n_cell, stride, orders, firsts, u, c = zip(*grids)
+    size, runs = np.array([len(o) for o in orders]), np.array([len(f) for f in firsts])
+    order, base = np.concatenate(orders), np.cumsum(runs) - runs  # grids side by side
+    first = np.concatenate(firsts) + np.repeat(np.cumsum(size) - size, runs)
+    grid, u, c = np.repeat(np.arange(len(grids)), [len(x) for x in u]), np.vstack(u), np.vstack(c)
+    w, n_cell, stride, a = np.array(w), np.array(n_cell), np.array(stride), c.shape[1]
+    rows, r = np.arange(m, n), 1
+    while rows.size:
+        nc, st, q = n_cell[grid], stride[grid], len(rows)
+        if (2 * r + 1) ** (a - 1) > _LINES:
+            start, count, face = first[base[grid]][:, None], size[grid][:, None], np.full(q, np.inf)
+        else:  # the block as runs of keys, one per line of cells along the last axis
+            line, valid = base[grid][:, None], np.ones((q, 1), dtype=bool)
+            for g in range(a - 1):
+                cg = c[:, g:g + 1] + np.arange(-r, r + 1)
+                line = (line[:, :, None] + (cg * st[:, g:g + 1])[:, None, :]).reshape(q, -1)
+                valid = (valid[:, :, None] & ((cg >= 0) & (cg < nc[:, g:g + 1]))[:, None, :]
+                         ).reshape(q, -1)
+            ends = np.clip(c[:, -1:, None] + [-r, r + 1], 0, nc[:, -1:, None])
+            ends = first[np.where(valid[:, :, None], line[:, :, None] + ends, 0)]
+            start, count = ends[..., 0], ends[..., 1] - ends[..., 0]
+            low = np.where(c - r > 0, u - (c - r), np.inf).min(axis=1)
+            high = np.where(c + r < nc - 1, (c + r + 1) - u, np.inf).min(axis=1)
+            face = w[grid] * np.minimum(low, high) * (1 - 1e-9)
+        # rows by candidate count, in runs whose padded matrices fit _BLOCK
+        total = count.sum(axis=1)
+        by_size = np.argsort(total, kind="stable")
+        width, done, s = np.maximum(total[by_size], k), np.zeros(q, dtype=bool), 0
+        while s < q:
+            span = width[s:s + max(1, _BLOCK // width[s])]
+            fits = np.count_nonzero((np.arange(1, len(span) + 1) * span <= _BLOCK)
+                                    & (np.arange(len(span)) * (span - span[0]) <= _SLACK))
+            i, s = by_size[s:s + max(1, fits)], s + max(1, fits)
+            n_run, n_row = count[i].ravel(), total[i]
+            flat = np.append(order[np.repeat(start[i].ravel() - np.cumsum(n_run) + n_run, n_run)
+                                   + np.arange(n_run.sum())], n - 1)  # n - 1 pads: never earlier
+            col = np.arange(width[s - 1])
+            J = flat[np.where(col < n_row[:, None], (np.cumsum(n_row) - n_row)[:, None] + col, -1)]
+            near, cand = _k_nearest(XT, rows[i], J, k)
+            done[i] = ok = (near[:, -1] < face[i]) | (face[i] == np.inf)
+            idx[rows[i[ok]]], dist[rows[i[ok]]] = cand[ok], near[ok]
+        rows, u, c, grid, r = rows[~done], u[~done], c[~done], grid[~done], 2 * r
 
 
 def _nearest_better(positions: np.ndarray, k: int,
@@ -135,49 +241,20 @@ def _nearest_better(positions: np.ndarray, k: int,
     """Per row i: indices and distances of up to k nearest rows j < i.
 
     Rows are assumed fitness-sorted, so "earlier" means "better". Output
-    arrays have shape (n, k), padded with -1 / inf, each row in distance
-    order. Rows below ``chunk`` are served by a masked distance matrix. Later
-    rows, taken in doubling prefixes, query one k-d tree per prefix: rows in
-    [P/2, P) ask the tree over [0, P) for 2k+4 neighbours and keep the first
-    k with a smaller index; a row that finds fewer asks again for twice as
-    many.
+    arrays have shape (n, k), padded with -1 / inf, each row in (distance,
+    index) order. Rows below ``chunk`` are served by a masked distance
+    matrix, later rows by :func:`_grid_search`.
     """
     n = len(positions)
     idx = np.full((n, k), -1, dtype=np.int64)
     dist = np.full((n, k), np.inf)
     if n <= 1 or k == 0:
         return idx, dist
-
-    m = min(chunk, n)
-    local = cdist(positions[:m], positions[:m])
-    local[~np.tri(m, k=-1, dtype=bool)] = np.inf  # j >= i: not a better row
-    kl = min(k, m)
-    sel = np.argpartition(local, kl - 1, axis=1)[:, :kl]
-    near_d = np.take_along_axis(local, sel, axis=1)
-    order = np.argsort(near_d, axis=1, kind="stable")
-    dist[:m, :kl] = np.take_along_axis(near_d, order, axis=1)
-    idx[:m, :kl] = np.take_along_axis(sel, order, axis=1)
-    idx[:m][~np.isfinite(dist[:m])] = -1
-
-    lo = m
-    while lo < n:
-        hi = min(2 * lo, n)
-        tree = cKDTree(positions[:hi], balanced_tree=False, compact_nodes=False)
-        rows = np.arange(lo, hi)
-        want = 2 * k + 4
-        while rows.size:
-            asked = min(want, hi)
-            near_d, near_i = tree.query(positions[rows], k=asked)
-            better = near_i < rows[:, None]
-            rank = np.cumsum(better, axis=1)
-            # with the whole prefix asked for, every better row is in hand
-            done = (rank[:, -1] >= k) | (asked == hi)
-            r, c = np.nonzero(better & (rank <= k) & done[:, None])
-            idx[rows[r], rank[r, c] - 1] = near_i[r, c]
-            dist[rows[r], rank[r, c] - 1] = near_d[r, c]
-            rows = rows[~done]
-            want *= 2
-        lo = hi
+    XT, m = np.ascontiguousarray(positions.T), min(chunk, n)
+    rows = np.arange(m)
+    dist[:m, :min(k, m)], idx[:m, :min(k, m)] = _k_nearest(XT, rows, rows[None, :], k)
+    if m < n:
+        _grid_search(positions, XT, m, k, idx, dist)
     return idx, dist
 
 
@@ -215,11 +292,12 @@ def hill_valley_clustering(selection: Selection, volume: float, d: int,
     n = len(selection)
     spacing = expected_edge_length(volume, n, d)
 
-    nb_idx, nb_dist = _nearest_better(positions, min(d + 1, max(n - 1, 1)))
+    # row i is reached only once each row before it has spent an evaluation
+    reach = min(n, evaluate.counter.remaining + 1)
+    nb_idx, nb_dist = _nearest_better(positions[:reach], min(d + 1, max(n - 1, 1)))
     reject = np.zeros(nb_idx.shape, dtype=bool)
     easy = np.zeros(n, dtype=bool)
-    # row i is reached only once each row before it has spent an evaluation
-    rows = np.arange(1, min(n, evaluate.counter.remaining + 1))
+    rows = np.arange(1, reach)
     for w in range(nb_idx.shape[1]):
         rows = rows[rows > w]
         if not rows.size:
@@ -232,7 +310,8 @@ def hill_valley_clustering(selection: Selection, volume: float, d: int,
             easy[rows] = ~reject[rows, 0] & (n_test == 1.0)
         rows = rows[reject[rows, w]]
     # an easy row joins the first row up its neighbour chain that is not easy
-    root = np.where(easy, nb_idx[:, 0], np.arange(n))
+    root = np.arange(n)
+    root[:reach] = np.where(easy[:reach], nb_idx[:, 0], root[:reach])
     while not np.array_equal(root[root], root):
         root = root[root]
 

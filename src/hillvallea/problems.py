@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 PHASES = ("init", "clustering", "local_opt", "postprocess")
 
@@ -315,12 +314,14 @@ def make_problem(problem_id: int) -> BenchmarkProblem:
     positions = np.asarray(optima, dtype=float)
     known = [KnownOptimum(position=p, fitness=float(f))
              for p, f in zip(positions, batch(positions))]
+    diff = positions.T[:, :, None] - positions.T[:, None, :]  # squares summed axis by axis
+    pairs = np.sqrt(np.add.reduce(diff * diff))[np.triu_indices(len(positions), 1)]
     return BenchmarkProblem(
         id=problem_id, name=name,
         domain=SearchDomain(np.asarray(lower, float), np.asarray(upper, float)),
         objective=functools.partial(_one_row, batch), objective_batch=batch,
         known_global_optima=known, budget=budget,
-        niche_radius=_NICHE_RADII.get(problem_id) or 0.5 * float(pdist(positions).min()))
+        niche_radius=_NICHE_RADII.get(problem_id) or 0.5 * float(pairs.min()))
 
 
 def problem_names() -> dict:

@@ -3,9 +3,9 @@
 A small CLI sweep is recorded too: its records (without wall times),
 aggregates and traces file must match at ``--jobs 1`` and ``--jobs 2``.
 
-Recorded with numpy 2.4.6 and scipy 1.17.1 on Python 3.11. Another numpy or
-scipy build may round differently in the last bit; re-record only when the
-change in outputs is explained. To re-record, run
+Recorded with numpy 2.4.6 on Python 3.11. Another numpy build may round
+differently in the last bit; re-record only when the change in outputs is
+explained. To re-record, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root.
 """
 

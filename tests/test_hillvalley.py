@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from hillvallea import (BenchmarkProblem, BudgetedObjective, EvaluationCounter,
-                        KnownOptimum, SearchDomain, Solution, expected_edge_length,
-                        hill_valley_clustering, hill_valley_test)
+                        KnownOptimum, SearchDomain, SearcherKind, Solution,
+                        expected_edge_length, hill_valley_clustering, hill_valley_test,
+                        make_problem, run_hillvallea)
 from hillvallea.hillvalley import _nearest_better
 from hillvallea import test_point_count as n_test_points
 from helpers import (RecordingObjective, budgeted, budgeted_fn, double_well,
@@ -116,6 +117,67 @@ def test_hill_valley_evaluation_bound_property():
         assert 1 <= spent <= n and spent == obj.counter.used
         assert not same or spent == n  # passing means every point was evaluated
         assert spent == n or not same  # stopping early only happens on rejection
+
+
+def _last_batch(p):
+    """(points evaluated, last batch size) of a test that rejects at point p:
+    it evaluates through its batch of 8, 16, 32, ... points."""
+    end, size = 0, 8
+    while end < p:
+        end, size = end + size, 2 * size
+    return end, size // 2
+
+
+def test_hill_valley_test_evaluates_in_doubling_batches():
+    # a bump at test point p rejects there: the charge is p, and the points
+    # evaluated past it are fewer than the batch that held it
+    for n_test in (1, 7, 8, 9, 24, 25, 100, 431):
+        for p in sorted({1, 8, 9, 24, 25, n_test // 2 + 1, n_test} & set(range(1, n_test + 1))):
+            bump = p / (n_test + 1)
+            f = RecordingObjective(lambda x: float(abs(x[0] - bump) < 0.25 / (n_test + 1)))
+            obj = budgeted_fn(f)
+            same, spent = hill_valley_test(Solution(np.array([1.0]), 0.0),
+                                           Solution(np.array([0.0]), 0.0), n_test, obj)
+            assert not same and spent == obj.counter.used == p
+            end, last = _last_batch(p)
+            assert f.count == min(n_test, end) and f.count - p < last
+        f = RecordingObjective(lambda x: 0.0)
+        obj = budgeted_fn(f)
+        assert hill_valley_test(Solution(np.array([1.0]), 0.0), Solution(np.array([0.0]), 0.0),
+                                n_test, obj) == (True, n_test)
+        assert f.count == n_test
+
+
+def test_hill_valley_tests_of_a_run_waste_less_than_their_last_batch(monkeypatch):
+    # P1 AMU, seed 0: each test evaluates its points through the batch that
+    # rejects, so its uncharged points are fewer than that batch
+    from hillvallea import hillvalley, optimizer
+    problem = make_problem(1)
+    rows = [0]
+    batch = problem.objective_batch
+
+    def counting(X):
+        rows[0] += len(X)
+        return batch(X)
+
+    problem.objective_batch = counting
+    tests = []
+    test = hillvalley.hill_valley_test
+
+    def recording(left, right, n_test, evaluate):
+        before = rows[0]
+        same, charged = test(left, right, n_test, evaluate)
+        tests.append((n_test, charged, rows[0] - before, evaluate.exhausted))
+        return same, charged
+
+    monkeypatch.setattr(hillvalley, "hill_valley_test", recording)
+    monkeypatch.setattr(optimizer, "hill_valley_test", recording)
+    run_hillvallea(problem, SearcherKind.AMU, seed=0)
+    assert len(tests) > 100 and max(n for n, _, _, _ in tests) > 100
+    for n_test, charged, evaluated, exhausted in tests:
+        if not exhausted:  # a test cut by the budget charges fewer than it evaluated
+            end, last = _last_batch(charged)
+            assert evaluated == min(n_test, end) and evaluated - charged < last
 
 
 def reference_hill_valley_test(x_left, x_right, n_test, problem, counter, phase):
@@ -280,31 +342,83 @@ def test_clustering_spacing_from_volume_sets_test_points():
 
 
 def _brute_nearest_better(positions, k):
+    """Per row i, its rows j < i in (distance, index) order, first k: from cdist."""
     full = cdist(positions, positions)
-    return [sorted(full[i, :i])[:k] for i in range(len(positions))], full
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(1, 600), d=st.integers(1, 4), k_off=st.integers(0, 4),
-       chunk=st.integers(2, 64), grid=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_nearest_better_matches_brute_force(n, d, k_off, chunk, grid, seed):
-    # a small chunk sends most rows through the k-d trees; a coarse grid makes
-    # exact distance ties and duplicate points
-    k = 1 + k_off % (d + 1)
-    rng = np.random.default_rng(seed)
-    positions = (rng.integers(0, 4, size=(n, d)).astype(float) if grid
-                 else rng.uniform(-3.0, 3.0, size=(n, d)))
-    idx, dist = _nearest_better(positions, k, chunk=chunk)
-    assert idx.shape == dist.shape == (n, k)
-    expected, full = _brute_nearest_better(positions, k)
+    n = len(positions)
+    idx, dist = np.full((n, k), -1), np.full((n, k), np.inf)
     for i in range(n):
-        found = len(expected[i])
-        assert dist[i, :found].tolist() == expected[i]
-        assert (dist[i, found:] == np.inf).all() and (idx[i, found:] == -1).all()
-        picked = idx[i, :found]
-        assert len(set(picked.tolist())) == found and (picked < i).all()
-        assert full[i, picked].tolist() == expected[i]
-        # where the distance is not tied, the neighbour is the only choice
-        for j in range(found):
-            if np.count_nonzero(full[i, :i] == dist[i, j]) == 1:
-                assert picked[j] == np.flatnonzero(full[i, :i] == dist[i, j])[0]
+        near = np.lexsort((np.arange(i), full[i, :i]))[:k]
+        idx[i, :len(near)], dist[i, :len(near)] = near, full[i, near]
+    return idx, dist
+
+
+def _layout(kind, n, d, rng):
+    if kind == "uniform":
+        return rng.uniform(-3.0, 3.0, size=(n, d))
+    if kind == "grid":  # exact distance ties and duplicate points
+        return rng.integers(0, 4, size=(n, d)).astype(float)
+    if kind == "blobs":  # tight clusters with far outliers: the blocks must grow
+        centers = rng.uniform(-1.0, 1.0, size=(3, d))
+        points = centers[rng.integers(0, 3, n)] + 1e-3 * rng.standard_normal((n, d))
+        points[rng.random(n) < 0.05] *= 1e4
+        return points
+    if kind == "identical":
+        return np.full((n, d), 0.5)
+    points = np.zeros((n, d))  # "line": on one axis; the others have zero extent
+    points[:, d - 1] = rng.uniform(0.0, 1.0, n)
+    return points
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 600), d=st.integers(1, 8), k_off=st.integers(0, 8),
+       chunk=st.integers(2, 64),
+       kind=st.sampled_from(["uniform", "grid", "blobs", "identical", "line"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_nearest_better_matches_brute_force(n, d, k_off, chunk, kind, seed):
+    # a small chunk sends most rows through the grids; past 3 axes the grid
+    # sees a projection, and zero-extent axes get a single cell
+    if kind == "line":
+        d = 3
+    k = 1 + k_off % (d + 1)
+    positions = _layout(kind, n, d, np.random.default_rng(seed))
+    idx, dist = _nearest_better(positions, k, chunk=chunk)
+    expected_idx, expected_dist = _brute_nearest_better(positions, k)
+    assert idx.shape == dist.shape == (n, k)
+    assert np.array_equal(dist, expected_dist)
+    assert np.array_equal(idx, expected_idx)
+
+
+def test_nearest_better_past_the_head_matches_brute_force():
+    # every layout at a size that fills several doubling prefixes
+    rng = np.random.default_rng(7)
+    for kind in ("uniform", "grid", "blobs", "identical", "line"):
+        for d in (1, 2, 3, 5):
+            positions = _layout(kind, 1500, 3 if kind == "line" else d, rng)
+            k = positions.shape[1] + 1
+            idx, dist = _nearest_better(positions, k)
+            expected_idx, expected_dist = _brute_nearest_better(positions, k)
+            assert np.array_equal(dist, expected_dist), (kind, d)
+            assert np.array_equal(idx, expected_idx), (kind, d)
+
+
+def test_clustering_searches_only_the_rows_the_budget_reaches(monkeypatch):
+    # row i is tested only after each row before it spent an evaluation, so a
+    # budget of 40 evaluations reaches rows 0..40 and no further
+    from hillvallea import hillvalley
+    searched = []
+    search = hillvalley._nearest_better
+
+    def counting(positions, k, chunk=128):
+        searched.append(len(positions))
+        return search(positions, k, chunk)
+
+    monkeypatch.setattr(hillvalley, "_nearest_better", counting)
+    rng = np.random.default_rng(5)
+    points = rng.uniform(-3.0, 3.0, size=(500, 2))
+    selection = selection_of(Solution(x, double_well(x[:1])) for x in points)
+    obj = budgeted_fn(lambda x: double_well(x[:1]), budget=40)
+    result = hill_valley_clustering(selection, volume=36.0, d=2, evaluate=obj)
+    assert not result.complete and obj.counter.used == 40
+    assert searched == [41]
+    members = [s for c in result for s in c.members]
+    assert sorted(map(id, members)) == sorted(id(s) for s in selection)
