@@ -182,23 +182,41 @@ def _grid(P: np.ndarray, lo: int) -> tuple:
     return w, n_cell, stride, np.argsort(key), first, U[lo:], C[lo:]
 
 
-def _grid_search(positions: np.ndarray, XT: np.ndarray, m: int, k: int,
-                 idx: np.ndarray, dist: np.ndarray) -> None:
-    """Serve rows [m, n) from a :func:`_grid` per doubling prefix, all in step:
-    rows in [P/2, P) gather the rows of [0, P) in the block of cells within r
-    of their own (r = 1, 2, 4, ...; past ``_LINES`` lines, the whole grid). A
-    row is done once its k-th distance is below its distance to the block's
-    nearest face, or the block holds the grid: exact, as a distance is never
-    below its projection onto the grid axes."""
-    n = len(positions)  # a grid per prefix [0, 2 lo), lo = m, 2m, 4m, ... below n
-    grids = [_grid(positions[:2 * lo], lo) for lo in m << np.arange(((n - 1) // m).bit_length())]
+def _side_by_side(grids: list) -> tuple:
+    """:func:`_grid` tables side by side, with each table's base line and size,
+    and the stacked cell coordinates of the grids' query rows."""
     w, n_cell, stride, orders, firsts, u, c = zip(*grids)
     size, runs = np.array([len(o) for o in orders]), np.array([len(f) for f in firsts])
-    order, base = np.concatenate(orders), np.cumsum(runs) - runs  # grids side by side
     first = np.concatenate(firsts) + np.repeat(np.cumsum(size) - size, runs)
-    grid, u, c = np.repeat(np.arange(len(grids)), [len(x) for x in u]), np.vstack(u), np.vstack(c)
-    w, n_cell, stride, a = np.array(w), np.array(n_cell), np.array(stride), c.shape[1]
-    rows, r = np.arange(m, n), 1
+    return (np.array(w), np.array(n_cell), np.array(stride), np.concatenate(orders), first,
+            np.cumsum(runs) - runs, size, np.vstack(u), np.vstack(c))
+
+
+def _grid_search(positions: np.ndarray, XT: np.ndarray, m: int, k: int,
+                 idx: np.ndarray, dist: np.ndarray) -> None:
+    """Serve rows [m, n) from a :func:`_grid` per doubling prefix [0, 2 lo),
+    lo = m, 2m, 4m, ..., in passes of at most R = 32 m rows: the first five
+    prefixes' rows fit R together and go in step, a wider prefix goes alone,
+    in R-row chunks sharing its one grid."""
+    n, R = len(positions), 32 * m
+    prefixes = m << np.arange(((n - 1) // m).bit_length())
+    for los in [prefixes[:5], *prefixes[5:, None]]:
+        tables = _side_by_side([_grid(positions[:2 * lo], lo) for lo in los])
+        for s in range(los[0], min(2 * los[-1], n), R):
+            _rounds(XT, k, tables, los, np.arange(s, min(s + R, 2 * los[-1], n)), idx, dist)
+
+
+def _rounds(XT: np.ndarray, k: int, tables: tuple, los: np.ndarray, rows: np.ndarray,
+            idx: np.ndarray, dist: np.ndarray) -> None:
+    """Serve ``rows`` of a pass over the prefixes ``los``, all in step: each
+    round, a row in [lo, 2 lo) gathers the rows of [0, 2 lo) in the block of
+    cells within r of its own (r = 1, 2, 4, ...; past ``_LINES`` lines, the
+    whole grid). A row is done once its k-th distance is below its distance
+    to the block's nearest face, or the block holds the grid: exact, as a
+    distance is never below its projection onto the grid axes."""
+    w, n_cell, stride, order, first, base, size, U, C = tables
+    n, a, r = XT.shape[1], C.shape[1], 1
+    u, c, grid = U[rows - los[0]], C[rows - los[0]], np.searchsorted(los, rows, side="right") - 1
     while rows.size:
         nc, st, q = n_cell[grid], stride[grid], len(rows)
         if (2 * r + 1) ** (a - 1) > _LINES:

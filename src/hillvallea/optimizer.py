@@ -116,6 +116,7 @@ class RunResult:
     per_restart_log: list
     stop_reasons: dict = field(default_factory=dict)  # core searchers per stop reason
     side_unverified: int = 0  # side-archive entries appended untested
+    objective_rows: int = 0  # rows passed to the objective, charged or not
 
     @property
     def phase_fractions(self) -> dict:
@@ -383,4 +384,5 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
         per_restart_log=logs,
         stop_reasons=stop_reasons,
         side_unverified=side_unverified,
+        objective_rows=counter.rows,
     )

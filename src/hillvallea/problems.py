@@ -71,6 +71,7 @@ class EvaluationCounter:
     budget: int
     used: int = 0
     phase_used: dict = field(default_factory=lambda: {p: 0 for p in PHASES})
+    rows: int = 0  # rows passed to the objective, charged or not (trials tally here too)
 
     @property
     def remaining(self) -> int:
@@ -134,24 +135,27 @@ class BudgetedObjective:
     and comparison downstream sees one total order.
     """
 
-    __slots__ = ("problem", "counter", "phase")
+    __slots__ = ("problem", "counter", "phase", "tally")
 
-    def __init__(self, problem: BenchmarkProblem, counter: EvaluationCounter, phase: str):
+    def __init__(self, problem: BenchmarkProblem, counter: EvaluationCounter, phase: str,
+                 tally: Optional[EvaluationCounter] = None):
         self.problem = problem
         self.counter = counter
         self.phase = phase
+        self.tally = tally or counter  # tallies the rows evaluated; a trial's is its owner's
 
     def batch(self, X: np.ndarray) -> np.ndarray:
         grant = self.counter.take(self.phase, len(X))
         if grant == 0:
             return np.empty(0)
+        self.tally.rows += grant
         fs = self.problem.objective_batch(X[:grant])
         nan = np.isnan(fs)
         return np.where(nan, np.inf, fs) if nan.any() else fs
 
     def trial(self, budget: int) -> BudgetedObjective:
         """The same objective and phase on a fresh counter, for work charged later."""
-        return BudgetedObjective(self.problem, EvaluationCounter(budget), self.phase)
+        return BudgetedObjective(self.problem, EvaluationCounter(budget), self.phase, self.tally)
 
     @property
     def exhausted(self) -> bool:

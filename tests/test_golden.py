@@ -43,8 +43,8 @@ RUNS = [
     (6, "iamu", 6_000, "only_global", 0),
     (6, "cmsa", 4_000, "only_global", 0),
     (7, "amu", 5_000, "all_optima", 1, 250),
-    # selections past the nearest-better search's 128-row chunk, so its
-    # k-d tree path runs: up to 2,761 rows at d=1 and 5,738 rows at d=2
+    # selections past the nearest-better search's 128-row head, so its grid
+    # search runs: up to 1,435 rows at d=1 and 5,738 rows at d=2 (two passes)
     (2, "amu", 20_000, "only_global", 0),
     (10, "amu", 60_000, "only_global", 0),
     # the budget ends inside a clustering sweep (d = 1, 2 and an all-optima

@@ -1,6 +1,7 @@
 """Hill-valley test and clustering: unit examples plus property suites."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,14 +342,18 @@ def test_clustering_spacing_from_volume_sets_test_points():
     assert obj.counter.used == 1
 
 
-def _brute_nearest_better(positions, k):
-    """Per row i, its rows j < i in (distance, index) order, first k: from cdist."""
-    full = cdist(positions, positions)
+def _brute_nearest_better(positions, k, block=512):
+    """Per row i, its rows j < i in (distance, index) order, first k: from cdist,
+    a block of rows at a time, sorting only the rows within each k-th distance."""
     n = len(positions)
     idx, dist = np.full((n, k), -1), np.full((n, k), np.inf)
-    for i in range(n):
-        near = np.lexsort((np.arange(i), full[i, :i]))[:k]
-        idx[i, :len(near)], dist[i, :len(near)] = near, full[i, near]
+    for lo in range(0, n, block):
+        full = cdist(positions[lo:lo + block], positions[:lo + block])
+        for i in range(lo, min(lo + block, n)):
+            row = full[i - lo, :i]
+            near = np.flatnonzero(row <= np.partition(row, k - 1)[k - 1]) if i > k else np.arange(i)
+            near = near[np.lexsort((near, row[near]))][:k]
+            idx[i, :len(near)], dist[i, :len(near)] = near, row[near]
     return idx, dist
 
 
@@ -399,6 +404,36 @@ def test_nearest_better_past_the_head_matches_brute_force():
             expected_idx, expected_dist = _brute_nearest_better(positions, k)
             assert np.array_equal(dist, expected_dist), (kind, d)
             assert np.array_equal(idx, expected_idx), (kind, d)
+
+
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
+def test_nearest_better_across_pass_boundaries_matches_brute_force(n):
+    # the default 128-row chunk serves passes of at most 32 * 128 = 4,096 rows:
+    # prefixes up to [2048, 4096) in step, then [4096, 8192) alone, then [8192, n)
+    rng = np.random.default_rng(n)
+    for kind in ("uniform", "grid", "blobs"):
+        for d in (2, 3):
+            positions = _layout(kind, n, d, rng)
+            idx, dist = _nearest_better(positions, d + 1)
+            expected_idx, expected_dist = _brute_nearest_better(positions, d + 1)
+            assert np.array_equal(dist, expected_dist), (kind, d)
+            assert np.array_equal(idx, expected_idx), (kind, d)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_nearest_better_working_memory_is_bounded_per_row(d):
+    # beyond its (n, k) outputs the search holds one pass's rows and the grids
+    # of at most two passes: at most 256 bytes per row of a uniform selection
+    n, k = 40_000, d + 1
+    positions = np.random.default_rng(d).uniform(-1.0, 1.0, size=(n, d))
+    _nearest_better(positions[:1000], k)
+    tracemalloc.start()
+    try:
+        _nearest_better(positions, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - 2 * n * k * 8) / n <= 256
 
 
 def test_clustering_searches_only_the_rows_the_budget_reaches(monkeypatch):

@@ -304,6 +304,27 @@ def test_observer_changes_nothing_and_sees_each_postprocess():
     assert [size for _, size in seen.calls[0::2]] == [0] + sizes[:-1]
 
 
+@pytest.mark.parametrize("pid, kind", [(1, SearcherKind.AMU), (6, SearcherKind.CMSA)])
+def test_objective_rows_counts_every_row_the_objective_sees(pid, kind):
+    # trials (look-ahead first points, hill-valley test batches, lockstep
+    # groups) pass rows charged later or never; all of them are counted
+    problem, rows = make_problem(pid), [0]
+    batch = problem.objective_batch
+
+    def counting(X):
+        rows[0] += len(X)
+        return batch(X)
+
+    config = OptimizerConfig(budget=20_000)
+    plain = run_hillvallea(make_problem(pid), kind, config, seed=0)
+    problem.objective_batch = counting
+    counted = run_hillvallea(problem, kind, config, seed=0)
+    assert counted.objective_rows == rows[0] == plain.objective_rows
+    assert counted.objective_rows > counted.evaluations_used == config.budget
+    assert _outputs(counted) == _outputs(plain)
+    assert _bits(counted.archive) == _bits(plain.archive)
+
+
 def test_budget_must_be_positive():
     problem = make_problem(2)
     with pytest.raises(ValueError):
