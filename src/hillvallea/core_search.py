@@ -356,8 +356,10 @@ class CmsaSearcher(CoreSearcher):
 
     def _stop_codes(self, tol: float) -> Optional[np.ndarray]:
         g, span = self.generation, self.window + 1
-        stagnant = (self.recent[:, g % span] - self.recent[:, (g - 1) % span] < tol
-                    if g > self.window else None)
+        stagnant = None
+        if g > self.window:  # equal ends, -inf ones too, are no improvement
+            old, new = self.recent[:, g % span], self.recent[:, (g - 1) % span]
+            stagnant = np.subtract(old, new, out=np.zeros(len(old)), where=old != new) < tol
         # max commutes with the monotone sqrt and the scaling by sigma >= 0
         diag_max = np.maximum.reduce(self.shape.diagonal(0, 1, 2), 1)
         min_std = self.sigma * np.sqrt(np.maximum(diag_max, 0.0)) < 1e-15

@@ -98,12 +98,17 @@ def test_point_count(edge_length: float, eel: float) -> int:
     return 1 + int(math.floor(edge_length / eel))
 
 
+_FLOAT_MAX = np.finfo(float).max
+
+
 def _reject_bar(f_left, f_right):
     """Fitness above which a test point separates two solutions, elementwise:
     worse than both beyond floating noise at their fitness scale, so that
-    coincident converged solutions never read as separate niches."""
+    coincident converged solutions never read as separate niches. Two -inf
+    ends give -inf: any point above -inf separates them."""
     worst = np.where(f_right > f_left, f_right, f_left)  # Python's max(), NaN rule too
-    return worst + 1e-12 * np.maximum(1.0, np.abs(worst))
+    # a finite scale, so that -inf + scale stays -inf and never reads NaN
+    return worst + 1e-12 * np.minimum(np.maximum(1.0, np.abs(worst)), _FLOAT_MAX)
 
 
 def hill_valley_test(x_left: Solution, x_right: Solution, n_test: int,

@@ -272,6 +272,20 @@ def _search_niches(niches: Sequence, build: Callable, seeds: np.random.SeedSeque
     return bests
 
 
+def _select(domain: SearchDomain, n: int, injected: list, tau: float,
+            rng: np.random.Generator, evaluate: BudgetedObjective) -> Selection:
+    """Sample n points, add the injected elites and truncation-select.
+
+    Injected elites stay the same objects: the known-niche check matches them by id.
+    """
+    X = uniform_sample(domain, n, rng)
+    fitness = np.concatenate([evaluate.batch(X), [s.fitness for s in injected]])
+    kept = truncation_selection(fitness, tau)
+    return Selection(
+        np.concatenate([X, np.reshape([s.position for s in injected], (-1, X.shape[1]))])[kept],
+        fitness[kept], {r: injected[kept[r] - n] for r in np.flatnonzero(kept >= n)})
+
+
 def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
                    config: Optional[OptimizerConfig] = None, seed: int = 0,
                    observe: Optional[Callable[[EvaluationCounter, ElitistArchive], None]] = None
@@ -310,24 +324,12 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
     restarts = 0
 
     while counter.remaining > 0:
-        # phase 1: sample, inject elites, select, cluster
-        n_sample = min(population_size, counter.remaining)
-        X = uniform_sample(problem.domain, n_sample, sample_rng)
-        fs = obj_init.batch(X)
-
-        injected: list = []
-        if config.injection is not InjectionMode.NONE:
-            injected.extend(archive.solutions)
+        # phase 1: sample, inject elites, select, cluster; only the selection outlives sampling
+        injected = [] if config.injection is InjectionMode.NONE else list(archive.solutions)
         if config.injection is InjectionMode.ALL_OPTIMA:
             injected.extend(side)
-
-        # injected elites stay the same objects: the known-niche check matches them by id
-        n_fs = len(fs)
-        fitness = np.concatenate([fs, [s.fitness for s in injected]])
-        kept = truncation_selection(fitness, kind.tau)
-        selection = Selection(
-            np.concatenate([X, np.reshape([s.position for s in injected], (-1, d))])[kept],
-            fitness[kept], {r: injected[kept[r] - n_fs] for r in np.flatnonzero(kept >= n_fs)})
+        selection = _select(problem.domain, min(population_size, counter.remaining), injected,
+                            kind.tau, sample_rng, obj_init)
         clusters = hill_valley_clustering(selection, volume, d, obj_cluster)
 
         # phase 2: one core searcher per niche not already represented
@@ -370,6 +372,8 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
         if result.added == 0:
             population_size *= 2
             cluster_size = math.ceil(1.2 * cluster_size)
+        # a restart's arrays die with it, before the next restart samples
+        del selection, clusters, niches, candidates, result
 
     return RunResult(
         problem_id=problem.id,

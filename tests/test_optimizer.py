@@ -1,5 +1,7 @@
 """Restart scheme, archive post-processing and full-run invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -229,6 +231,31 @@ def test_restart_builds_solutions_only_where_read(monkeypatch):
     assert len(built) < selected / 3
 
 
+def test_only_the_selection_is_alive_while_clustering(monkeypatch):
+    # a restart's sample, its fitness and index arrays and the last restart's
+    # state are released before clustering: P10 samples up to 65,536 points
+    from hillvallea import optimizer
+    run_hillvallea(make_problem(10), SearcherKind.AMU, OptimizerConfig(budget=500), seed=0)
+    entries = []
+    cluster = optimizer.hill_valley_clustering
+
+    def traced(selection, *args):
+        alive = selection.positions.nbytes + selection.fitness.nbytes
+        entries.append((tracemalloc.get_traced_memory()[0], alive))
+        return cluster(selection, *args)
+
+    monkeypatch.setattr(optimizer, "hill_valley_clustering", traced)
+    tracemalloc.start()
+    try:
+        run_hillvallea(make_problem(10), SearcherKind.AMU, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 2**20
+    assert max(alive for _, alive in entries) > 500_000
+    assert all(held <= alive + 128 * 1024 for held, alive in entries)
+
+
 def test_injection_none_never_skips():
     problem = make_problem(4)
     config = OptimizerConfig(budget=10_000, injection=InjectionMode.NONE)
@@ -377,3 +404,26 @@ def test_nan_half_plane_runs_to_budget_with_finite_elites(kind):
     assert len(result.archive) > 0
     assert all(np.isfinite(s.fitness) for s in result.archive)
     assert all(s.position[0] <= 0.5 for s in result.archive)
+
+
+@pytest.mark.parametrize("region", ["half_plane", "stripe"])
+@pytest.mark.parametrize("kind", list(SearcherKind), ids=lambda k: k.value)
+def test_minus_inf_region_runs_to_budget_with_minus_inf_elites(kind, region):
+    # the objective is -inf on a region; two -inf ends share a niche unless a
+    # test point above -inf lies between them, and equal -inf bests are no
+    # improvement, so no NaN arises and every elite lies in the region
+    def inside(X):
+        return X[:, 0] > 0.5 if region == "half_plane" else np.abs(X[:, 0] - 0.3) < 0.2
+
+    def bowl_batch(X):
+        return np.where(inside(X), -np.inf, np.sum(X * X, axis=1))
+
+    problem = BenchmarkProblem(
+        id=0, name=region, domain=SearchDomain(np.full(2, -2.0), np.full(2, 2.0)),
+        objective=lambda x: float(bowl_batch(x[None])[0]), objective_batch=bowl_batch,
+        known_global_optima=[], budget=3_000, niche_radius=0.5)
+    result = run_hillvallea(problem, kind, seed=0)
+    assert result.evaluations_used == 3_000
+    assert len(result.archive) > 0
+    assert all(s.fitness == -np.inf for s in result.archive)
+    assert inside(np.array([s.position for s in result.archive])).all()
