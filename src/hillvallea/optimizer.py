@@ -31,7 +31,6 @@ ARCHIVE_TEST_POINTS = 5
 class InjectionMode(Enum):
     """Which optima are fed back into the population on restarts."""
 
-    ALL_OPTIMA = "all_optima"
     ONLY_GLOBAL = "only_global"
     NONE = "none"
 
@@ -70,17 +69,10 @@ class ElitistArchive:
         return min(s.fitness for s in self.solutions) if self.solutions else math.inf
 
     def spread(self) -> float:
-        if len(self.solutions) < 2:
-            return 0.0
+        """Largest minus smallest elite fitness; 0 when they are equal, infinite ones too."""
         fs = [s.fitness for s in self.solutions]
-        return max(fs) - min(fs)
-
-
-@dataclass
-class PostprocessResult:
-    added: int                 # insertions plus replacements
-    discarded: list            # candidates dropped by the tolerance filter
-    emptied: bool              # archive was reset for a strictly better optimum
+        hi, lo = max(fs, default=0.0), min(fs, default=0.0)
+        return 0.0 if hi == lo else hi - lo
 
 
 @dataclass
@@ -108,14 +100,12 @@ class RunResult:
     kind: SearcherKind
     seed: int
     archive: ElitistArchive
-    side_archive: list
     evaluations_used: int
     budget: int
     phase_used: dict
     restarts: int
     per_restart_log: list
     stop_reasons: dict = field(default_factory=dict)  # core searchers per stop reason
-    side_unverified: int = 0  # side-archive entries appended untested
     objective_rows: int = 0  # rows passed to the objective, charged or not
 
     @property
@@ -144,50 +134,33 @@ def truncation_selection(fitness: np.ndarray, tau: float) -> np.ndarray:
 
 
 def postprocess(candidates: Sequence[Solution], archive: ElitistArchive, tol: float,
-                evaluate: BudgetedObjective) -> PostprocessResult:
-    """Fold terminated-searcher bests into the archive.
+                evaluate: BudgetedObjective) -> int:
+    """Fold terminated-searcher bests into the archive; returns insertions plus replacements.
 
-    Candidates more than ``tol`` worse than the all-time best are discarded.
+    Candidates more than ``tol`` worse than the all-time best are dropped.
     If a survivor beats some elite by more than ``tol`` the archive is emptied
-    first. Each survivor is then tested against the current elites with the
-    fixed five-point hill-valley test: in a shared niche it replaces the elite
-    only when strictly better, otherwise it joins as a new elite. When the
-    budget dies mid-testing, the remaining survivors are appended untested and
-    counted in ``archive.n_unverified``.
+    first. Each survivor, best first, is then tested against the current elites
+    with the fixed five-point hill-valley test: in a shared niche it replaces
+    the elite only when strictly better, otherwise it joins as a new elite.
+    When the budget dies mid-testing, the remaining survivors are appended
+    untested and counted in ``archive.n_unverified``.
     """
     if not candidates:
-        return PostprocessResult(0, [], False)
+        return 0
     best = min(min(c.fitness for c in candidates), archive.best_fitness())
-    survivors = [c for c in candidates if c.fitness <= best + tol]
-    discarded = [c for c in candidates if c.fitness > best + tol]
+    cands = sorted((c for c in candidates if c.fitness <= best + tol), key=lambda s: s.fitness)
+    elites = archive.solutions
+    if elites and cands and cands[0].fitness + tol < max(e.fitness for e in elites):
+        elites.clear()
+        archive.n_unverified = 0
 
-    emptied = False
-    if archive.solutions:
-        worst_elite = max(e.fitness for e in archive.solutions)
-        if any(c.fitness + tol < worst_elite for c in survivors):
-            archive.solutions.clear()
-            archive.n_unverified = 0
-            emptied = True
-
-    added, untested = _merge(survivors, archive.solutions, evaluate)
-    archive.n_unverified += untested
-    return PostprocessResult(added, discarded, emptied)
-
-
-def _merge(candidates: Sequence[Solution], elites: list,
-           evaluate: BudgetedObjective) -> tuple[int, int]:
-    """Deduplicate candidates, best first, into ``elites`` as :func:`postprocess` describes.
-
-    Returns (insertions plus replacements, candidates appended untested).
-    """
-    cands = sorted(candidates, key=lambda s: s.fitness)
     # row s mirrors elites[s]
     positions = np.array([s.position for s in elites + cands])
     fitness = np.array([s.fitness for s in elites + cands])
-    added = untested = 0
+    added = 0
     for cand in cands:
         exhausted = evaluate.exhausted
-        untested += exhausted
+        archive.n_unverified += exhausted
         i = None if exhausted else _first_shared_niche(cand, elites, positions, fitness,
                                                        evaluate)
         if i is None:
@@ -199,7 +172,7 @@ def _merge(candidates: Sequence[Solution], elites: list,
             continue
         positions[i], fitness[i] = cand.position, cand.fitness
         added += 1
-    return added, untested
+    return added
 
 
 def _first_shared_niche(cand: Solution, elites: list, positions: np.ndarray,
@@ -317,8 +290,6 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
     cluster_size = recommended_population_size(kind, d)
 
     archive = ElitistArchive()
-    side: list = []
-    side_unverified = 0
     logs: list = []
     stop_reasons: dict = {}
     restarts = 0
@@ -326,8 +297,6 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
     while counter.remaining > 0:
         # phase 1: sample, inject elites, select, cluster; only the selection outlives sampling
         injected = [] if config.injection is InjectionMode.NONE else list(archive.solutions)
-        if config.injection is InjectionMode.ALL_OPTIMA:
-            injected.extend(side)
         selection = _select(problem.domain, min(population_size, counter.remaining), injected,
                             kind.tau, sample_rng, obj_init)
         clusters = hill_valley_clustering(selection, volume, d, obj_cluster)
@@ -335,8 +304,6 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
         # phase 2: one core searcher per niche not already represented
         searcher_eel = expected_edge_length(volume, len(selection), d)
         known_ids = set(map(id, archive.solutions))
-        if config.injection is InjectionMode.ALL_OPTIMA:
-            known_ids.update(map(id, side))
         niches = [c for c in clusters if id(c.founder) not in known_ids]
         candidates = _search_niches(
             niches, lambda cluster, seq: init_from_cluster(
@@ -345,13 +312,7 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
 
         if observe is not None:
             observe(counter, archive)
-        result = postprocess(candidates, archive, config.tol, obj_post)
-        if config.injection is InjectionMode.ALL_OPTIMA:
-            if result.emptied:
-                side.clear()
-                side_unverified = 0
-            # presumed local optima, deduplicated into the side archive
-            side_unverified += _merge(result.discarded, side, obj_post)[1]
+        added = postprocess(candidates, archive, config.tol, obj_post)
         if observe is not None:
             observe(counter, archive)
 
@@ -364,29 +325,27 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
             clustering_complete=clusters.complete,
             n_skipped_elites=len(clusters) - len(niches),
             n_searchers=len(candidates),
-            n_new_elites=result.added,
+            n_new_elites=added,
             archive_size=len(archive),
             archive_spread=archive.spread(),
         ))
         restarts += 1
-        if result.added == 0:
+        if added == 0:
             population_size *= 2
             cluster_size = math.ceil(1.2 * cluster_size)
         # a restart's arrays die with it, before the next restart samples
-        del selection, clusters, niches, candidates, result
+        del selection, clusters, niches, candidates
 
     return RunResult(
         problem_id=problem.id,
         kind=kind,
         seed=seed,
         archive=archive,
-        side_archive=side,
         evaluations_used=counter.used,
         budget=budget,
         phase_used=dict(counter.phase_used),
         restarts=restarts,
         per_restart_log=logs,
         stop_reasons=stop_reasons,
-        side_unverified=side_unverified,
         objective_rows=counter.rows,
     )

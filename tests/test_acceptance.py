@@ -198,7 +198,7 @@ def test_criterion_10c_run_invariants_and_determinism():
         problem = make_problem(pid)
         config = OptimizerConfig(
             budget=int(rng.integers(150, 800)),
-            injection=injections[int(rng.integers(0, 3))])
+            injection=injections[int(rng.integers(0, len(injections)))])
         kind = kinds[int(rng.integers(0, len(kinds)))]
         seed = int(rng.integers(0, 10 ** 6))
         seen, seen_replay = RecordingObserver(), RecordingObserver()

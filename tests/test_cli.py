@@ -117,7 +117,7 @@ def test_parallel_jobs_do_not_change_results(tmp_path):
     for jobs in (1, 2):
         out = tmp_path / f"jobs{jobs}.csv"
         config = _tiny_config(tmp_path, jobs=jobs, trace=100, format="csv", out=str(out),
-                              injection=InjectionMode.ALL_OPTIMA)
+                              injection=InjectionMode.ONLY_GLOBAL)
         data = execute_sweep(config)
         write_outputs(data, config)
         traces = (tmp_path / f"jobs{jobs}.traces.csv").read_text()
@@ -125,7 +125,6 @@ def test_parallel_jobs_do_not_change_results(tmp_path):
     (serial, serial_traces), (parallel, parallel_traces) = runs
     assert serial_traces == parallel_traces
     assert len(serial_traces.splitlines()) > 1
-    assert any(record["side_size"] for record in serial)
     assert len(serial) == len(parallel)
     for a, b in zip(serial, parallel):
         for field in RECORD_FIELDS:
@@ -188,7 +187,7 @@ def test_trace_ends_at_each_runs_record(tmp_path):
     # still counts the elites that restart's postprocess adds
     out = tmp_path / "s.json"
     assert main(["--problems", "2,4", "--reps", "2", "--seed", "3", "--budget", "1000",
-                 "--trace", "250", "--injection", "all", "--out", str(out)]) == 0
+                 "--trace", "250", "--out", str(out)]) == 0
     rows = list(csv.DictReader(open(tmp_path / "s.traces.csv")))
     records = json.loads(out.read_text())["runs"]
     for record in records:
@@ -227,10 +226,17 @@ def test_budget_multiplier_scales(tmp_path):
 
 def test_injection_flag_mapping(tmp_path):
     parser = build_parser()
-    args = parser.parse_args(["--problems", "2", "--injection", "all"])
-    assert config_from_args(args).injection.value == "all_optima"
+    args = parser.parse_args(["--problems", "2", "--injection", "global"])
+    assert config_from_args(args).injection is InjectionMode.ONLY_GLOBAL
     args = parser.parse_args(["--problems", "2", "--injection", "none"])
-    assert config_from_args(args).injection.value == "none"
+    assert config_from_args(args).injection is InjectionMode.NONE
+    # only global and none exist: any other flag is a usage error before any run
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--problems", "2", "--injection", "all", "--out", str(tmp_path / "r.json")])
+    assert exit_info.value.code == 2
+    assert not (tmp_path / "r.json").exists()
+    with pytest.raises(ValueError):
+        InjectionMode("all_optima")
 
 
 def test_run_config_validation():

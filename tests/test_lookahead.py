@@ -9,16 +9,18 @@ archive and the same charged evaluations per phase. A :class:`Selection`
 held as arrays must cluster as one holding every row as a :class:`Solution`.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hillvallea import (BenchmarkProblem, BudgetedObjective, EvaluationCounter,
-                        KnownOptimum, SearchDomain, Selection, Solution,
-                        hill_valley_clustering)
+from hillvallea import (BenchmarkProblem, BudgetedObjective, ElitistArchive,
+                        EvaluationCounter, KnownOptimum, SearchDomain, Selection, Solution,
+                        hill_valley_clustering, postprocess)
 from hillvallea.hillvalley import _nearest_better, expected_edge_length, hill_valley_test
 from hillvallea.hillvalley import test_point_count as n_test_points
-from hillvallea.optimizer import ARCHIVE_TEST_POINTS, _merge
+from hillvallea.optimizer import ARCHIVE_TEST_POINTS
 from helpers import selection_of
 
 
@@ -72,6 +74,12 @@ def reference_merge(candidates, elites, evaluate):
             elites.append(cand)
             added += 1
     return added, untested
+
+
+def merge(candidates, elites, evaluate):
+    """``postprocess`` with no tolerance filter, so it only merges: returns (added, untested)."""
+    archive = ElitistArchive(elites)
+    return postprocess(candidates, archive, math.inf, evaluate), archive.n_unverified
 
 
 def terraced_problem(d: int, step: float) -> BenchmarkProblem:
@@ -156,7 +164,7 @@ def test_merge_matches_sequential_merge(instance, n_elites, used):
         reference = reference_merge(candidates, ref_elites, ref_eval)
         new_eval, new_counter = _budgeted(problem, used + spend, used)
         got_elites = list(elites)
-        assert _merge(candidates, got_elites, new_eval) == reference
+        assert merge(candidates, got_elites, new_eval) == reference
         assert [id(s) for s in got_elites] == [id(s) for s in ref_elites]
         assert new_counter.used == ref_counter.used
         assert new_counter.phase_used == ref_counter.phase_used

@@ -40,11 +40,12 @@ def test_truncation_selection_stable_ties(fitness, tau):
 
 
 def test_postprocess_tol_filter_discards():
-    archive = ElitistArchive([Solution(np.array([0.0]), 0.0)])
+    elite = Solution(np.array([0.0]), 0.0)
+    archive = ElitistArchive([elite])
     obj = budgeted_fn(lambda x: 0.0, phase="postprocess")
-    result = postprocess([Solution(np.array([2.0]), 0.5)], archive, 1e-5, obj)
-    assert result.added == 0 and len(archive) == 1
-    assert [c.fitness for c in result.discarded] == [0.5]
+    assert postprocess([Solution(np.array([2.0]), 0.5)], archive, 1e-5, obj) == 0
+    assert archive.solutions == [elite]
+    assert obj.counter.used == 0  # dropped before any distinctness test
 
 
 def test_postprocess_empties_archive_for_better_optimum():
@@ -52,9 +53,10 @@ def test_postprocess_empties_archive_for_better_optimum():
     archive = ElitistArchive([stale])
     obj = budgeted_fn(lambda x: 1.0, phase="postprocess")  # any interior point is a hill
     fresh = Solution(np.array([0.0]), 0.0)
-    result = postprocess([fresh], archive, 1e-5, obj)
-    assert result.emptied
+    assert postprocess([fresh], archive, 1e-5, obj) == 1
+    # emptied first, so the stale elite is gone although no test ran
     assert archive.solutions == [fresh]
+    assert obj.counter.used == 0
 
 
 def test_postprocess_double_well_distinctness():
@@ -62,8 +64,7 @@ def test_postprocess_double_well_distinctness():
     left = solution(-1.0, double_well)
     right = solution(1.0, double_well)
     archive = ElitistArchive([left])
-    result = postprocess([right], archive, 1e-5, obj)
-    assert result.added == 1
+    assert postprocess([right], archive, 1e-5, obj) == 1
     assert archive.solutions == [left, right]
     # the five-point test rejected at its first interior sample
     assert obj.counter.used == 1
@@ -75,19 +76,18 @@ def test_postprocess_same_niche_replacement_rules():
     archive = ElitistArchive([elite])
     worse_dup = solution(0.2, fn)
     obj = budgeted_fn(fn, phase="postprocess")
-    result = postprocess([worse_dup], archive, 1.0, obj)
-    assert result.added == 0 and archive.solutions == [elite]
+    assert postprocess([worse_dup], archive, 1.0, obj) == 0
+    assert archive.solutions == [elite]
     better_dup = solution(0.05, fn)
-    result = postprocess([better_dup], archive, 1.0, obj)
-    assert result.added == 1 and archive.solutions == [better_dup]
+    assert postprocess([better_dup], archive, 1.0, obj) == 1
+    assert archive.solutions == [better_dup]
 
 
 def test_postprocess_budget_exhaustion_appends_unverified():
     problem = make_sphere_problem(1)
     obj, _ = budgeted(problem, 0, phase="postprocess")
     archive = ElitistArchive([Solution(np.array([-1.0]), 0.0)])
-    result = postprocess([Solution(np.array([1.0]), 0.0)], archive, 1e-5, obj)
-    assert result.added == 1
+    assert postprocess([Solution(np.array([1.0]), 0.0)], archive, 1e-5, obj) == 1
     assert len(archive) == 2
     assert not archive.verified
 
@@ -158,7 +158,7 @@ def test_budget_hard_stop_and_phase_accounting(kind, d, budget, injection, seed,
     assert sum(result.phase_used.values()) == budget
     fractions = result.phase_fractions
     assert sum(fractions.values()) == pytest.approx(1.0, abs=1e-9)
-    for elite in [*result.archive, *result.side_archive]:
+    for elite in result.archive:
         assert problem.domain.contains(elite.position)
     searchers = sum(log.n_searchers for log in result.per_restart_log)
     assert sum(result.stop_reasons.values()) <= searchers
@@ -264,26 +264,6 @@ def test_injection_none_never_skips():
         assert log.n_skipped_elites == 0
 
 
-def test_all_optima_injection_builds_side_archive():
-    problem = make_problem(5)  # has local optima
-    config = OptimizerConfig(budget=30_000, injection=InjectionMode.ALL_OPTIMA)
-    result = run_hillvallea(problem, SearcherKind.AMU, config, seed=11)
-    assert len(result.side_archive) >= 1
-    best = min(s.fitness for s in result.archive)
-    assert all(s.fitness > best + 1e-5 for s in result.side_archive)
-
-
-def test_side_archive_counts_entries_appended_untested():
-    # side entries merged while budget remained were tested for distinctness;
-    # those merged after it ran out were appended untested
-    config = OptimizerConfig(budget=10_000, injection=InjectionMode.ALL_OPTIMA)
-    result = run_hillvallea(make_problem(5), SearcherKind.AMU, config, seed=0)
-    assert 0 < result.side_unverified < len(result.side_archive)
-    plain = run_hillvallea(make_problem(5), SearcherKind.AMU, OptimizerConfig(budget=10_000),
-                           seed=0)
-    assert plain.side_archive == [] and plain.side_unverified == 0
-
-
 def test_seed_determinism_bitwise():
     problem = make_problem(5)
     config = OptimizerConfig(budget=15_000)
@@ -301,10 +281,9 @@ def test_seed_determinism_bitwise():
 
 
 def _outputs(result) -> tuple:
-    """Everything a run returns but its archive and side archive, which compare by bits."""
+    """Everything a run returns but its archive, which compares by bits."""
     return (result.evaluations_used, result.phase_used, result.restarts,
-            result.per_restart_log, result.stop_reasons, result.archive.n_unverified,
-            result.side_unverified)
+            result.per_restart_log, result.stop_reasons, result.archive.n_unverified)
 
 
 def _bits(solutions) -> list:
@@ -313,14 +292,13 @@ def _bits(solutions) -> list:
 
 def test_observer_changes_nothing_and_sees_each_postprocess():
     problem = make_problem(7)
-    config = OptimizerConfig(budget=5_000, injection=InjectionMode.ALL_OPTIMA)
+    config = OptimizerConfig(budget=5_000, injection=InjectionMode.ONLY_GLOBAL)
     seen = RecordingObserver()
     plain = run_hillvallea(problem, SearcherKind.AMU, config, seed=1)
     observed = run_hillvallea(problem, SearcherKind.AMU, config, seed=1, observe=seen)
     assert _outputs(observed) == _outputs(plain)
     assert _bits(observed.archive) == _bits(plain.archive)
-    assert _bits(observed.side_archive) == _bits(plain.side_archive)
-    assert len(plain.side_archive) > 0
+    assert plain.restarts > 1
     # one call just before and one just after each restart's postprocess
     assert len(seen.calls) == 2 * observed.restarts
     used = [u for u, _ in seen.calls]
@@ -426,4 +404,5 @@ def test_minus_inf_region_runs_to_budget_with_minus_inf_elites(kind, region):
     assert result.evaluations_used == 3_000
     assert len(result.archive) > 0
     assert all(s.fitness == -np.inf for s in result.archive)
+    assert all(log.archive_spread == 0.0 for log in result.per_restart_log)
     assert inside(np.array([s.position for s in result.archive])).all()
