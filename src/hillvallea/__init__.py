@@ -12,8 +12,7 @@ from .core_search import (CmsaSearcher, CoreSearcher, EdaSearcher, SearcherKind,
 from .evaluation import PeakRatioReport, peak_ratio
 from .hillvalley import (Cluster, ClusterSet, Selection, Solution, expected_edge_length,
                          hill_valley_clustering, hill_valley_test, test_point_count)
-from .optimizer import (ElitistArchive, InjectionMode, OptimizerConfig,
-                        RestartLog, RunResult, postprocess, run_hillvallea,
+from .optimizer import (ElitistArchive, RestartLog, RunResult, postprocess, run_hillvallea,
                         truncation_selection, uniform_sample)
 from .problems import (BenchmarkProblem, BudgetedObjective, EvaluationCounter,
                        KnownOptimum, SearchDomain, UnsupportedProblemError,
@@ -21,9 +20,9 @@ from .problems import (BenchmarkProblem, BudgetedObjective, EvaluationCounter,
 
 __all__ = [
     "BenchmarkProblem", "BudgetedObjective", "Cluster", "ClusterSet", "CmsaSearcher",
-    "CoreSearcher", "EdaSearcher", "ElitistArchive", "EvaluationCounter",
-    "InjectionMode", "KnownOptimum", "OptimizerConfig", "PeakRatioReport", "RestartLog",
-    "RunResult", "SearchDomain", "SearcherKind", "Selection", "Solution",
+    "CoreSearcher", "EdaSearcher", "ElitistArchive", "EvaluationCounter", "KnownOptimum",
+    "PeakRatioReport", "RestartLog", "RunResult", "SearchDomain", "SearcherKind", "Selection",
+    "Solution",
     "UnsupportedProblemError", "expected_edge_length", "hill_valley_clustering",
     "hill_valley_test", "init_from_cluster", "make_problem", "peak_ratio", "postprocess",
     "problem_names", "recommended_population_size", "run_hillvallea", "test_point_count",

@@ -15,7 +15,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .core_search import STOP_REASONS, SearcherKind
 from .evaluation import peak_ratio
-from .optimizer import ElitistArchive, InjectionMode, OptimizerConfig, run_hillvallea
+from .optimizer import ElitistArchive, run_hillvallea
 from .problems import BenchmarkProblem, EvaluationCounter, make_problem, problem_names
 
 _STOP_FIELDS = {reason: "stop_" + reason.replace("-", "_") for reason in STOP_REASONS}
@@ -34,8 +34,6 @@ AGGREGATE_FIELDS = ("problem_id", "kind", "runs", "mean_peak_ratio",
                     "min_peak_ratio", "max_peak_ratio", "mean_evaluations",
                     "mean_phase_init", "mean_phase_hvc", "mean_phase_lopt")
 TRACE_FIELDS = ("problem_id", "kind", "seed", "evaluations", "peak_ratio")
-
-_INJECTION_FLAGS = {"global": InjectionMode.ONLY_GLOBAL, "none": InjectionMode.NONE}
 
 
 @dataclass(frozen=True)
@@ -48,9 +46,8 @@ class RunConfig:
     seed: int = 0
     budget: Optional[int] = None
     budget_multiplier: Optional[float] = None
-    tol: float = 1e-5
     epsilon: float = 1e-5
-    injection: InjectionMode = InjectionMode.ONLY_GLOBAL
+    inject: bool = True
     trace: Optional[int] = None
     out: str = "results.json"
     format: str = "json"
@@ -69,8 +66,6 @@ class RunConfig:
             raise ValueError("budget must be positive")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if not self.tol >= 0:
-            raise ValueError("tol must be >= 0")
         if (self.trace or 0) < 0:
             raise ValueError("trace spacing must be >= 0")
         if self.budget is not None and self.budget_multiplier is not None:
@@ -82,12 +77,14 @@ class RunConfig:
                 raise ValueError("budget multiplier rounds a problem's budget to 0")
         if self.format not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.format!r}")
+        if Path(self.out).is_dir() or not Path(self.out).parent.is_dir():
+            raise ValueError(f"output path {self.out!r} is not a file in an existing directory")
 
-    def budget_for(self, problem: BenchmarkProblem) -> Optional[int]:
-        """The budget override of one run on ``problem`` (None: its own budget)."""
-        if self.budget_multiplier is None:
-            return self.budget
-        return int(round(problem.budget * self.budget_multiplier))
+    def budget_for(self, problem: BenchmarkProblem) -> int:
+        """The budget of one run on ``problem``."""
+        if self.budget_multiplier is not None:
+            return int(round(problem.budget * self.budget_multiplier))
+        return problem.budget if self.budget is None else self.budget
 
 
 def parse_problem_spec(spec: str) -> tuple:
@@ -131,11 +128,10 @@ class _PeakRatioTrace:
 def _execute_task(sweep: RunConfig, problem_id: int, seed: int):
     """Run one repetition; returns its record and its trace rows."""
     problem = make_problem(problem_id)
-    config = OptimizerConfig(tol=sweep.tol, injection=sweep.injection,
-                             budget=sweep.budget_for(problem))
+    problem = replace(problem, budget=sweep.budget_for(problem))
     trace = _PeakRatioTrace(sweep.trace, problem, sweep.epsilon) if sweep.trace else None
     start = time.perf_counter()
-    result = run_hillvallea(problem, sweep.kind, config, seed=seed, observe=trace)
+    result = run_hillvallea(problem, sweep.kind, seed, inject=sweep.inject, observe=trace)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     report = peak_ratio(list(result.archive), problem, sweep.epsilon)
     fractions = result.phase_fractions
@@ -258,9 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--budget", type=int, help="override the benchmark budget")
     group.add_argument("--budget-multiplier", type=float,
                        help="scale the benchmark budget")
-    parser.add_argument("--tol", type=float, help="optimum fitness tolerance")
     parser.add_argument("--epsilon", type=float, help="peak-ratio accuracy")
-    parser.add_argument("--injection", choices=sorted(_INJECTION_FLAGS),
+    parser.add_argument("--injection", choices=["global", "none"],
                         help="optima injected on restarts (default global)")
     parser.add_argument("--trace", type=int, metavar="N",
                         help="trace peak ratio every N evaluations")
@@ -274,12 +269,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.problems is None:
         raise ValueError("no problems given (use --problems)")
     settings = {key: getattr(args, key)
-                for key in ("reps", "seed", "budget", "budget_multiplier", "tol",
-                            "epsilon", "trace", "out", "format", "jobs")
+                for key in ("reps", "seed", "budget", "budget_multiplier", "epsilon",
+                            "trace", "out", "format", "jobs")
                 if getattr(args, key) is not None}
-    return RunConfig(problems=parse_problem_spec(args.problems),
-                     kind=SearcherKind(args.algo or "amu"),
-                     injection=_INJECTION_FLAGS[args.injection or "global"], **settings)
+    if args.algo is not None:
+        settings["kind"] = SearcherKind(args.algo)
+    if args.injection is not None:
+        settings["inject"] = args.injection == "global"
+    return RunConfig(problems=parse_problem_spec(args.problems), **settings)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

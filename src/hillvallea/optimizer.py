@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -26,22 +25,8 @@ from .problems import (BenchmarkProblem, BudgetedObjective, EvaluationCounter,
 
 #: Interior test points for the archive distinctness test.
 ARCHIVE_TEST_POINTS = 5
-
-
-class InjectionMode(Enum):
-    """Which optima are fed back into the population on restarts."""
-
-    ONLY_GLOBAL = "only_global"
-    NONE = "none"
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Run-level configuration; defaults reproduce the shipped setup."""
-
-    tol: float = 1e-5
-    injection: InjectionMode = InjectionMode.ONLY_GLOBAL
-    budget: Optional[int] = None            # overrides the problem budget
+#: Fitness tolerance: of an elite against the best, and of a searcher's stagnation test.
+TOL = 1e-5
 
 
 @dataclass
@@ -79,7 +64,6 @@ class ElitistArchive:
 class RestartLog:
     """Per-restart bookkeeping of one run."""
 
-    index: int
     population_size: int
     cluster_size: int
     selection_size: int
@@ -96,12 +80,8 @@ class RestartLog:
 class RunResult:
     """Outcome of one optimizer run."""
 
-    problem_id: int
-    kind: SearcherKind
-    seed: int
     archive: ElitistArchive
     evaluations_used: int
-    budget: int
     phase_used: dict
     restarts: int
     per_restart_log: list
@@ -200,7 +180,7 @@ def _first_shared_niche(cand: Solution, elites: list, positions: np.ndarray,
 
 
 def _search_niches(niches: Sequence, build: Callable, seeds: np.random.SeedSequence,
-                   evaluate: BudgetedObjective, tol: float, stop_reasons: dict) -> list:
+                   evaluate: BudgetedObjective, stop_reasons: dict) -> list:
     """Run one core searcher per niche; returns their bests in niche order.
 
     The searchers run in lockstep on a trial counter and stop before a
@@ -221,7 +201,7 @@ def _search_niches(niches: Sequence, build: Callable, seeds: np.random.SeedSeque
         return [niche.founder for niche in niches]
     seqs = seeds.spawn(len(niches))
     group = CoreSearcher.stack([build(niche, seq) for niche, seq in zip(niches, seqs)])
-    group.run(evaluate.trial(counter.remaining), evaluate.problem.domain, tol=tol,
+    group.run(evaluate.trial(counter.remaining), evaluate.problem.domain, tol=TOL,
               limit=counter.remaining)
     reasons = group.terminated_reason
     bests = []
@@ -238,7 +218,7 @@ def _search_niches(niches: Sequence, build: Callable, seeds: np.random.SeedSeque
             if reasons[k] is None:  # paused: it goes on alone
                 searcher, i = group.member(k), 0
         if searcher is not group:
-            searcher.run(evaluate, evaluate.problem.domain, tol=tol)
+            searcher.run(evaluate, evaluate.problem.domain, tol=TOL)
         bests.append(searcher.best_ever[i])
         reason = reasons[k] if searcher is group else searcher.terminated_reason[0]
         stop_reasons[reason] = stop_reasons.get(reason, 0) + 1
@@ -259,23 +239,22 @@ def _select(domain: SearchDomain, n: int, injected: list, tau: float,
         fitness[kept], {r: injected[kept[r] - n] for r in np.flatnonzero(kept >= n)})
 
 
-def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
-                   config: Optional[OptimizerConfig] = None, seed: int = 0,
+def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind, seed: int = 0, *,
+                   inject: bool = True,
                    observe: Optional[Callable[[EvaluationCounter, ElitistArchive], None]] = None
                    ) -> RunResult:
-    """Run the full restart scheme on one problem until the budget is spent.
+    """Run the full restart scheme on one problem until its budget is spent.
 
+    ``inject`` feeds the archive's elites into each restart's sample.
     ``observe(counter, archive)`` is called just before and just after each
     restart's postprocess, the only phase that changes the archive; it must
     change neither argument.
     """
-    config = config or OptimizerConfig()
-    budget = config.budget if config.budget is not None else problem.budget
-    if budget <= 0:
+    if problem.budget <= 0:
         raise ValueError("budget must be positive")
     d = problem.domain.dimension
     volume = problem.domain.volume()
-    counter = EvaluationCounter(budget)
+    counter = EvaluationCounter(problem.budget)
 
     root = np.random.SeedSequence(seed)
     sample_seq, searcher_seq = root.spawn(2)
@@ -292,11 +271,10 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
     archive = ElitistArchive()
     logs: list = []
     stop_reasons: dict = {}
-    restarts = 0
 
     while counter.remaining > 0:
         # phase 1: sample, inject elites, select, cluster; only the selection outlives sampling
-        injected = [] if config.injection is InjectionMode.NONE else list(archive.solutions)
+        injected = list(archive.solutions) if inject else []
         selection = _select(problem.domain, min(population_size, counter.remaining), injected,
                             kind.tau, sample_rng, obj_init)
         clusters = hill_valley_clustering(selection, volume, d, obj_cluster)
@@ -308,16 +286,15 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
         candidates = _search_niches(
             niches, lambda cluster, seq: init_from_cluster(
                 cluster, searcher_eel, kind, cluster_size, rng=np.random.default_rng(seq)),
-            searcher_seq, obj_local, config.tol, stop_reasons)
+            searcher_seq, obj_local, stop_reasons)
 
         if observe is not None:
             observe(counter, archive)
-        added = postprocess(candidates, archive, config.tol, obj_post)
+        added = postprocess(candidates, archive, TOL, obj_post)
         if observe is not None:
             observe(counter, archive)
 
         logs.append(RestartLog(
-            index=restarts,
             population_size=population_size,
             cluster_size=cluster_size,
             selection_size=len(selection),
@@ -329,7 +306,6 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
             archive_size=len(archive),
             archive_spread=archive.spread(),
         ))
-        restarts += 1
         if added == 0:
             population_size *= 2
             cluster_size = math.ceil(1.2 * cluster_size)
@@ -337,14 +313,10 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind,
         del selection, clusters, niches, candidates
 
     return RunResult(
-        problem_id=problem.id,
-        kind=kind,
-        seed=seed,
         archive=archive,
         evaluations_used=counter.used,
-        budget=budget,
         phase_used=dict(counter.phase_used),
-        restarts=restarts,
+        restarts=len(logs),
         per_restart_log=logs,
         stop_reasons=stop_reasons,
         objective_rows=counter.rows,

@@ -7,16 +7,17 @@ the worker count).
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hillvallea import (InjectionMode, OptimizerConfig, SearcherKind, Solution,
-                        expected_edge_length, hill_valley_clustering,
+from hillvallea import (SearcherKind, Solution, expected_edge_length, hill_valley_clustering,
                         hill_valley_test, make_problem, recommended_population_size,
                         run_hillvallea)
 from hillvallea import test_point_count as n_test_points
 from hillvallea.cli import RunConfig, execute_sweep
+from hillvallea.optimizer import TOL
 from helpers import RecordingObserver, budgeted_fn, double_well, selection_of, solution
 
 SEEDS = 20
@@ -32,8 +33,7 @@ def _criterion(num, description, detail, ok):
 def _sweep(problems, injection="global", multiplier=None):
     config = RunConfig(problems=tuple(problems), kind=SearcherKind.AMU,
                        reps=SEEDS, seed=0, budget_multiplier=multiplier,
-                       injection={"global": InjectionMode.ONLY_GLOBAL,
-                                  "none": InjectionMode.NONE}[injection],
+                       inject=injection == "global",
                        jobs=JOBS)
     return execute_sweep(config)
 
@@ -191,28 +191,25 @@ def test_criterion_10b_partition_property():
 def test_criterion_10c_run_invariants_and_determinism():
     rng = np.random.default_rng(102)
     kinds = list(SearcherKind)
-    injections = list(InjectionMode)
     ok = True
     for case in range(1000):
         pid = int(rng.choice([2, 3, 5]))
-        problem = make_problem(pid)
-        config = OptimizerConfig(
-            budget=int(rng.integers(150, 800)),
-            injection=injections[int(rng.integers(0, len(injections)))])
+        problem = replace(make_problem(pid), budget=int(rng.integers(150, 800)))
+        inject = (True, False)[int(rng.integers(0, 2))]
         kind = kinds[int(rng.integers(0, len(kinds)))]
         seed = int(rng.integers(0, 10 ** 6))
         seen, seen_replay = RecordingObserver(), RecordingObserver()
-        result = run_hillvallea(problem, kind, config, seed=seed, observe=seen)
-        ok &= result.evaluations_used <= config.budget
+        result = run_hillvallea(problem, kind, seed, inject=inject, observe=seen)
+        ok &= result.evaluations_used <= problem.budget
         ok &= result.evaluations_used == sum(result.phase_used.values())
-        ok &= all(log.archive_spread <= config.tol + 1e-12
+        ok &= all(log.archive_spread <= TOL + 1e-12
                   for log in result.per_restart_log)
         d = problem.dimension
         stagnant = 0
         for log in result.per_restart_log:
             ok &= log.population_size == 16 * d * 2 ** stagnant
             stagnant += log.n_new_elites == 0
-        replay = run_hillvallea(problem, kind, config, seed=seed, observe=seen_replay)
+        replay = run_hillvallea(problem, kind, seed, inject=inject, observe=seen_replay)
         ok &= replay.evaluations_used == result.evaluations_used
         ok &= replay.phase_used == result.phase_used
         ok &= seen_replay.calls == seen.calls

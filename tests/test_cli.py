@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from hillvallea import InjectionMode, cli, make_problem
+from hillvallea import cli, make_problem
 from hillvallea.cli import (RECORD_FIELDS, RunConfig, config_from_args,
                             build_parser, execute_sweep, main,
                             parse_problem_spec, write_outputs)
@@ -117,7 +117,7 @@ def test_parallel_jobs_do_not_change_results(tmp_path):
     for jobs in (1, 2):
         out = tmp_path / f"jobs{jobs}.csv"
         config = _tiny_config(tmp_path, jobs=jobs, trace=100, format="csv", out=str(out),
-                              injection=InjectionMode.ONLY_GLOBAL)
+                              inject=True)
         data = execute_sweep(config)
         write_outputs(data, config)
         traces = (tmp_path / f"jobs{jobs}.traces.csv").read_text()
@@ -224,22 +224,18 @@ def test_budget_multiplier_scales(tmp_path):
     assert data.records[0]["evaluations_used"] == 500  # 50000 * 0.01
 
 
-def test_injection_flag_mapping(tmp_path):
+def test_injection_flag_mapping():
     parser = build_parser()
     args = parser.parse_args(["--problems", "2", "--injection", "global"])
-    assert config_from_args(args).injection is InjectionMode.ONLY_GLOBAL
+    assert config_from_args(args).inject is True
     args = parser.parse_args(["--problems", "2", "--injection", "none"])
-    assert config_from_args(args).injection is InjectionMode.NONE
-    # only global and none exist: any other flag is a usage error before any run
-    with pytest.raises(SystemExit) as exit_info:
-        main(["--problems", "2", "--injection", "all", "--out", str(tmp_path / "r.json")])
-    assert exit_info.value.code == 2
-    assert not (tmp_path / "r.json").exists()
-    with pytest.raises(ValueError):
-        InjectionMode("all_optima")
+    assert config_from_args(args).inject is False
+    # unset flags leave RunConfig's defaults, the only ones
+    args = parser.parse_args(["--problems", "2"])
+    assert config_from_args(args) == RunConfig(problems=(2,))
 
 
-def test_run_config_validation():
+def test_run_config_validation(tmp_path):
     with pytest.raises(ValueError):
         RunConfig(problems=(1,), reps=0)
     with pytest.raises(ValueError):
@@ -248,17 +244,25 @@ def test_run_config_validation():
         RunConfig(problems=(1,), format="yaml")
     nan, inf = float("nan"), float("inf")
     for bad in ({"budget": 0}, {"budget": -5}, {"epsilon": 0.0}, {"epsilon": nan},
-                {"trace": -5}, {"tol": -1.0}, {"tol": nan}, {"budget_multiplier": 0.0},
+                {"trace": -5}, {"budget_multiplier": 0.0},
                 {"budget_multiplier": nan}, {"budget_multiplier": inf},
-                {"budget_multiplier": 1e-9}, {"jobs": 0}, {"jobs": -1}, {"seed": -1}):
+                {"budget_multiplier": 1e-9}, {"jobs": 0}, {"jobs": -1}, {"seed": -1},
+                {"out": str(tmp_path / "missing" / "r.json")}):
         with pytest.raises(ValueError):
             RunConfig(problems=(1,), **bad)
     # P2's budget of 50,000 rounds to 0 under this multiplier; P6's 200,000 does not
     with pytest.raises(ValueError):
         RunConfig(problems=(6, 2), budget_multiplier=5e-6)
     assert RunConfig(problems=(6,), budget_multiplier=5e-6).budget_for(make_problem(6)) == 1
+    assert RunConfig(problems=(6,), budget=7).budget_for(make_problem(6)) == 7
+    assert RunConfig(problems=(6,)).budget_for(make_problem(6)) == make_problem(6).budget
     assert RunConfig(problems=(1,), trace=0).trace == 0  # 0: no trace
-    assert RunConfig(problems=(1,), tol=0.0).tol == 0.0
+    # the output's directory must exist, and the output must not be a directory
+    (tmp_path / "file").write_text("")
+    for bad_out in (tmp_path / "file" / "r.json", tmp_path, ""):
+        with pytest.raises(ValueError):
+            RunConfig(problems=(1,), out=str(bad_out))
+    RunConfig(problems=(1,), out=str(tmp_path / "r.json"))
     with pytest.raises(ValueError):
         RunConfig(problems=(2, 2))
 
@@ -268,13 +272,25 @@ def test_run_config_validation():
                                    ["--budget-multiplier", "1e-9"],
                                    ["--budget-multiplier", "nan"],
                                    ["--budget-multiplier", "inf"],
-                                   ["--epsilon", "nan"], ["--tol", "-1"], ["--tol", "nan"],
+                                   ["--epsilon", "nan"], ["--reps", "0"],
+                                   ["--out", "missing/r.json"],
                                    ["--jobs", "0"], ["--seed", "-1"],
                                    ["--problems", "1,5-3"], ["--problems", "1--2"],
                                    ["--problems", "-1"], ["--problems", "2-"],
                                    ["--problems", "2,2"], ["--problems", "1-3,2"],
                                    ["--problems", "equal_maxima,2"]])
-def test_invalid_values_exit_with_usage_error(flags, tmp_path, capsys):
+def test_invalid_values_exit_with_usage_error(flags, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a relative --out resolves in tmp_path
     assert main(["--problems", "2", "--out", str(tmp_path / "r.json"), *flags]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "r.json").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+# options and option values the parser does not know
+@pytest.mark.parametrize("flags", [["--injection", "all"], ["--tol", "1e-5"]])
+def test_unknown_options_exit_with_usage_error_before_any_run(flags, tmp_path):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--problems", "2", "--out", str(tmp_path / "r.json"), *flags])
+    assert exit_info.value.code == 2
     assert not (tmp_path / "r.json").exists()

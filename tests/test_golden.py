@@ -11,11 +11,12 @@ explained. To re-record, run
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from hillvallea import InjectionMode, OptimizerConfig, SearcherKind, make_problem, run_hillvallea
+from hillvallea import SearcherKind, make_problem, run_hillvallea
 from hillvallea.cli import main
 from helpers import RecordingObserver
 
@@ -26,7 +27,8 @@ SWEEP_PATH = Path(__file__).with_name("golden_sweep.json")
 SWEEP_ARGS = ["--problems", "2,4", "--reps", "2", "--seed", "3", "--budget", "1000",
               "--trace", "250"]
 
-# (problem id, searcher kind, budget, injection, seed[, trace spacing])
+# (problem id, searcher kind, budget, injection, seed[, trace spacing]); the
+# injection is "only_global" (elites injected) or "none"
 RUNS = [
     (1, "amu", 5_000, "only_global", 0),
     (4, "cmsa", 10_000, "only_global", 1),
@@ -88,17 +90,15 @@ def _size_trace(calls, every: int, result) -> list:
 
 def snapshot(run) -> dict:
     pid, kind, budget, injection, seed, *every = run
-    config = OptimizerConfig(budget=budget, injection=InjectionMode(injection))
     seen = RecordingObserver()
-    result = run_hillvallea(make_problem(pid), SearcherKind(kind), config, seed=seed,
-                            observe=seen)
+    result = run_hillvallea(replace(make_problem(pid), budget=budget), SearcherKind(kind), seed,
+                            inject=injection == "only_global", observe=seen)
     out = {
         "evaluations_used": result.evaluations_used,
         "phase_used": result.phase_used,
         "restarts": result.restarts,
         "verified": result.archive.verified,
         "archive": _solutions(result.archive),
-        "side_archive": [],  # a key of the recorded format, so entries need no edit
     }
     if every:
         out["trace"] = [[evals, float(value).hex()]

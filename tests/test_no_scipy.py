@@ -40,6 +40,7 @@ def test_runs_and_sweeps_with_scipy_blocked(tmp_path):
     _python(f"""
         import sys
         sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+        from dataclasses import replace
         import hillvallea
         from hillvallea import hillvalley
         from hillvallea.cli import main
@@ -52,8 +53,8 @@ def test_runs_and_sweeps_with_scipy_blocked(tmp_path):
             return search(positions, k, chunk)
 
         hillvalley._nearest_better = recording
-        result = hillvallea.run_hillvallea(hillvallea.make_problem(10), hillvallea.SearcherKind.AMU,
-                                           config=hillvallea.OptimizerConfig(budget=10000), seed=0)
+        problem = replace(hillvallea.make_problem(10), budget=10000)
+        result = hillvallea.run_hillvallea(problem, hillvallea.SearcherKind.AMU, seed=0)
         assert result.evaluations_used == 10000 and len(result.archive) > 0
         assert max(rows) > 128, rows
         sys.exit(main(["--problems", "2,10", "--reps", "1", "--budget", "10000",

@@ -1,15 +1,15 @@
 """Restart scheme, archive post-processing and full-run invariants."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hillvallea import (BenchmarkProblem, ElitistArchive, InjectionMode,
-                        OptimizerConfig, SearchDomain, SearcherKind, Solution,
-                        hill_valley_test, make_problem, peak_ratio, postprocess,
+from hillvallea import (BenchmarkProblem, ElitistArchive, SearchDomain, SearcherKind,
+                        Solution, hill_valley_test, make_problem, peak_ratio, postprocess,
                         run_hillvallea, truncation_selection, uniform_sample)
 from helpers import (RecordingObserver, budgeted, budgeted_fn, double_well,
                      make_ripple_problem, make_sphere_problem, solution)
@@ -129,8 +129,7 @@ def test_run_single_optimum_problem():
 def test_zero_budget_guard_single_restart():
     problem = make_problem(4)
     n_init = 16 * problem.dimension
-    config = OptimizerConfig(budget=n_init)
-    result = run_hillvallea(problem, SearcherKind.AMU, config, seed=3)
+    result = run_hillvallea(replace(problem, budget=n_init), SearcherKind.AMU, seed=3)
     assert result.restarts == 1
     assert result.evaluations_used == n_init
     assert result.phase_used["init"] == n_init
@@ -139,21 +138,16 @@ def test_zero_budget_guard_single_restart():
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(kind=st.sampled_from(list(SearcherKind)), d=st.integers(1, 5),
-       budget=st.integers(1, 50), injection=st.sampled_from(list(InjectionMode)),
+       budget=st.integers(1, 50), inject=st.sampled_from((True, False)),
        seed=st.integers(0, 2 ** 16), pid=st.just(0))
-@example(kind=SearcherKind.IAMU, d=1, budget=16, injection=InjectionMode.ONLY_GLOBAL,
-         seed=4, pid=2)
-@example(kind=SearcherKind.IAMU, d=1, budget=33, injection=InjectionMode.ONLY_GLOBAL,
-         seed=4, pid=2)
-@example(kind=SearcherKind.IAMU, d=1, budget=500, injection=InjectionMode.ONLY_GLOBAL,
-         seed=4, pid=2)
-@example(kind=SearcherKind.IAMU, d=1, budget=2000, injection=InjectionMode.ONLY_GLOBAL,
-         seed=4, pid=2)
-def test_budget_hard_stop_and_phase_accounting(kind, d, budget, injection, seed, pid):
+@example(kind=SearcherKind.IAMU, d=1, budget=16, inject=True, seed=4, pid=2)
+@example(kind=SearcherKind.IAMU, d=1, budget=33, inject=True, seed=4, pid=2)
+@example(kind=SearcherKind.IAMU, d=1, budget=500, inject=True, seed=4, pid=2)
+@example(kind=SearcherKind.IAMU, d=1, budget=2000, inject=True, seed=4, pid=2)
+def test_budget_hard_stop_and_phase_accounting(kind, d, budget, inject, seed, pid):
     # pid 0 is a d-dimensional ripple; the examples run benchmark problem 2
-    problem = make_problem(pid) if pid else make_ripple_problem(d)
-    config = OptimizerConfig(budget=budget, injection=injection)
-    result = run_hillvallea(problem, kind, config, seed=seed)
+    problem = replace(make_problem(pid) if pid else make_ripple_problem(d), budget=budget)
+    result = run_hillvallea(problem, kind, seed, inject=inject)
     assert result.evaluations_used == budget
     assert sum(result.phase_used.values()) == budget
     fractions = result.phase_fractions
@@ -165,17 +159,15 @@ def test_budget_hard_stop_and_phase_accounting(kind, d, budget, injection, seed,
 
 
 def test_archive_spread_after_every_restart():
-    problem = make_problem(5)
-    config = OptimizerConfig(budget=20_000, tol=1e-5)
-    result = run_hillvallea(problem, SearcherKind.AMU, config, seed=5)
+    problem = replace(make_problem(5), budget=20_000)
+    result = run_hillvallea(problem, SearcherKind.AMU, seed=5)
     for log in result.per_restart_log:
         assert log.archive_spread <= 1e-5 + 1e-12
 
 
 def test_archive_pairwise_distinct_replay():
     problem = make_problem(4)
-    result = run_hillvallea(problem, SearcherKind.AMU,
-                            OptimizerConfig(budget=20_000), seed=6)
+    result = run_hillvallea(replace(problem, budget=20_000), SearcherKind.AMU, seed=6)
     if not result.archive.verified:
         pytest.skip("budget died during distinctness testing on this seed")
     elites = result.archive.solutions
@@ -187,9 +179,8 @@ def test_archive_pairwise_distinct_replay():
 
 
 def test_population_growth_on_stagnant_restarts():
-    problem = make_problem(3)
-    config = OptimizerConfig(budget=30_000)
-    result = run_hillvallea(problem, SearcherKind.AMU, config, seed=7)
+    problem = replace(make_problem(3), budget=30_000)
+    result = run_hillvallea(problem, SearcherKind.AMU, seed=7)
     stagnant = 0
     d = problem.dimension
     for log in result.per_restart_log:
@@ -200,9 +191,8 @@ def test_population_growth_on_stagnant_restarts():
 
 
 def test_cluster_size_growth():
-    problem = make_problem(3)
-    result = run_hillvallea(problem, SearcherKind.AMU,
-                            OptimizerConfig(budget=30_000), seed=8)
+    problem = replace(make_problem(3), budget=30_000)
+    result = run_hillvallea(problem, SearcherKind.AMU, seed=8)
     sizes = [log.cluster_size for log in result.per_restart_log]
     assert sizes[0] == 10  # ceil(10 sqrt(1))
     assert all(b >= a for a, b in zip(sizes, sizes[1:]))
@@ -224,8 +214,7 @@ def test_restart_builds_solutions_only_where_read(monkeypatch):
     init = Solution.__init__
     monkeypatch.setattr(Solution, "__init__",
                         lambda self, *args: built.append(1) or init(self, *args))
-    config = OptimizerConfig(budget=60_000)
-    result = run_hillvallea(make_problem(10), SearcherKind.AMU, config, seed=0)
+    result = run_hillvallea(replace(make_problem(10), budget=60_000), SearcherKind.AMU, seed=0)
     selected = sum(log.selection_size for log in result.per_restart_log)
     assert selected > 14_000
     assert len(built) < selected / 3
@@ -235,7 +224,7 @@ def test_only_the_selection_is_alive_while_clustering(monkeypatch):
     # a restart's sample, its fitness and index arrays and the last restart's
     # state are released before clustering: P10 samples up to 65,536 points
     from hillvallea import optimizer
-    run_hillvallea(make_problem(10), SearcherKind.AMU, OptimizerConfig(budget=500), seed=0)
+    run_hillvallea(replace(make_problem(10), budget=500), SearcherKind.AMU, seed=0)
     entries = []
     cluster = optimizer.hill_valley_clustering
 
@@ -257,19 +246,17 @@ def test_only_the_selection_is_alive_while_clustering(monkeypatch):
 
 
 def test_injection_none_never_skips():
-    problem = make_problem(4)
-    config = OptimizerConfig(budget=10_000, injection=InjectionMode.NONE)
-    result = run_hillvallea(problem, SearcherKind.AMU, config, seed=10)
+    problem = replace(make_problem(4), budget=10_000)
+    result = run_hillvallea(problem, SearcherKind.AMU, seed=10, inject=False)
     for log in result.per_restart_log:
         assert log.n_skipped_elites == 0
 
 
 def test_seed_determinism_bitwise():
-    problem = make_problem(5)
-    config = OptimizerConfig(budget=15_000)
+    problem = replace(make_problem(5), budget=15_000)
     seen_a, seen_b = RecordingObserver(), RecordingObserver()
-    a = run_hillvallea(problem, SearcherKind.IAM, config, seed=12, observe=seen_a)
-    b = run_hillvallea(problem, SearcherKind.IAM, config, seed=12, observe=seen_b)
+    a = run_hillvallea(problem, SearcherKind.IAM, seed=12, observe=seen_a)
+    b = run_hillvallea(problem, SearcherKind.IAM, seed=12, observe=seen_b)
     assert a.evaluations_used == b.evaluations_used
     assert a.phase_used == b.phase_used
     assert len(a.archive) == len(b.archive)
@@ -291,11 +278,10 @@ def _bits(solutions) -> list:
 
 
 def test_observer_changes_nothing_and_sees_each_postprocess():
-    problem = make_problem(7)
-    config = OptimizerConfig(budget=5_000, injection=InjectionMode.ONLY_GLOBAL)
+    problem = replace(make_problem(7), budget=5_000)
     seen = RecordingObserver()
-    plain = run_hillvallea(problem, SearcherKind.AMU, config, seed=1)
-    observed = run_hillvallea(problem, SearcherKind.AMU, config, seed=1, observe=seen)
+    plain = run_hillvallea(problem, SearcherKind.AMU, seed=1, inject=True)
+    observed = run_hillvallea(problem, SearcherKind.AMU, seed=1, inject=True, observe=seen)
     assert _outputs(observed) == _outputs(plain)
     assert _bits(observed.archive) == _bits(plain.archive)
     assert plain.restarts > 1
@@ -313,27 +299,34 @@ def test_observer_changes_nothing_and_sees_each_postprocess():
 def test_objective_rows_counts_every_row_the_objective_sees(pid, kind):
     # trials (look-ahead first points, hill-valley test batches, lockstep
     # groups) pass rows charged later or never; all of them are counted
-    problem, rows = make_problem(pid), [0]
+    problem, rows = replace(make_problem(pid), budget=20_000), [0]
     batch = problem.objective_batch
 
     def counting(X):
         rows[0] += len(X)
         return batch(X)
 
-    config = OptimizerConfig(budget=20_000)
-    plain = run_hillvallea(make_problem(pid), kind, config, seed=0)
-    problem.objective_batch = counting
-    counted = run_hillvallea(problem, kind, config, seed=0)
+    plain = run_hillvallea(problem, kind, seed=0)
+    counted = run_hillvallea(replace(problem, objective_batch=counting), kind, seed=0)
     assert counted.objective_rows == rows[0] == plain.objective_rows
-    assert counted.objective_rows > counted.evaluations_used == config.budget
+    assert counted.objective_rows > counted.evaluations_used == problem.budget
     assert _outputs(counted) == _outputs(plain)
     assert _bits(counted.archive) == _bits(plain.archive)
 
 
 def test_budget_must_be_positive():
     problem = make_problem(2)
-    with pytest.raises(ValueError):
-        run_hillvallea(problem, SearcherKind.AMU, OptimizerConfig(budget=0), seed=0)
+    calls = []
+
+    def never(x):
+        calls.append(x)
+        return problem.objective(x)
+
+    for budget in (0, -1):
+        with pytest.raises(ValueError):
+            run_hillvallea(replace(problem, budget=budget, objective=never, objective_batch=never),
+                           SearcherKind.AMU, seed=0)
+    assert calls == []
 
 
 def test_scalar_only_custom_problem_matches_batch_form():
