@@ -25,7 +25,8 @@ def peak_ratio(reported: Sequence[Solution], problem: BenchmarkProblem,
     """Score reported solutions against the problem's known optima.
 
     A known optimum counts as found when a reported solution lies within the
-    niche radius of it and within ``epsilon`` of the optimal fitness. Matching
+    niche radius of it and within ``epsilon`` of the optimal fitness. A problem
+    without known optima or without a niche radius raises ``ValueError``. Matching
     is injective and greedy: reported solutions are walked best-fitness-first
     and each claims its nearest still-unclaimed qualifying optimum.
     """
@@ -35,6 +36,8 @@ def peak_ratio(reported: Sequence[Solution], problem: BenchmarkProblem,
     total = len(optima)
     if total == 0:
         raise ValueError(f"problem {problem.name!r} has no known global optima to score against")
+    if problem.niche_radius is None:
+        raise ValueError(f"problem {problem.name!r} has no niche radius to score with")
     positions = np.array([o.position for o in optima])
     fitnesses = np.array([o.fitness for o in optima])
     unmatched = np.ones(total, dtype=bool)

@@ -8,7 +8,6 @@ derived from the closed forms, refined to double precision.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -36,6 +35,9 @@ class SearchDomain:
             raise ValueError("lower and upper bounds must be 1-D and of equal length")
         if not np.all(lo < hi):
             raise ValueError("every lower bound must be strictly below its upper bound")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(hi - lo)):  # then the bounds are finite too, as lo < hi
+                raise ValueError("every bound and every width upper - lower must be finite")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -90,33 +92,22 @@ class EvaluationCounter:
         return max(grant, 0)
 
 
-def _row_loop(objective: Callable[[np.ndarray], float], X: np.ndarray) -> np.ndarray:
-    """Batch form of a scalar objective: one call per row."""
-    return np.array([objective(row) for row in X])
-
-
 @dataclass
 class BenchmarkProblem:
-    """Objective on a bounded box with budget and ground-truth optima.
+    """A bounded box, an objective and an evaluation budget.
 
-    ``objective`` maps a point to a minimization fitness. ``objective_batch``
-    is its vectorized form over an (n, d) array, which every phase uses, every
-    hill-valley test point included. When it is not given, a row loop over
-    ``objective`` stands in for it.
+    ``objective`` maps an (n, d) array to n minimization fitnesses, and every
+    phase evaluates through it, every hill-valley test point included.
+    ``known_global_optima`` and ``niche_radius`` serve scoring only.
     """
 
-    id: int
-    name: str
     domain: SearchDomain
-    objective: Callable[[np.ndarray], float]
-    known_global_optima: list
+    objective: Callable[[np.ndarray], np.ndarray]
     budget: int
-    niche_radius: float
-    objective_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __post_init__(self):
-        if self.objective_batch is None:
-            self.objective_batch = functools.partial(_row_loop, self.objective)
+    id: int = 0
+    name: str = "custom"
+    known_global_optima: list = field(default_factory=list)
+    niche_radius: Optional[float] = None
 
     @property
     def dimension(self) -> int:
@@ -130,7 +121,8 @@ class BenchmarkProblem:
 class BudgetedObjective:
     """Objective bound to a counter and a phase tag.
 
-    ``batch`` evaluates as many rows of an (n, d) array as the budget allows.
+    ``batch`` evaluates as many rows of an (n, d) array as the budget allows,
+    with the problem's ``objective``, which must return one fitness per row.
     A NaN fitness reads as +inf, worse than any number, so that every sort
     and comparison downstream sees one total order.
     """
@@ -149,7 +141,11 @@ class BudgetedObjective:
         if grant == 0:
             return np.empty(0)
         self.tally.rows += grant
-        fs = self.problem.objective_batch(X[:grant])
+        fs = self.problem.objective(X[:grant])
+        if not (isinstance(fs, np.ndarray) and fs.shape == (grant,)):
+            raise ValueError(f"objective of problem {self.problem.name!r} returned "
+                             f"{type(fs).__name__} of shape {np.shape(fs)} for {grant} rows; "
+                             f"expected an ndarray of shape ({grant},)")
         nan = np.isnan(fs)
         return np.where(nan, np.inf, fs) if nan.any() else fs
 
@@ -228,11 +224,6 @@ _RASTRIGIN_K = np.array([3.0, 4.0])
 
 def _modified_rastrigin(X: np.ndarray) -> np.ndarray:
     return (10.0 + 9.0 * np.cos(2.0 * np.pi * _RASTRIGIN_K * X)).sum(axis=1)
-
-
-def _one_row(batch: Callable[[np.ndarray], np.ndarray], x) -> float:
-    """A batch closed form applied to the single point ``x``."""
-    return float(batch(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +314,7 @@ def make_problem(problem_id: int) -> BenchmarkProblem:
     return BenchmarkProblem(
         id=problem_id, name=name,
         domain=SearchDomain(np.asarray(lower, float), np.asarray(upper, float)),
-        objective=functools.partial(_one_row, batch), objective_batch=batch,
-        known_global_optima=known, budget=budget,
+        objective=batch, known_global_optima=known, budget=budget,
         niche_radius=_NICHE_RADII.get(problem_id) or 0.5 * float(pairs.min()))
 
 

@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from hillvallea import (BenchmarkProblem, BudgetedObjective, EvaluationCounter,
-                        KnownOptimum, SearchDomain, Selection, Solution)
+from hillvallea import BenchmarkProblem, KnownOptimum, SearchDomain, Solution
+from hillvallea.hillvalley import Selection
+from hillvallea.problems import BudgetedObjective, EvaluationCounter
+
+
+def row_loop(fn):
+    """The batch objective of ``fn`` (point -> fitness): one call per row."""
+    return lambda X: np.array([fn(x) for x in X])
 
 
 class RecordingObjective:
@@ -28,10 +34,10 @@ def budgeted_fn(fn, budget: int = 10 ** 6, phase: str = "clustering") -> Budgete
     """``fn`` (point -> fitness) as the optimizer evaluates it: in batches, on its own
     counter of ``budget`` evaluations (``.counter``), charged to ``phase``.
 
-    ``fn`` sees every evaluated row, also look-ahead rows that are never charged."""
-    problem = BenchmarkProblem(
-        id=0, name="test_function", domain=SearchDomain(np.full(1, -np.inf), np.full(1, np.inf)),
-        objective=fn, known_global_optima=[], budget=budget, niche_radius=1.0)
+    ``fn`` sees every evaluated row, also look-ahead rows that are never charged. The
+    problem's box is a placeholder: the callers under test take theirs as an argument."""
+    problem = BenchmarkProblem(SearchDomain(np.full(1, -1.0), np.full(1, 1.0)), row_loop(fn),
+                               budget, name="test_function")
     return BudgetedObjective(problem, EvaluationCounter(budget), phase)
 
 
@@ -76,20 +82,17 @@ def make_ripple_problem(d: int, budget: int = 10 ** 6) -> BenchmarkProblem:
     """Many local minima on [-2, 2]^d, the global one at the origin."""
     domain = SearchDomain(np.full(d, -2.0), np.full(d, 2.0))
     return BenchmarkProblem(
-        id=0, name=f"ripple_{d}d", domain=domain, objective=ripple,
-        objective_batch=lambda X: np.sum(np.sin(3.0 * X) ** 2 + 0.1 * X * X, axis=1),
-        known_global_optima=[KnownOptimum(np.zeros(d), 0.0)],
-        budget=budget, niche_radius=0.5)
+        domain, lambda X: np.sum(np.sin(3.0 * X) ** 2 + 0.1 * X * X, axis=1), budget,
+        name=f"ripple_{d}d", known_global_optima=[KnownOptimum(np.zeros(d), 0.0)],
+        niche_radius=0.5)
 
 
 def make_sphere_problem(d: int = 2, half_width: float = 5.0,
                         budget: int = 10 ** 6) -> BenchmarkProblem:
     domain = SearchDomain(np.full(d, -half_width), np.full(d, half_width))
     return BenchmarkProblem(
-        id=0, name=f"sphere_{d}d", domain=domain, objective=sphere,
-        objective_batch=lambda X: np.einsum("ij,ij->i", X, X),
-        known_global_optima=[KnownOptimum(np.zeros(d), 0.0)],
-        budget=budget, niche_radius=1.0)
+        domain, lambda X: np.einsum("ij,ij->i", X, X), budget, name=f"sphere_{d}d",
+        known_global_optima=[KnownOptimum(np.zeros(d), 0.0)], niche_radius=1.0)
 
 
 def budgeted(problem: BenchmarkProblem, budget: int, phase: str = "local_opt"):
@@ -103,13 +106,13 @@ def grid_minimum(problem: BenchmarkProblem, per_dim: int) -> float:
     d = domain.dimension
     axes = [np.linspace(domain.lower[i], domain.upper[i], per_dim) for i in range(d)]
     if d == 1:
-        return float(problem.objective_batch(axes[0][:, None]).min())
+        return float(problem.objective(axes[0][:, None]).min())
     assert d == 2, "grid oracle supports d <= 2"
     best = np.inf
     rows_per_chunk = max(1, 10 ** 6 // per_dim)
     for start in range(0, per_dim, rows_per_chunk):
         xs = axes[0][start:start + rows_per_chunk]
         grid = np.stack(np.meshgrid(xs, axes[1], indexing="ij"), axis=-1)
-        vals = problem.objective_batch(grid.reshape(-1, 2))
+        vals = problem.objective(grid.reshape(-1, 2))
         best = min(best, float(vals.min()))
     return best

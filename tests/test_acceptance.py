@@ -12,10 +12,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hillvallea import (SearcherKind, Solution, expected_edge_length, hill_valley_clustering,
-                        hill_valley_test, make_problem, recommended_population_size,
-                        run_hillvallea)
-from hillvallea import test_point_count as n_test_points
+from hillvallea import SearcherKind, Solution, make_problem, run_hillvallea
+from hillvallea.core_search import recommended_population_size
+from hillvallea.hillvalley import expected_edge_length, hill_valley_clustering, hill_valley_test
+from hillvallea.hillvalley import test_point_count as n_test_points
 from hillvallea.cli import RunConfig, execute_sweep
 from hillvallea.optimizer import TOL
 from helpers import RecordingObserver, budgeted_fn, double_well, selection_of, solution

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from hillvallea import (Cluster, CmsaSearcher, CoreSearcher, EdaSearcher, SearchDomain,
-                        SearcherKind, Solution, init_from_cluster,
-                        recommended_population_size)
-from hillvallea.core_search import _mean, _std
+from hillvallea import SearchDomain, SearcherKind, Solution
+from hillvallea.core_search import (CmsaSearcher, CoreSearcher, EdaSearcher, _mean, _std,
+                                    init_from_cluster, recommended_population_size)
+from hillvallea.hillvalley import Cluster
 from helpers import (RecordingObjective, budgeted, budgeted_fn, make_ripple_problem,
                      make_sphere_problem, ripple, selection_of, sphere)
 
@@ -319,7 +319,8 @@ def test_reductions_equal_numpy_bitwise(a):
 def test_domain_clip_equals_numpy_bitwise(data, shape):
     finite = st.floats(allow_nan=False, allow_infinity=False)
     x = data.draw(arrays(np.float64, shape, elements=finite))
-    pairs = data.draw(st.lists(st.lists(finite, min_size=2, max_size=2, unique=True),
+    bound = st.floats(-1e307, 1e307)  # a box's widths must be finite too
+    pairs = data.draw(st.lists(st.lists(bound, min_size=2, max_size=2, unique=True),
                                min_size=shape[-1], max_size=shape[-1]))
     domain = SearchDomain(*np.sort(np.array(pairs), axis=1).T)
     assert _bits(domain.clip(x)) == _bits(np.clip(x, domain.lower, domain.upper))

@@ -8,8 +8,8 @@ from helpers import make_sphere_problem
 
 
 def _report_solutions(problem, positions):
-    return [Solution(np.asarray(p, float), problem.objective(np.asarray(p, float)))
-            for p in positions]
+    X = np.array(positions, dtype=float)
+    return [Solution(x, float(f)) for x, f in zip(X, problem.objective(X))]
 
 
 def test_true_maxima_give_full_ratio():
@@ -76,6 +76,13 @@ def test_problem_without_known_optima_cannot_be_scored(n_reported):
     reported = _report_solutions(p, [[0.0, 0.0]])[:n_reported]
     with pytest.raises(ValueError, match="no known global optima"):
         peak_ratio(reported, p)
+
+
+def test_problem_without_niche_radius_cannot_be_scored():
+    p = make_sphere_problem(2)
+    p.niche_radius = None
+    with pytest.raises(ValueError, match="no niche radius"):
+        peak_ratio(_report_solutions(p, [[0.0, 0.0]]), p)
 
 
 def test_epsilon_must_be_positive():

@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from hillvallea import (BenchmarkProblem, BudgetedObjective, EvaluationCounter,
-                        KnownOptimum, SearchDomain, SearcherKind, Solution,
-                        expected_edge_length, hill_valley_clustering, hill_valley_test,
+from hillvallea import (BenchmarkProblem, KnownOptimum, SearchDomain, SearcherKind, Solution,
                         make_problem, run_hillvallea)
-from hillvallea.hillvalley import _nearest_better
-from hillvallea import test_point_count as n_test_points
+from hillvallea.hillvalley import (_nearest_better, expected_edge_length,
+                                   hill_valley_clustering, hill_valley_test)
+from hillvallea.hillvalley import test_point_count as n_test_points
+from hillvallea.problems import BudgetedObjective, EvaluationCounter
 from helpers import (RecordingObjective, budgeted, budgeted_fn, double_well,
-                     make_sphere_problem, selection_of, solution)
+                     make_sphere_problem, row_loop, selection_of, solution)
 
 
 def test_expected_edge_length_examples():
@@ -74,10 +74,10 @@ def test_hill_valley_rejects_across_nan_point():
     # NaN on a band around the origin; through the budgeted objective it reads
     # as +inf, worse than both endpoints
     problem = BenchmarkProblem(
-        id=0, name="nan_band", domain=SearchDomain(np.array([-2.0]), np.array([2.0])),
-        objective=lambda x: math.nan if abs(x[0]) < 0.1 else float(x[0] ** 2),
-        known_global_optima=[KnownOptimum(np.array([1.0]), 1.0)],
-        budget=100, niche_radius=0.1)
+        SearchDomain(np.array([-2.0]), np.array([2.0])),
+        row_loop(lambda x: math.nan if abs(x[0]) < 0.1 else float(x[0] ** 2)), 100,
+        name="nan_band", known_global_optima=[KnownOptimum(np.array([1.0]), 1.0)],
+        niche_radius=0.1)
     obj, counter = budgeted(problem, 100)
     a = Solution(np.array([-1.0]), 1.0)
     b = Solution(np.array([1.0]), 1.0)
@@ -155,13 +155,13 @@ def test_hill_valley_tests_of_a_run_waste_less_than_their_last_batch(monkeypatch
     from hillvallea import hillvalley, optimizer
     problem = make_problem(1)
     rows = [0]
-    batch = problem.objective_batch
+    batch = problem.objective
 
     def counting(X):
         rows[0] += len(X)
         return batch(X)
 
-    problem.objective_batch = counting
+    problem.objective = counting
     tests = []
     test = hillvalley.hill_valley_test
 
@@ -191,7 +191,7 @@ def reference_hill_valley_test(x_left, x_right, n_test, problem, counter, phase)
     for k in range(1, n_test + 1):
         if not counter.take(phase, 1):
             return True, k - 1
-        f = problem.objective(x_right.position + (k / (n_test + 1)) * segment)
+        f = problem.objective((x_right.position + (k / (n_test + 1)) * segment)[None])[0]
         if f != f or f > bar:
             return False, k
     return True, n_test
@@ -223,10 +223,8 @@ def test_hill_valley_test_matches_sequential_reference(d, n_test, data):
     for k, pick in enumerate(picks, 1):
         table.setdefault((right.position + (k / (n_test + 1)) * segment).tobytes(),
                          levels[pick])
-    problem = BenchmarkProblem(
-        id=0, name="table", domain=SearchDomain(np.full(d, -10.0), np.full(d, 10.0)),
-        objective=lambda x: table[np.asarray(x, dtype=float).tobytes()],
-        known_global_optima=[], budget=100, niche_radius=1.0)
+    problem = BenchmarkProblem(SearchDomain(np.full(d, -10.0), np.full(d, 10.0)),
+                               row_loop(lambda x: table[x.tobytes()]), 100, name="table")
     used = data.draw(st.integers(0, 2))
     for budget in range(n_test + 2):
         counters = []

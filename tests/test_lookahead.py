@@ -15,12 +15,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hillvallea import (BenchmarkProblem, BudgetedObjective, ElitistArchive,
-                        EvaluationCounter, KnownOptimum, SearchDomain, Selection, Solution,
-                        hill_valley_clustering, postprocess)
-from hillvallea.hillvalley import _nearest_better, expected_edge_length, hill_valley_test
+from hillvallea import BenchmarkProblem, ElitistArchive, KnownOptimum, SearchDomain, Solution
+from hillvallea.hillvalley import (Selection, _nearest_better, expected_edge_length,
+                                   hill_valley_clustering, hill_valley_test)
 from hillvallea.hillvalley import test_point_count as n_test_points
-from hillvallea.optimizer import ARCHIVE_TEST_POINTS
+from hillvallea.optimizer import ARCHIVE_TEST_POINTS, postprocess
+from hillvallea.problems import BudgetedObjective, EvaluationCounter
 from helpers import selection_of
 
 
@@ -88,11 +88,10 @@ def terraced_problem(d: int, step: float) -> BenchmarkProblem:
         raw = np.sum(np.sin(3.0 * X) ** 2 + 0.1 * (X - 2.0) ** 2, axis=1)
         return np.round(raw / step) * step
 
-    return BenchmarkProblem(
-        id=0, name="terraced", domain=SearchDomain(np.zeros(d), np.full(d, 4.0)),
-        objective=lambda x: float(batch(np.reshape(x, (1, -1)))[0]),
-        objective_batch=batch, known_global_optima=[KnownOptimum(np.full(d, 2.0), 0.0)],
-        budget=10 ** 6, niche_radius=0.5)
+    return BenchmarkProblem(SearchDomain(np.zeros(d), np.full(d, 4.0)), batch, 10 ** 6,
+                            name="terraced",
+                            known_global_optima=[KnownOptimum(np.full(d, 2.0), 0.0)],
+                            niche_radius=0.5)
 
 
 @st.composite
@@ -107,7 +106,7 @@ def instances(draw):
     X = rng.uniform(0.0, 4.0, size=(n, d))
     if grid:
         X = np.round(X / grid) * grid  # duplicate and equidistant positions
-    fitness = problem.objective_batch(X)
+    fitness = problem.objective(X)
     if draw(st.booleans()):
         fitness = np.round(fitness, 1)  # ties between the selected solutions
     solutions = [Solution(x, float(f)) for x, f in zip(X, fitness)]

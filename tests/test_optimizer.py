@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hillvallea import (BenchmarkProblem, ElitistArchive, SearchDomain, SearcherKind,
-                        Solution, hill_valley_test, make_problem, peak_ratio, postprocess,
-                        run_hillvallea, truncation_selection, uniform_sample)
+                        Solution, make_problem, peak_ratio, run_hillvallea)
+from hillvallea.hillvalley import hill_valley_test
+from hillvallea.optimizer import postprocess, truncation_selection, uniform_sample
 from helpers import (RecordingObserver, budgeted, budgeted_fn, double_well,
                      make_ripple_problem, make_sphere_problem, solution)
 
@@ -300,14 +301,14 @@ def test_objective_rows_counts_every_row_the_objective_sees(pid, kind):
     # trials (look-ahead first points, hill-valley test batches, lockstep
     # groups) pass rows charged later or never; all of them are counted
     problem, rows = replace(make_problem(pid), budget=20_000), [0]
-    batch = problem.objective_batch
+    batch = problem.objective
 
     def counting(X):
         rows[0] += len(X)
         return batch(X)
 
     plain = run_hillvallea(problem, kind, seed=0)
-    counted = run_hillvallea(replace(problem, objective_batch=counting), kind, seed=0)
+    counted = run_hillvallea(replace(problem, objective=counting), kind, seed=0)
     assert counted.objective_rows == rows[0] == plain.objective_rows
     assert counted.objective_rows > counted.evaluations_used == problem.budget
     assert _outputs(counted) == _outputs(plain)
@@ -318,58 +319,25 @@ def test_budget_must_be_positive():
     problem = make_problem(2)
     calls = []
 
-    def never(x):
-        calls.append(x)
-        return problem.objective(x)
+    def never(X):
+        calls.append(X)
+        return problem.objective(X)
 
     for budget in (0, -1):
         with pytest.raises(ValueError):
-            run_hillvallea(replace(problem, budget=budget, objective=never, objective_batch=never),
-                           SearcherKind.AMU, seed=0)
+            run_hillvallea(replace(problem, budget=budget, objective=never), SearcherKind.AMU,
+                           seed=0)
     assert calls == []
-
-
-def test_scalar_only_custom_problem_matches_batch_form():
-    # the README's custom problem, written so both forms round identically
-    def ring(x):
-        return float((x[0] * x[0] + x[1] * x[1] - 1.0) ** 2)
-
-    def ring_batch(X):
-        return (X[:, 0] * X[:, 0] + X[:, 1] * X[:, 1] - 1.0) ** 2
-
-    def build(**batch):
-        return BenchmarkProblem(
-            id=0, name="ring", domain=SearchDomain(np.full(2, -5.0), np.full(2, 5.0)),
-            objective=ring, known_global_optima=[], budget=5_000, niche_radius=0.5,
-            **batch)
-
-    seen_a, seen_b = RecordingObserver(), RecordingObserver()
-    a = run_hillvallea(build(), SearcherKind.CMSA, seed=0, observe=seen_a)
-    b = run_hillvallea(build(objective_batch=ring_batch), SearcherKind.CMSA, seed=0,
-                       observe=seen_b)
-    assert a.evaluations_used == b.evaluations_used == 5_000
-    assert a.phase_used == b.phase_used
-    assert a.per_restart_log == b.per_restart_log
-    assert seen_a.calls == seen_b.calls
-    assert len(a.archive) == len(b.archive) > 0
-    for sa, sb in zip(a.archive, b.archive):
-        assert sa.fitness == sb.fitness
-        assert np.array_equal(sa.position, sb.position)
 
 
 @pytest.mark.parametrize("kind", list(SearcherKind), ids=lambda k: k.value)
 def test_nan_half_plane_runs_to_budget_with_finite_elites(kind):
     # the objective is NaN for x0 > 0.5; NaN reads as +inf, so it never wins
-    def bowl(x):
-        return float("nan") if x[0] > 0.5 else float(x @ x)
-
-    def bowl_batch(X):
+    def bowl(X):
         return np.where(X[:, 0] > 0.5, np.nan, np.sum(X * X, axis=1))
 
-    problem = BenchmarkProblem(
-        id=0, name="nan_half_plane", domain=SearchDomain(np.full(2, -2.0), np.full(2, 2.0)),
-        objective=bowl, objective_batch=bowl_batch, known_global_optima=[],
-        budget=3_000, niche_radius=0.5)
+    problem = BenchmarkProblem(SearchDomain(np.full(2, -2.0), np.full(2, 2.0)), bowl, 3_000,
+                               name="nan_half_plane")
     result = run_hillvallea(problem, kind, seed=0)
     assert result.evaluations_used == 3_000
     assert len(result.archive) > 0
@@ -386,13 +354,11 @@ def test_minus_inf_region_runs_to_budget_with_minus_inf_elites(kind, region):
     def inside(X):
         return X[:, 0] > 0.5 if region == "half_plane" else np.abs(X[:, 0] - 0.3) < 0.2
 
-    def bowl_batch(X):
+    def bowl(X):
         return np.where(inside(X), -np.inf, np.sum(X * X, axis=1))
 
-    problem = BenchmarkProblem(
-        id=0, name=region, domain=SearchDomain(np.full(2, -2.0), np.full(2, 2.0)),
-        objective=lambda x: float(bowl_batch(x[None])[0]), objective_batch=bowl_batch,
-        known_global_optima=[], budget=3_000, niche_radius=0.5)
+    problem = BenchmarkProblem(SearchDomain(np.full(2, -2.0), np.full(2, 2.0)), bowl, 3_000,
+                               name=region)
     result = run_hillvallea(problem, kind, seed=0)
     assert result.evaluations_used == 3_000
     assert len(result.archive) > 0

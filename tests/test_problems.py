@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from hillvallea import (BudgetedObjective, EvaluationCounter, SearchDomain,
-                        UnsupportedProblemError, make_problem, problem_names)
+from hillvallea import (BenchmarkProblem, SearchDomain, SearcherKind, UnsupportedProblemError,
+                        make_problem, problem_names, run_hillvallea)
+from hillvallea.problems import BudgetedObjective, EvaluationCounter
 from helpers import grid_minimum
+
+
+def _at(problem, x):
+    """The problem's fitness at the single point ``x``."""
+    return float(problem.objective(np.reshape(x, (1, -1)))[0])
 
 # (id, name, d, #gopt, budget)
 TABLE = [
@@ -39,7 +45,7 @@ def test_known_optima_share_fitness_and_lie_inside(pid):
     assert fits.max() - fits.min() <= 1e-9
     for o in p.known_global_optima:
         assert p.domain.contains(o.position)
-        assert abs(p.objective(o.position) - o.fitness) <= 1e-9
+        assert abs(_at(p, o.position) - o.fitness) <= 1e-9
 
 
 def test_equal_maxima_positions():
@@ -47,24 +53,24 @@ def test_equal_maxima_positions():
     xs = sorted(o.position[0] for o in p.known_global_optima)
     assert np.allclose(xs, [0.1, 0.3, 0.5, 0.7, 0.9], atol=1e-12)
     for x in xs:
-        assert p.objective(np.array([x])) == pytest.approx(-1.0, abs=1e-12)
+        assert _at(p, [x]) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_himmelblau_peak_value():
     p = make_problem(4)
-    assert p.objective(np.array([3.0, 2.0])) == -200.0  # both residuals vanish
+    assert _at(p, [3.0, 2.0]) == -200.0  # both residuals vanish
 
 
 def test_trap_local_peak_value():
     p = make_problem(1)
     # piecewise form at x=5: 64 * (7.5 - 5) = 160, negated internally
-    assert p.objective(np.array([5.0])) == pytest.approx(-160.0, abs=1e-12)
+    assert _at(p, [5.0]) == pytest.approx(-160.0, abs=1e-12)
 
 
 def test_trap_endpoints_are_global():
     p = make_problem(1)
-    assert p.objective(np.array([0.0])) == -200.0
-    assert p.objective(np.array([30.0])) == -200.0
+    assert _at(p, [0.0]) == -200.0
+    assert _at(p, [30.0]) == -200.0
 
 
 def test_vincent_optima_count_from_axis():
@@ -98,7 +104,7 @@ def test_shubert_batch_matches_column_loop_bitwise(pid):
     rng = np.random.default_rng(pid)
     for n in (1, 7, 24, 5000):
         X = rng.uniform(p.domain.lower, p.domain.upper, size=(n, p.dimension))
-        assert np.array_equal(p.objective_batch(X), _shubert_column_loop(X))
+        assert np.array_equal(p.objective(X), _shubert_column_loop(X))
 
 
 def _bits(a):
@@ -122,7 +128,7 @@ def test_trap_segment_lookup_matches_select_bitwise():
     t = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
                         np.random.default_rng(1).uniform(0.0, 30.0, 200_000)])
     X = t[:, None]
-    assert np.array_equal(_bits(make_problem(1).objective_batch(X)), _bits(_trap_select(X)))
+    assert np.array_equal(_bits(make_problem(1).objective(X)), _bits(_trap_select(X)))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -151,9 +157,9 @@ def test_batch_rows_are_independent(pid):
     for n in [*range(1, 70), 257, 4099]:
         X = rng.uniform(p.domain.lower, p.domain.upper, size=(n, p.dimension))
         for Y in (X, np.asfortranarray(X)):
-            batch = p.objective_batch(Y)
-            assert np.array_equal(batch, [p.objective_batch(Y[i:i + 1])[0] for i in range(n)])
-            assert np.array_equal(batch, [p.objective(y) for y in Y])
+            batch = p.objective(Y)
+            assert np.array_equal(batch, [p.objective(Y[i:i + 1])[0] for i in range(n)])
+            assert np.array_equal(batch, [_at(p, y) for y in Y])
 
 
 @pytest.mark.parametrize("pid", [1, 2, 3])
@@ -190,6 +196,30 @@ def test_evaluate_counts_and_budget_signal():
     assert counter.used == sum(counter.phase_used.values())
 
 
+_MALFORMED = {
+    "short": r"ndarray of shape \(6,\) for 7 rows; expected an ndarray of shape \(7,\)",
+    "column": r"ndarray of shape \((\d+), 1\) for \1 rows",
+    "list": r"list of shape \((\d+),\) for \1 rows",
+}
+
+
+@pytest.mark.parametrize("malformed", sorted(_MALFORMED))
+def test_malformed_objective_result_is_rejected(malformed):
+    # a short result would read as a partial budget grant; CMSA in 2-D
+    # evaluates 7-row generations
+    def quadratic(X):
+        fs = np.einsum("ij,ij->i", X, X)
+        if malformed == "short":
+            return fs[:-1] if len(X) == 7 else fs
+        return fs[:, None] if malformed == "column" else list(fs)
+
+    problem = BenchmarkProblem(SearchDomain(np.full(2, -5.0), np.full(2, 5.0)), quadratic,
+                               5_000, name="quadratic")
+    message = "objective of problem 'quadratic' returned " + _MALFORMED[malformed]
+    with pytest.raises(ValueError, match=message):
+        run_hillvallea(problem, SearcherKind.CMSA, seed=0)
+
+
 @pytest.mark.parametrize("pid", list(range(11, 21)))
 def test_composition_ids_unsupported(pid):
     with pytest.raises(UnsupportedProblemError):
@@ -215,3 +245,11 @@ def test_domain_validation():
     dom = SearchDomain(np.array([0.0, -1.0]), np.array([2.0, 1.0]))
     assert dom.volume() == pytest.approx(4.0)
     assert dom.clip(np.array([5.0, -7.0])) == pytest.approx([2.0, -1.0])
+
+
+@pytest.mark.parametrize("lower, upper", [([-np.inf], [np.inf]), ([0.0, 0.0], [1.0, np.inf]),
+                                          ([-1e308], [1e308])])
+def test_domain_bounds_and_widths_must_be_finite(lower, upper):
+    # an infinite bound fails the uniform sample, an infinite width the volume
+    with pytest.raises(ValueError, match="must be finite"):
+        SearchDomain(np.array(lower), np.array(upper))
