@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .hillvalley import Cluster, Solution
+from .hillvalley import Solution
 from .problems import BudgetedObjective, SearchDomain
 
 
@@ -491,17 +491,17 @@ class EdaSearcher(CoreSearcher):
              ("fitness-std", self.fitness_std < 1e-12)))
 
 
-def init_from_cluster(cluster: Cluster, eel: float, kind: SearcherKind,
+def init_from_cluster(positions: np.ndarray, founder: Solution, eel: float, kind: SearcherKind,
                       population_size: int, *, rng: np.random.Generator) -> CoreSearcher:
-    """Build a searcher (a group of one) from a cluster.
+    """Build a searcher (a group of one) from a cluster's (m, d) ``positions``.
 
     The mean is the cluster mean. The covariance is the sample covariance for
     clusters of at least d+1 solutions, its diagonal only for smaller ones,
     and (0.01 * eel)^2 times the identity for singletons (also used when all
     members coincide), so fresh samples land nearer than the neighbours that
-    founded the cluster. The cluster founder seeds the best-ever solution.
+    founded the cluster. The cluster's best solution, ``founder``, seeds the
+    best-ever solution.
     """
-    positions = cluster.positions()
     m, d = positions.shape
     mean = np.add.reduce(positions, 0) / m
     tiny = (0.01 * eel) ** 2
@@ -516,5 +516,5 @@ def init_from_cluster(cluster: Cluster, eel: float, kind: SearcherKind,
         if not np.isfinite(cov).all() or cov.trace() <= 0.0:
             cov = tiny * np.eye(d)
     if kind is SearcherKind.CMSA:
-        return CmsaSearcher(mean, cov, population_size, founder=cluster.founder, rng=rng)
-    return EdaSearcher(mean, cov, population_size, kind, founder=cluster.founder, rng=rng)
+        return CmsaSearcher(mean, cov, population_size, founder=founder, rng=rng)
+    return EdaSearcher(mean, cov, population_size, kind, founder=founder, rng=rng)

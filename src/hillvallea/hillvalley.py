@@ -9,7 +9,6 @@ nearest better neighbours whose cluster passes the test.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,65 +22,6 @@ class Solution:
 
     position: np.ndarray
     fitness: float
-
-
-@dataclass(eq=False)
-class Selection(Sequence):
-    """Solutions as arrays, best first: row r is ``positions[r]`` with ``fitness[r]``.
-
-    ``solutions`` maps rows to their objects; a row's is built when first read."""
-
-    positions: np.ndarray
-    fitness: np.ndarray
-    solutions: dict
-
-    def __len__(self) -> int:
-        return len(self.fitness)
-
-    def __getitem__(self, r: int) -> Solution:
-        if r not in self.solutions:
-            r = range(len(self))[r]  # one key per row; IndexError past either end
-            self.solutions.setdefault(r, Solution(self.positions[r], float(self.fitness[r])))
-        return self.solutions[r]
-
-
-class Cluster:
-    """Rows of a selection presumed to share one niche, best first."""
-
-    def __init__(self, selection: Selection, rows: np.ndarray):
-        self.selection, self.rows = selection, rows
-
-    @property
-    def members(self) -> list:
-        return [self.selection[r] for r in self.rows.tolist()]
-
-    @property
-    def founder(self) -> Solution:
-        return self.selection[self.rows[0]]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def positions(self) -> np.ndarray:
-        return self.selection.positions[self.rows]
-
-
-@dataclass(eq=False)
-class ClusterSet:
-    """Clusters ordered by founder fitness, best first.
-
-    ``complete`` is False when the evaluation budget ran out mid-clustering
-    and the remaining solutions were placed as untested singletons.
-    """
-
-    clusters: list
-    complete: bool = True
-
-    def __len__(self) -> int:
-        return len(self.clusters)
-
-    def __iter__(self):
-        return iter(self.clusters)
 
 
 def expected_edge_length(volume: float, n: int, d: int) -> float:
@@ -111,9 +51,10 @@ def _reject_bar(f_left, f_right):
     return worst + 1e-12 * np.minimum(np.maximum(1.0, np.abs(worst)), _FLOAT_MAX)
 
 
-def hill_valley_test(x_left: Solution, x_right: Solution, n_test: int,
-                     evaluate: BudgetedObjective) -> tuple[bool, int]:
-    """Test whether two solutions share a niche.
+def hill_valley_test(left: np.ndarray, right: np.ndarray, f_left: float, f_right: float,
+                     n_test: int, evaluate: BudgetedObjective) -> tuple[bool, int]:
+    """Test whether two solutions, at ``left`` and ``right`` with fitnesses
+    ``f_left`` and ``f_right``, share a niche.
 
     The ``n_test`` equidistant points on the segment between the solutions
     are evaluated on a trial count in batches of 8, 16, 32, ... points; the
@@ -122,11 +63,10 @@ def hill_valley_test(x_left: Solution, x_right: Solution, n_test: int,
     Returns ``(same_niche, evaluations_charged)``. If the budget grants
     fewer, the charged points decide, i.e. the test passes.
     """
-    left, right = x_left.position, x_right.position
     if left.shape != right.shape:
         raise ValueError("solutions have mismatched dimensions")
     t = np.arange(1, n_test + 1) / (n_test + 1)
-    X, bar = right + t[:, None] * (left - right), _reject_bar(x_left.fitness, x_right.fitness)
+    X, bar = right + t[:, None] * (left - right), _reject_bar(f_left, f_right)
     trial, spent, size, same = evaluate.trial(n_test), 0, 8, True
     while same and spent < n_test:
         worse = np.flatnonzero(trial.batch(X[spent:spent + size]) > bar)
@@ -293,15 +233,20 @@ def _first_rejects(evaluate: BudgetedObjective, left, right, f_left, f_right,
     return evaluate.trial(len(X)).batch(X) > _reject_bar(f_left, f_right)
 
 
-def hill_valley_clustering(selection: Selection, volume: float, d: int,
-                           evaluate: BudgetedObjective) -> ClusterSet:
-    """Partition a selection into presumed niches.
+def hill_valley_clustering(positions: np.ndarray, fitness: np.ndarray, volume: float,
+                           evaluate: BudgetedObjective) -> tuple[list, bool]:
+    """Partition a selection, its (n, d) ``positions`` and n ``fitness``
+    values sorted best first, into presumed niches.
 
-    Solutions are swept best-first; each is tested against the clusters of
-    its d+1 nearest better neighbours (each candidate cluster at most once)
-    with a test-point count proportional to the edge length, and founds a new
-    cluster when every check fails. On budget exhaustion the solutions not
-    yet swept found singleton clusters and the result is flagged incomplete.
+    Rows are swept best-first; each is tested against the clusters of its
+    d+1 nearest better neighbours (each candidate cluster at most once) with
+    a test-point count proportional to the edge length, and founds a new
+    cluster when every check fails. On budget exhaustion the rows not yet
+    swept found singleton clusters.
+
+    Returns ``(clusters, complete)``: each cluster is an array of its rows,
+    best (its founder) first, and clusters come in founder order. ``complete``
+    is False when the budget ran out mid-clustering.
 
     First test points are looked ahead in a batch per neighbour w, for the
     rows whose tests all rejected at their first point before w. A row whose
@@ -309,10 +254,9 @@ def hill_valley_clustering(selection: Selection, volume: float, d: int,
     outside the loop, which runs over the other rows only and charges every
     evaluation in sweep order.
     """
-    if not selection:
+    n, d = positions.shape
+    if not n:
         raise ValueError("selection must be nonempty")
-    positions, fitness = selection.positions, selection.fitness
-    n = len(selection)
     spacing = expected_edge_length(volume, n, d)
 
     # row i is reached only once each row before it has spent an evaluation
@@ -361,8 +305,9 @@ def hill_valley_clustering(selection: Selection, volume: float, d: int,
             checked.add(cluster)
             if reject[i, j] and evaluate.counter.take(evaluate.phase, 1):
                 continue  # rejected at its looked-ahead first point
-            same, _ = hill_valley_test(selection[neighbour], selection[i],
-                                       test_point_count(nb_dist[i, j], spacing), evaluate)
+            same, _ = hill_valley_test(positions[neighbour], positions[i], fitness[neighbour],
+                                       fitness[i], test_point_count(nb_dist[i, j], spacing),
+                                       evaluate)
             if same:
                 cluster_of[i] = cluster
                 break
@@ -375,5 +320,4 @@ def hill_valley_clustering(selection: Selection, volume: float, d: int,
     labels = cluster_of[root]
     labels[tail:] = np.arange(n_clusters, n_clusters + n - tail)
     order, ends = np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels)).tolist()
-    return ClusterSet([Cluster(selection, order[a:b]) for a, b in zip([0] + ends, ends)],
-                      tail == n)
+    return [order[a:b] for a, b in zip([0] + ends, ends)], tail == n

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core_search import (CoreSearcher, SearcherKind, init_from_cluster,
                           recommended_population_size)
-from .hillvalley import (Selection, Solution, _first_rejects, expected_edge_length,
+from .hillvalley import (Solution, _first_rejects, expected_edge_length,
                          hill_valley_clustering, hill_valley_test)
 from .problems import (BenchmarkProblem, BudgetedObjective, EvaluationCounter,
                        SearchDomain)
@@ -141,8 +141,8 @@ def postprocess(candidates: Sequence[Solution], archive: ElitistArchive, tol: fl
     for cand in cands:
         exhausted = evaluate.exhausted
         archive.n_unverified += exhausted
-        i = None if exhausted else _first_shared_niche(cand, elites, positions, fitness,
-                                                       evaluate)
+        i = None if exhausted else _first_shared_niche(cand, positions[:len(elites)],
+                                                       fitness[:len(elites)], evaluate)
         if i is None:
             i = len(elites)
             elites.append(cand)
@@ -155,16 +155,17 @@ def postprocess(candidates: Sequence[Solution], archive: ElitistArchive, tol: fl
     return added
 
 
-def _first_shared_niche(cand: Solution, elites: list, positions: np.ndarray,
-                        fitness: np.ndarray, evaluate: BudgetedObjective) -> Optional[int]:
-    """Index of the first elite that passes the hill-valley test with ``cand``, or None.
+def _first_shared_niche(cand: Solution, positions: np.ndarray, fitness: np.ndarray,
+                        evaluate: BudgetedObjective) -> Optional[int]:
+    """Index of the first elite, at row i of ``positions`` with ``fitness[i]``, that
+    passes the hill-valley test with ``cand``, or None.
 
     Every test's first point is looked ahead in one batch; the tests that
     reject there are charged in bulk.
     """
-    m = len(elites)
-    reject = _first_rejects(evaluate, cand.position, positions[:m], cand.fitness,
-                            fitness[:m], float(ARCHIVE_TEST_POINTS))
+    m = len(fitness)
+    reject = _first_rejects(evaluate, cand.position, positions, cand.fitness, fitness,
+                            float(ARCHIVE_TEST_POINTS))
     i = 0
     while i < m:
         # if the budget ends among these rejections, the next test passes
@@ -173,15 +174,19 @@ def _first_shared_niche(cand: Solution, elites: list, positions: np.ndarray,
             i += evaluate.counter.take(evaluate.phase, run)
             if i == m:
                 return None
-        if hill_valley_test(cand, elites[i], ARCHIVE_TEST_POINTS, evaluate)[0]:
+        if hill_valley_test(cand.position, positions[i], cand.fitness, fitness[i],
+                            ARCHIVE_TEST_POINTS, evaluate)[0]:
             return i
         i += 1
     return None
 
 
-def _search_niches(niches: Sequence, build: Callable, seeds: np.random.SeedSequence,
+def _search_niches(founders: list, build: Callable, seeds: np.random.SeedSequence,
                    evaluate: BudgetedObjective, stop_reasons: dict) -> list:
     """Run one core searcher per niche; returns their bests in niche order.
+
+    ``founders`` holds each niche's best solution, and ``build(k, seed)``
+    builds niche k's searcher.
 
     The searchers run in lockstep on a trial counter and stop before a
     generation that would take them past the remaining budget. They are then
@@ -197,22 +202,22 @@ def _search_niches(niches: Sequence, build: Callable, seeds: np.random.SeedSeque
     ``stop_reasons`` counts why each searcher that ran stopped.
     """
     counter = evaluate.counter
-    if not niches or counter.exhausted:
-        return [niche.founder for niche in niches]
-    seqs = seeds.spawn(len(niches))
-    group = CoreSearcher.stack([build(niche, seq) for niche, seq in zip(niches, seqs)])
+    if not founders or counter.exhausted:
+        return founders
+    seqs = seeds.spawn(len(founders))
+    group = CoreSearcher.stack([build(k, seq) for k, seq in enumerate(seqs)])
     group.run(evaluate.trial(counter.remaining), evaluate.problem.domain, tol=TOL,
               limit=counter.remaining)
     reasons = group.terminated_reason
     bests = []
-    for k, (niche, seq) in enumerate(zip(niches, seqs)):
+    for k, seq in enumerate(seqs):
         if counter.exhausted:
-            bests.append(niche.founder)
+            bests.append(founders[k])
             continue
         used = int(group.evaluations[k])
         searcher, i = group, k
         if used > counter.remaining:  # the budget cuts it: run it again alone
-            searcher, i = build(niche, seq), 0
+            searcher, i = build(k, seq), 0
         else:
             counter.take(evaluate.phase, used)
             if reasons[k] is None:  # paused: it goes on alone
@@ -225,18 +230,18 @@ def _search_niches(niches: Sequence, build: Callable, seeds: np.random.SeedSeque
     return bests
 
 
-def _select(domain: SearchDomain, n: int, injected: list, tau: float,
-            rng: np.random.Generator, evaluate: BudgetedObjective) -> Selection:
-    """Sample n points, add the injected elites and truncation-select.
+def _select(domain: SearchDomain, n: int, elites: list, tau: float,
+            rng: np.random.Generator, evaluate: BudgetedObjective) -> tuple:
+    """Sample n points, add the injected ``elites`` and truncation-select.
 
-    Injected elites stay the same objects: the known-niche check matches them by id.
+    Returns the kept rows' positions and fitnesses, best first, and which of
+    them are injected elites.
     """
     X = uniform_sample(domain, n, rng)
-    fitness = np.concatenate([evaluate.batch(X), [s.fitness for s in injected]])
+    fitness = np.concatenate([evaluate.batch(X), [s.fitness for s in elites]])
     kept = truncation_selection(fitness, tau)
-    return Selection(
-        np.concatenate([X, np.reshape([s.position for s in injected], (-1, X.shape[1]))])[kept],
-        fitness[kept], {r: injected[kept[r] - n] for r in np.flatnonzero(kept >= n)})
+    positions = np.concatenate([X, np.reshape([s.position for s in elites], (-1, X.shape[1]))])
+    return positions[kept], fitness[kept], kept >= n
 
 
 def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind, seed: int = 0, *,
@@ -274,18 +279,21 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind, seed: int = 0,
 
     while counter.remaining > 0:
         # phase 1: sample, inject elites, select, cluster; only the selection outlives sampling
-        injected = list(archive.solutions) if inject else []
-        selection = _select(problem.domain, min(population_size, counter.remaining), injected,
-                            kind.tau, sample_rng, obj_init)
-        clusters = hill_valley_clustering(selection, volume, d, obj_cluster)
+        positions, fitness, injected = _select(
+            problem.domain, min(population_size, counter.remaining),
+            archive.solutions if inject else [], kind.tau, sample_rng, obj_init)
+        clusters, complete = hill_valley_clustering(positions, fitness, volume, obj_cluster)
 
-        # phase 2: one core searcher per niche not already represented
-        searcher_eel = expected_edge_length(volume, len(selection), d)
-        known_ids = set(map(id, archive.solutions))
-        niches = [c for c in clusters if id(c.founder) not in known_ids]
+        # phase 2: one core searcher per niche whose founder is not an injected elite;
+        # a founder leaves the restart as a copy of its row
+        searcher_eel = expected_edge_length(volume, len(fitness), d)
+        niches = [rows for rows in clusters if not injected[rows[0]]]
+        founders = [Solution(positions[rows[0]].copy(), float(fitness[rows[0]]))
+                    for rows in niches]
         candidates = _search_niches(
-            niches, lambda cluster, seq: init_from_cluster(
-                cluster, searcher_eel, kind, cluster_size, rng=np.random.default_rng(seq)),
+            founders, lambda k, seq: init_from_cluster(
+                positions[niches[k]], founders[k], searcher_eel, kind, cluster_size,
+                rng=np.random.default_rng(seq)),
             searcher_seq, obj_local, stop_reasons)
 
         if observe is not None:
@@ -297,9 +305,9 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind, seed: int = 0,
         logs.append(RestartLog(
             population_size=population_size,
             cluster_size=cluster_size,
-            selection_size=len(selection),
+            selection_size=len(fitness),
             n_clusters=len(clusters),
-            clustering_complete=clusters.complete,
+            clustering_complete=complete,
             n_skipped_elites=len(clusters) - len(niches),
             n_searchers=len(candidates),
             n_new_elites=added,
@@ -310,7 +318,7 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind, seed: int = 0,
             population_size *= 2
             cluster_size = math.ceil(1.2 * cluster_size)
         # a restart's arrays die with it, before the next restart samples
-        del selection, clusters, niches, candidates
+        del positions, fitness, injected, clusters, niches, founders, candidates
 
     return RunResult(
         archive=archive,

@@ -53,9 +53,7 @@ class SearchDomain:
 
     def clip(self, x: np.ndarray) -> np.ndarray:
         """Repair a point (or an (n, d) batch) onto the box, coordinate-wise."""
-        # np.clip bitwise, without its wrapper's cost
-        out = np.maximum(x, self.lower)
-        return np.minimum(out, self.upper, out=out)
+        return x.clip(self.lower, self.upper)
 
 
 @dataclass(frozen=True, eq=False)

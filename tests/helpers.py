@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from hillvallea import BenchmarkProblem, KnownOptimum, SearchDomain, Solution
-from hillvallea.hillvalley import Selection
+from hillvallea.hillvalley import hill_valley_test
 from hillvallea.problems import BudgetedObjective, EvaluationCounter
 
 
@@ -41,11 +41,16 @@ def budgeted_fn(fn, budget: int = 10 ** 6, phase: str = "clustering") -> Budgete
     return BudgetedObjective(problem, EvaluationCounter(budget), phase)
 
 
-def selection_of(solutions) -> Selection:
-    """A :class:`Selection` of ``solutions``: sorted best first (stable), same objects."""
+def selection_of(solutions) -> tuple:
+    """The positions and fitnesses of ``solutions`` sorted best first (stable), as arrays."""
     ordered = sorted(solutions, key=lambda s: s.fitness)
-    return Selection(np.array([s.position for s in ordered]),
-                     np.array([s.fitness for s in ordered]), dict(enumerate(ordered)))
+    return np.array([s.position for s in ordered]), np.array([s.fitness for s in ordered])
+
+
+def hill_valley(left: Solution, right: Solution, n_test: int, evaluate: BudgetedObjective):
+    """:func:`hill_valley_test` between two solutions."""
+    return hill_valley_test(left.position, right.position, left.fitness, right.fitness,
+                            n_test, evaluate)
 
 
 class RecordingObserver:

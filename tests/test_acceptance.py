@@ -128,19 +128,19 @@ def test_criterion_08_convex_clustering():
         n = int(rng.integers(2, 40))
         pts = rng.uniform(-5.0, 5.0, size=(n, 2))
         selection = selection_of(Solution(p, fn(p)) for p in pts)
-        result = hill_valley_clustering(selection, volume=100.0, d=2,
-                                        evaluate=budgeted_fn(fn))
-        ok = ok and len(result) == 1
+        clusters, _ = hill_valley_clustering(*selection, volume=100.0,
+                                             evaluate=budgeted_fn(fn))
+        ok = ok and len(clusters) == 1
     _criterion(8, "convex objective clusters to a single niche (200 cases)",
                "all single-cluster" if ok else "split detected", ok)
 
 
 def test_criterion_09_double_well_trace():
-    selection = selection_of(solution(x, double_well) for x in (-1.0, 1.0, -0.9, 0.9))
-    result = hill_valley_clustering(selection, volume=4.0, d=1,
-                                    evaluate=budgeted_fn(double_well))
-    members = sorted(tuple(sorted(s.position[0] for s in c.members))
-                     for c in result)
+    positions, fitness = selection_of(solution(x, double_well) for x in (-1.0, 1.0, -0.9, 0.9))
+    clusters, _ = hill_valley_clustering(positions, fitness, volume=4.0,
+                                         evaluate=budgeted_fn(double_well))
+    members = sorted(tuple(sorted(positions[rows, 0].tolist()))
+                     for rows in clusters)
     expected = [(-1.0, -0.9), (0.9, 1.0)]
     _criterion(9, "double-well selection clusters into the two wells",
                f"clusters={members}", members == expected)
@@ -155,12 +155,12 @@ def test_criterion_10a_hill_valley_symmetry_and_bound():
         freq = rng.uniform(0.5, 4.0)
         fn = lambda x: float(np.sin(freq * (x @ w)) + 0.1 * (x @ x))
         a, b = rng.uniform(-3.0, 3.0, size=(2, d))
-        sa, sb = Solution(a, fn(a)), Solution(b, fn(b))
+        fa, fb = fn(a), fn(b)
         n = int(rng.integers(1, 6))
         fwd = budgeted_fn(fn)
         rev = budgeted_fn(fn)
-        same_ab, spent_ab = hill_valley_test(sa, sb, n, fwd)
-        same_ba, spent_ba = hill_valley_test(sb, sa, n, rev)
+        same_ab, spent_ab = hill_valley_test(a, b, fa, fb, n, fwd)
+        same_ba, spent_ba = hill_valley_test(b, a, fb, fa, n, rev)
         ok &= same_ab == same_ba
         ok &= 1 <= spent_ab <= n and spent_ab == fwd.counter.used
         ok &= (not same_ab) or spent_ab == n
@@ -176,14 +176,14 @@ def test_criterion_10b_partition_property():
         n = int(rng.integers(1, 25))
         w = rng.standard_normal(d)
         fn = lambda x: float(np.sin(2.0 * (x @ w)) + 0.1 * (x @ x))
-        selection = [Solution(p, fn(p)) for p in rng.uniform(-4, 4, size=(n, d))]
-        result = hill_valley_clustering(selection_of(selection), volume=8.0 ** d, d=d,
-                                        evaluate=budgeted_fn(fn))
-        members = [s for c in result for s in c.members]
-        ok &= len(members) == n
-        ok &= {id(s) for s in members} == {id(s) for s in selection}
-        ok &= all(c.founder.fitness == min(s.fitness for s in c.members)
-                  for c in result)
+        positions, fitness = selection_of(Solution(p, fn(p))
+                                          for p in rng.uniform(-4, 4, size=(n, d)))
+        clusters, _ = hill_valley_clustering(positions, fitness, volume=8.0 ** d,
+                                             evaluate=budgeted_fn(fn))
+        rows = np.concatenate(clusters)
+        ok &= len(rows) == n
+        ok &= set(rows.tolist()) == set(range(n))
+        ok &= all(fitness[c[0]] == fitness[c].min() for c in clusters)
     _criterion("10b", "clustering partitions the selection (1000 cases)",
                "all held" if ok else "violated", ok)
 

@@ -11,15 +11,15 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from hillvallea import SearchDomain, SearcherKind, Solution
 from hillvallea.core_search import (CmsaSearcher, CoreSearcher, EdaSearcher, _mean, _std,
                                     init_from_cluster, recommended_population_size)
-from hillvallea.hillvalley import Cluster
 from helpers import (RecordingObjective, budgeted, budgeted_fn, make_ripple_problem,
                      make_sphere_problem, ripple, selection_of, sphere)
 
 
 def _cluster(points, fn):
-    sols = [Solution(np.atleast_1d(np.asarray(p, float)), fn(np.atleast_1d(p)))
-            for p in points]
-    return Cluster(selection_of(sols), np.arange(len(sols)))
+    """A cluster's positions, best first, and its founder."""
+    positions, fitness = selection_of(
+        Solution(np.atleast_1d(np.asarray(p, float)), fn(np.atleast_1d(p))) for p in points)
+    return positions, Solution(positions[0].copy(), float(fitness[0]))
 
 
 def _searcher(kind, mean, covariance, population_size, seed, founder=None, fn=sphere):
@@ -56,16 +56,16 @@ def test_selection_fraction_per_kind():
 
 
 def test_init_singleton_cluster_covariance():
-    c = _cluster([[0.3, 0.4]], sphere)
-    s = init_from_cluster(c, eel=1.0, kind=SearcherKind.AMU,
+    positions, founder = _cluster([[0.3, 0.4]], sphere)
+    s = init_from_cluster(positions, founder, eel=1.0, kind=SearcherKind.AMU,
                           population_size=8, rng=np.random.default_rng(0))
     assert np.allclose(s.covariance, 1e-4 * np.eye(2))
-    assert s.best_ever[0] is c.founder
+    assert s.best_ever[0] is founder
 
 
 def test_init_full_sample_covariance():
     c = _cluster([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]], sphere)
-    s = init_from_cluster(c, eel=1.0, kind=SearcherKind.AM,
+    s = init_from_cluster(*c, eel=1.0, kind=SearcherKind.AM,
                           population_size=8, rng=np.random.default_rng(0))
     assert np.allclose(s.mean, [1.0, 1.0])
     assert np.allclose(s.covariance, np.diag([4.0 / 3.0, 4.0 / 3.0]))
@@ -73,7 +73,7 @@ def test_init_full_sample_covariance():
 
 def test_init_small_cluster_diagonal_only():
     c = _cluster([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]], sphere)
-    s = init_from_cluster(c, eel=1.0, kind=SearcherKind.AM,
+    s = init_from_cluster(*c, eel=1.0, kind=SearcherKind.AM,
                           population_size=8, rng=np.random.default_rng(0))
     off_diag = s.covariance[0] - np.diag(np.diag(s.covariance[0]))
     assert np.all(off_diag == 0.0)
@@ -82,7 +82,7 @@ def test_init_small_cluster_diagonal_only():
 
 def test_init_coincident_members_fall_back_to_tiny_sphere():
     c = _cluster([[1.0, 1.0], [1.0, 1.0]], sphere)
-    s = init_from_cluster(c, eel=2.0, kind=SearcherKind.CMSA,
+    s = init_from_cluster(*c, eel=2.0, kind=SearcherKind.CMSA,
                           population_size=6, rng=np.random.default_rng(0))
     assert s.sigma == pytest.approx(0.02)
 
@@ -159,7 +159,7 @@ def test_amu_quadratic_oracle_from_singleton_init():
     problem = make_sphere_problem(1, half_width=0.5)  # domain [-0.5, 0.5]
     quad = RecordingObjective(lambda x: float((x[0] - 0.3) ** 2))
     c = _cluster([[-0.2]], quad)
-    s = init_from_cluster(c, eel=1.0, kind=SearcherKind.AMU,
+    s = init_from_cluster(*c, eel=1.0, kind=SearcherKind.AMU,
                           population_size=10, rng=np.random.default_rng(2))
     s.run(budgeted_fn(quad), problem.domain, tol=1e-5)
     assert s.terminated_reason[0] in ("population-std", "fitness-std")
@@ -324,6 +324,16 @@ def test_domain_clip_equals_numpy_bitwise(data, shape):
                                min_size=shape[-1], max_size=shape[-1]))
     domain = SearchDomain(*np.sort(np.array(pairs), axis=1).T)
     assert _bits(domain.clip(x)) == _bits(np.clip(x, domain.lower, domain.upper))
+
+
+@pytest.mark.parametrize("lower, upper, x", [(-0.0, 1.0, 0.0), (0.0, 1.0, -0.0),
+                                             (-1.0, 0.0, -0.0), (-1.0, -0.0, 0.0)])
+def test_domain_clip_keeps_a_zero_on_a_bound_of_opposite_sign(lower, upper, x):
+    # a coordinate equal to a bound is inside the box: it stays as it is, sign
+    # bit included, as in np.clip
+    domain = SearchDomain(np.array([lower]), np.array([upper]))
+    x = np.array([[x]])
+    assert _bits(domain.clip(x)) == _bits(np.clip(x, domain.lower, domain.upper)) == _bits(x)
 
 
 def test_fitness_spread_with_infinities_is_defined_without_warning():

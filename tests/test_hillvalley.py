@@ -11,11 +11,10 @@ from scipy.spatial.distance import cdist
 
 from hillvallea import (BenchmarkProblem, KnownOptimum, SearchDomain, SearcherKind, Solution,
                         make_problem, run_hillvallea)
-from hillvallea.hillvalley import (_nearest_better, expected_edge_length,
-                                   hill_valley_clustering, hill_valley_test)
+from hillvallea.hillvalley import _nearest_better, expected_edge_length, hill_valley_clustering
 from hillvallea.hillvalley import test_point_count as n_test_points
 from hillvallea.problems import BudgetedObjective, EvaluationCounter
-from helpers import (RecordingObjective, budgeted, budgeted_fn, double_well,
+from helpers import (RecordingObjective, budgeted, budgeted_fn, double_well, hill_valley,
                      make_sphere_problem, row_loop, selection_of, solution)
 
 
@@ -37,14 +36,14 @@ def test_test_point_count_examples():
 def test_hill_valley_convex_segment():
     f = RecordingObjective(lambda x: x[0] ** 2)
     obj = budgeted_fn(f)
-    same, spent = hill_valley_test(solution(-1.0, f.fn), solution(1.0, f.fn), 1, obj)
+    same, spent = hill_valley(solution(-1.0, f.fn), solution(1.0, f.fn), 1, obj)
     assert same is True and spent == 1 and obj.counter.used == f.count == 1
 
 
 def test_hill_valley_double_well_rejects():
     f = RecordingObjective(double_well)
     obj = budgeted_fn(f)
-    same, spent = hill_valley_test(solution(-1.0, f.fn), solution(1.0, f.fn), 1, obj)
+    same, spent = hill_valley(solution(-1.0, f.fn), solution(1.0, f.fn), 1, obj)
     assert same is False and spent == 1 and obj.counter.used == 1
     assert f.points[0][0] == pytest.approx(0.0)
 
@@ -54,7 +53,7 @@ def test_hill_valley_early_exit_two_points():
     # both points are evaluated in one batch, and only the first is charged
     f = RecordingObjective(double_well)
     obj = budgeted_fn(f, phase="postprocess")
-    same, spent = hill_valley_test(solution(-1.0, f.fn), solution(1.0, f.fn), 2, obj)
+    same, spent = hill_valley(solution(-1.0, f.fn), solution(1.0, f.fn), 2, obj)
     assert same is False and spent == 1
     assert obj.counter.used == obj.counter.phase_used["postprocess"] == 1
     assert [x[0] for x in f.points] == pytest.approx([1.0 / 3.0, -1.0 / 3.0])
@@ -66,7 +65,7 @@ def test_hill_valley_budget_exhaustion_merges():
     obj, counter = budgeted(problem, 0)
     a = Solution(np.array([-1.0]), 1.0)
     b = Solution(np.array([1.0]), 1.0)
-    same, spent = hill_valley_test(a, b, 4, obj)
+    same, spent = hill_valley(a, b, 4, obj)
     assert same is True and spent == 0 and counter.used == 0
 
 
@@ -81,14 +80,14 @@ def test_hill_valley_rejects_across_nan_point():
     obj, counter = budgeted(problem, 100)
     a = Solution(np.array([-1.0]), 1.0)
     b = Solution(np.array([1.0]), 1.0)
-    same, spent = hill_valley_test(a, b, 1, obj)
+    same, spent = hill_valley(a, b, 1, obj)
     assert same is False and spent == 1 and counter.used == 1
 
 
 def test_hill_valley_dimension_mismatch():
     with pytest.raises(ValueError):
-        hill_valley_test(Solution(np.zeros(2), 0.0), Solution(np.zeros(3), 0.0),
-                         1, budgeted_fn(lambda x: 0.0))
+        hill_valley(Solution(np.zeros(2), 0.0), Solution(np.zeros(3), 0.0),
+                    1, budgeted_fn(lambda x: 0.0))
 
 
 def test_hill_valley_symmetry_property():
@@ -101,8 +100,8 @@ def test_hill_valley_symmetry_property():
         a, b = rng.uniform(-3, 3, size=(2, d))
         sa, sb = Solution(a, fn(a)), Solution(b, fn(b))
         n = int(rng.integers(1, 6))
-        assert (hill_valley_test(sa, sb, n, budgeted_fn(fn))[0]
-                == hill_valley_test(sb, sa, n, budgeted_fn(fn))[0])
+        assert (hill_valley(sa, sb, n, budgeted_fn(fn))[0]
+                == hill_valley(sb, sa, n, budgeted_fn(fn))[0])
 
 
 def test_hill_valley_evaluation_bound_property():
@@ -114,7 +113,7 @@ def test_hill_valley_evaluation_bound_property():
         obj = budgeted_fn(fn)
         a, b = rng.uniform(-3, 3, size=(2, d))
         n = int(rng.integers(1, 7))
-        same, spent = hill_valley_test(Solution(a, fn(a)), Solution(b, fn(b)), n, obj)
+        same, spent = hill_valley(Solution(a, fn(a)), Solution(b, fn(b)), n, obj)
         assert 1 <= spent <= n and spent == obj.counter.used
         assert not same or spent == n  # passing means every point was evaluated
         assert spent == n or not same  # stopping early only happens on rejection
@@ -137,15 +136,15 @@ def test_hill_valley_test_evaluates_in_doubling_batches():
             bump = p / (n_test + 1)
             f = RecordingObjective(lambda x: float(abs(x[0] - bump) < 0.25 / (n_test + 1)))
             obj = budgeted_fn(f)
-            same, spent = hill_valley_test(Solution(np.array([1.0]), 0.0),
-                                           Solution(np.array([0.0]), 0.0), n_test, obj)
+            same, spent = hill_valley(Solution(np.array([1.0]), 0.0),
+                                      Solution(np.array([0.0]), 0.0), n_test, obj)
             assert not same and spent == obj.counter.used == p
             end, last = _last_batch(p)
             assert f.count == min(n_test, end) and f.count - p < last
         f = RecordingObjective(lambda x: 0.0)
         obj = budgeted_fn(f)
-        assert hill_valley_test(Solution(np.array([1.0]), 0.0), Solution(np.array([0.0]), 0.0),
-                                n_test, obj) == (True, n_test)
+        assert hill_valley(Solution(np.array([1.0]), 0.0), Solution(np.array([0.0]), 0.0),
+                           n_test, obj) == (True, n_test)
         assert f.count == n_test
 
 
@@ -165,9 +164,9 @@ def test_hill_valley_tests_of_a_run_waste_less_than_their_last_batch(monkeypatch
     tests = []
     test = hillvalley.hill_valley_test
 
-    def recording(left, right, n_test, evaluate):
+    def recording(left, right, f_left, f_right, n_test, evaluate):
         before = rows[0]
-        same, charged = test(left, right, n_test, evaluate)
+        same, charged = test(left, right, f_left, f_right, n_test, evaluate)
         tests.append((n_test, charged, rows[0] - before, evaluate.exhausted))
         return same, charged
 
@@ -234,25 +233,25 @@ def test_hill_valley_test_matches_sequential_reference(d, n_test, data):
             counters.append(counter)
         want = reference_hill_valley_test(left, right, n_test, problem, counters[0],
                                           "clustering")
-        got = hill_valley_test(left, right, n_test,
-                               BudgetedObjective(problem, counters[1], "clustering"))
+        got = hill_valley(left, right, n_test,
+                          BudgetedObjective(problem, counters[1], "clustering"))
         assert got == want
         assert counters[1].used == counters[0].used
         assert counters[1].phase_used == counters[0].phase_used
 
 
-def _cluster_members(cluster_set):
-    return [sorted(s.position[0] for s in c.members) for c in cluster_set]
+def _cluster_members(positions, clusters):
+    return [sorted(positions[rows, 0].tolist()) for rows in clusters]
 
 
 def test_clustering_double_well_trace():
-    selection = selection_of(solution(x, double_well) for x in (-1.0, 1.0, -0.9, 0.9))
-    result = hill_valley_clustering(selection, volume=4.0, d=1,
-                                    evaluate=budgeted_fn(double_well))
-    assert result.complete
-    assert len(result) == 2
-    assert _cluster_members(result) == [[-1.0, -0.9], [0.9, 1.0]]
-    founders = [c.founder.position[0] for c in result]
+    positions, fitness = selection_of(solution(x, double_well) for x in (-1.0, 1.0, -0.9, 0.9))
+    clusters, complete = hill_valley_clustering(positions, fitness, volume=4.0,
+                                                evaluate=budgeted_fn(double_well))
+    assert complete
+    assert len(clusters) == 2
+    assert _cluster_members(positions, clusters) == [[-1.0, -0.9], [0.9, 1.0]]
+    founders = [positions[rows[0], 0] for rows in clusters]
     assert founders == [-1.0, 1.0]
 
 
@@ -260,17 +259,17 @@ def test_clustering_convex_single_cluster():
     rng = np.random.default_rng(13)
     fn = lambda x: float(x @ x)
     selection = selection_of(Solution(p, fn(p)) for p in rng.uniform(-5, 5, size=(40, 2)))
-    result = hill_valley_clustering(selection, volume=100.0, d=2, evaluate=budgeted_fn(fn))
-    assert len(result) == 1
-    assert len(result.clusters[0]) == 40
+    clusters, _ = hill_valley_clustering(*selection, volume=100.0, evaluate=budgeted_fn(fn))
+    assert len(clusters) == 1
+    assert len(clusters[0]) == 40
 
 
 def test_clustering_singleton_selection():
     f = RecordingObjective(lambda x: float(x[0]))
     obj = budgeted_fn(f)
-    result = hill_valley_clustering(selection_of([solution(0.5, f.fn)]), volume=1.0, d=1,
-                                    evaluate=obj)
-    assert len(result) == 1 and f.count == obj.counter.used == 0 and result.complete
+    clusters, complete = hill_valley_clustering(*selection_of([solution(0.5, f.fn)]),
+                                                volume=1.0, evaluate=obj)
+    assert len(clusters) == 1 and f.count == obj.counter.used == 0 and complete
 
 
 def test_clustering_partition_property():
@@ -280,15 +279,14 @@ def test_clustering_partition_property():
         n = int(rng.integers(1, 30))
         w = rng.standard_normal(d)
         fn = lambda x: float(np.sin(2.0 * x @ w) + 0.1 * (x @ x))
-        selection = [Solution(p, fn(p)) for p in rng.uniform(-4, 4, size=(n, d))]
-        result = hill_valley_clustering(selection_of(selection), volume=8.0 ** d, d=d,
-                                        evaluate=budgeted_fn(fn))
-        members = [s for c in result for s in c.members]
-        assert len(members) == n
-        assert {id(s) for s in members} == {id(s) for s in selection}
-        for c in result:
-            assert min(s.fitness for s in c.members) == c.founder.fitness
-        founder_fitness = [c.founder.fitness for c in result]
+        positions, fitness = selection_of(Solution(p, fn(p))
+                                          for p in rng.uniform(-4, 4, size=(n, d)))
+        clusters, _ = hill_valley_clustering(positions, fitness, volume=8.0 ** d,
+                                             evaluate=budgeted_fn(fn))
+        assert sorted(np.concatenate(clusters).tolist()) == list(range(n))
+        for rows in clusters:
+            assert fitness[rows].min() == fitness[rows[0]]
+        founder_fitness = [fitness[rows[0]] for rows in clusters]
         assert founder_fitness == sorted(founder_fitness)
 
 
@@ -296,10 +294,9 @@ def test_clustering_determinism():
     rng = np.random.default_rng(15)
     fn = lambda x: float(np.sin(3 * x[0]) + np.cos(2 * x[1]))
     selection = selection_of(Solution(p, fn(p)) for p in rng.uniform(-3, 3, size=(60, 2)))
-    a = hill_valley_clustering(selection, volume=36.0, d=2, evaluate=budgeted_fn(fn))
-    b = hill_valley_clustering(selection, volume=36.0, d=2, evaluate=budgeted_fn(fn))
-    assert [[id(s) for s in c.members] for c in a] == \
-           [[id(s) for s in c.members] for c in b]
+    a, _ = hill_valley_clustering(*selection, volume=36.0, evaluate=budgeted_fn(fn))
+    b, _ = hill_valley_clustering(*selection, volume=36.0, evaluate=budgeted_fn(fn))
+    assert [rows.tolist() for rows in a] == [rows.tolist() for rows in b]
 
 
 def test_clustering_neighbour_cap_evaluation_budget():
@@ -313,8 +310,8 @@ def test_clustering_neighbour_cap_evaluation_budget():
         return float(-max(0.0, 1.0 - 200.0 * dist))
     obj = budgeted_fn(needle)
     selection = selection_of(Solution(c.copy(), needle(c)) for c in centers)
-    result = hill_valley_clustering(selection, volume=400.0, d=d, evaluate=obj)
-    assert len(result) == 25
+    clusters, _ = hill_valley_clustering(*selection, volume=400.0, evaluate=obj)
+    assert len(clusters) == 25
     assert obj.counter.used <= sum(min(i, d + 1) for i in range(1, 25))
 
 
@@ -323,17 +320,16 @@ def test_clustering_budget_exhaustion_singleton_tail():
     obj, counter = budgeted(problem, 1, phase="clustering")
     xs = (-1.0, 1.0, -0.9, 0.9, 0.5, -0.5)
     selection = selection_of(solution(x, double_well) for x in xs)
-    result = hill_valley_clustering(selection, volume=4.0, d=1, evaluate=obj)
-    assert not result.complete
+    clusters, complete = hill_valley_clustering(*selection, volume=4.0, evaluate=obj)
+    assert not complete
     assert counter.used == 1
-    members = [s for c in result for s in c.members]
-    assert len(members) == len(xs)
+    assert sorted(np.concatenate(clusters).tolist()) == list(range(len(xs)))
 
 
 def test_clustering_spacing_from_volume_sets_test_points():
     obj = budgeted_fn(double_well)
     selection = selection_of(solution(x, double_well) for x in (-1.0, 1.0))
-    hill_valley_clustering(selection, volume=4.0, d=1, evaluate=obj)
+    hill_valley_clustering(*selection, volume=4.0, evaluate=obj)
     # volume 4 over 2 points: eel 2; edge length 2 -> exactly 2 test points
     # when the pair merges; the double well rejects at the first interior
     # sample either way
@@ -450,8 +446,7 @@ def test_clustering_searches_only_the_rows_the_budget_reaches(monkeypatch):
     points = rng.uniform(-3.0, 3.0, size=(500, 2))
     selection = selection_of(Solution(x, double_well(x[:1])) for x in points)
     obj = budgeted_fn(lambda x: double_well(x[:1]), budget=40)
-    result = hill_valley_clustering(selection, volume=36.0, d=2, evaluate=obj)
-    assert not result.complete and obj.counter.used == 40
+    clusters, complete = hill_valley_clustering(*selection, volume=36.0, evaluate=obj)
+    assert not complete and obj.counter.used == 40
     assert searched == [41]
-    members = [s for c in result for s in c.members]
-    assert sorted(map(id, members)) == sorted(id(s) for s in selection)
+    assert sorted(np.concatenate(clusters).tolist()) == list(range(500))

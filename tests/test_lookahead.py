@@ -5,8 +5,7 @@ one solution (or candidate) at a time, every test through
 ``hill_valley_test``, each test's evaluations charged when it is made. For
 every budget up to what the reference spends, both must produce the same
 clusters in the same member order, the same ``complete`` flag, the same
-archive and the same charged evaluations per phase. A :class:`Selection`
-held as arrays must cluster as one holding every row as a :class:`Solution`.
+archive and the same charged evaluations per phase.
 """
 
 import math
@@ -16,12 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hillvallea import BenchmarkProblem, ElitistArchive, KnownOptimum, SearchDomain, Solution
-from hillvallea.hillvalley import (Selection, _nearest_better, expected_edge_length,
-                                   hill_valley_clustering, hill_valley_test)
+from hillvallea.hillvalley import _nearest_better, expected_edge_length, hill_valley_clustering
 from hillvallea.hillvalley import test_point_count as n_test_points
 from hillvallea.optimizer import ARCHIVE_TEST_POINTS, postprocess
 from hillvallea.problems import BudgetedObjective, EvaluationCounter
-from helpers import selection_of
+from helpers import hill_valley, selection_of
 
 
 def reference_clustering(selection, volume, d, evaluate):
@@ -45,7 +43,7 @@ def reference_clustering(selection, volume, d, evaluate):
                 continue
             checked.add(cluster)
             n_t = n_test_points(nb_dist[i, j], spacing)
-            if hill_valley_test(ordered[neighbour], ordered[i], n_t, evaluate)[0]:
+            if hill_valley(ordered[neighbour], ordered[i], n_t, evaluate)[0]:
                 members[cluster].append(ordered[i])
                 cluster_of[i] = cluster
                 break
@@ -65,7 +63,7 @@ def reference_merge(candidates, elites, evaluate):
             untested += 1
             continue
         for i, elite in enumerate(elites):
-            if hill_valley_test(cand, elite, ARCHIVE_TEST_POINTS, evaluate)[0]:
+            if hill_valley(cand, elite, ARCHIVE_TEST_POINTS, evaluate)[0]:
                 if cand.fitness < elite.fitness:
                     elites[i] = cand
                     added += 1
@@ -116,8 +114,10 @@ def instances(draw):
     return problem, solutions, d, volume
 
 
-def _ids(clusters):
-    return [[id(s) for s in members] for members in clusters]
+def _rows(members, ordered):
+    """Each member list as rows of ``ordered``."""
+    row = {id(s): r for r, s in enumerate(ordered)}
+    return [[row[id(s)] for s in m] for m in members]
 
 
 def _budgeted(problem, budget, used=0):
@@ -137,6 +137,7 @@ def _unbudgeted_spend(reference, problem, *args):
 @given(instances(), st.integers(0, 3))
 def test_clustering_matches_sequential_sweep(instance, used):
     problem, solutions, d, volume = instance
+    ordered = sorted(solutions, key=lambda s: s.fitness)
     selection = selection_of(solutions)
     spend_all = _unbudgeted_spend(reference_clustering, problem, solutions, volume, d)
     # a budget that ends at every position of the sweep, and one that does not
@@ -144,9 +145,9 @@ def test_clustering_matches_sequential_sweep(instance, used):
         ref_eval, ref_counter = _budgeted(problem, used + spend, used)
         members, complete = reference_clustering(solutions, volume, d, ref_eval)
         new_eval, new_counter = _budgeted(problem, used + spend, used)
-        got = hill_valley_clustering(selection, volume, d, new_eval)
-        assert _ids(c.members for c in got) == _ids(members)
-        assert got.complete == complete
+        clusters, got_complete = hill_valley_clustering(*selection, volume, new_eval)
+        assert [rows.tolist() for rows in clusters] == _rows(members, ordered)
+        assert got_complete == complete
         assert new_counter.used == ref_counter.used
         assert new_counter.phase_used == ref_counter.phase_used
 
@@ -167,54 +168,3 @@ def test_merge_matches_sequential_merge(instance, n_elites, used):
         assert [id(s) for s in got_elites] == [id(s) for s in ref_elites]
         assert new_counter.used == ref_counter.used
         assert new_counter.phase_used == ref_counter.phase_used
-
-
-def _array_selection(sampled, injected, d):
-    """Sampled rows as bare arrays and injected solutions as objects, best first,
-    the way a restart hands its selection to the clustering."""
-    fitness = np.concatenate([[s.fitness for s in sampled], [s.fitness for s in injected]])
-    positions = np.reshape([s.position for s in sampled + injected], (-1, d))
-    kept = np.argsort(fitness, kind="stable")
-    return Selection(positions[kept], fitness[kept],
-                     {r: injected[i - len(sampled)] for r, i in enumerate(kept.tolist())
-                      if i >= len(sampled)})
-
-
-def _rows(clusters, ordered):
-    """Each cluster's members as rows of ``ordered``."""
-    row = {id(s): r for r, s in enumerate(ordered)}
-    return [[row[id(s)] for s in c.members] for c in clusters]
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(instances(), st.integers(0, 40), st.integers(0, 3))
-def test_array_selection_clusters_as_its_solution_list(instance, n_injected, used):
-    problem, solutions, d, volume = instance
-    injected, sampled = solutions[:n_injected], solutions[n_injected:]
-    ordered = sorted(sampled + injected, key=lambda s: s.fitness)
-
-    def check(list_eval, array_eval):
-        want = hill_valley_clustering(selection_of(sampled + injected), volume, d, list_eval)
-        selection = _array_selection(sampled, injected, d)
-        got = hill_valley_clustering(selection, volume, d, array_eval)
-        assert [c.rows.tolist() for c in got] == _rows(want, ordered)
-        assert got.complete == want.complete
-        for g, w in zip(got, want):
-            if any(w.founder is s for s in injected):
-                assert g.founder is w.founder  # an injected founder stays the same object
-            else:
-                assert np.array_equal(g.founder.position, w.founder.position)
-                assert g.founder.fitness == w.founder.fitness
-            assert np.array_equal(g.positions(), np.array([s.position for s in w.members]))
-        # a row read again, by any index, gives the same object
-        rows = [r for c in got for r in c.rows.tolist()]
-        assert all(s is selection[r] for s, r in zip([s for c in got for s in c.members], rows))
-        assert selection[-1] is selection[len(selection) - 1]
-
-    spend_all = _unbudgeted_spend(reference_clustering, problem, sampled + injected, volume, d)
-    for spend in range(spend_all + 2):
-        list_eval, list_counter = _budgeted(problem, used + spend, used)
-        array_eval, array_counter = _budgeted(problem, used + spend, used)
-        check(list_eval, array_eval)
-        assert array_counter.used == list_counter.used
-        assert array_counter.phase_used == list_counter.phase_used

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from hillvallea import (BenchmarkProblem, ElitistArchive, SearchDomain, SearcherKind,
                         Solution, make_problem, peak_ratio, run_hillvallea)
-from hillvallea.hillvalley import hill_valley_test
 from hillvallea.optimizer import postprocess, truncation_selection, uniform_sample
-from helpers import (RecordingObserver, budgeted, budgeted_fn, double_well,
+from helpers import (RecordingObserver, budgeted, budgeted_fn, double_well, hill_valley,
                      make_ripple_problem, make_sphere_problem, solution)
 
 
@@ -175,7 +174,7 @@ def test_archive_pairwise_distinct_replay():
     obj, _ = budgeted(problem, 10 ** 6, phase="postprocess")
     for i in range(len(elites)):
         for j in range(i + 1, len(elites)):
-            same, _ = hill_valley_test(elites[i], elites[j], 5, obj)
+            same, _ = hill_valley(elites[i], elites[j], 5, obj)
             assert not same
 
 
@@ -208,6 +207,41 @@ def test_only_global_injection_skips_elite_clusters():
         assert log.n_searchers + log.n_skipped_elites == log.n_clusters
 
 
+@pytest.mark.parametrize("pid, seed", [(4, 9), (2, 0)])
+def test_skipped_clusters_are_those_an_elite_founds(monkeypatch, pid, seed):
+    # a restart searches every cluster but those whose founder row is, bit for
+    # bit, an elite of the archive it started with
+    from hillvallea import optimizer
+    founders, archives = [], []
+    cluster = optimizer.hill_valley_clustering
+
+    def traced(positions, fitness, *args):
+        clusters, complete = cluster(positions, fitness, *args)
+        founders.append([(positions[rows[0]].tobytes(), float(fitness[rows[0]]).hex())
+                         for rows in clusters])
+        return clusters, complete
+
+    def observe(counter, archive):
+        archives.append({(s.position.tobytes(), float(s.fitness).hex()) for s in archive})
+
+    monkeypatch.setattr(optimizer, "hill_valley_clustering", traced)
+    result = run_hillvallea(make_problem(pid), SearcherKind.AMU, seed=seed, observe=observe)
+    # each restart's first observe call, before its postprocess, sees the archive it started with
+    starts = archives[::2]
+    assert len(founders) == len(starts) == result.restarts
+    skipped = [sum(f in elites for f in restart) for restart, elites in zip(founders, starts)]
+    assert any(skipped)
+    assert [log.n_skipped_elites for log in result.per_restart_log] == skipped
+
+
+def test_elites_own_their_positions():
+    # a never-improved founder enters the archive as a copy of its row: nothing
+    # of a restart outlives it but what it put in the archive
+    result = run_hillvallea(make_problem(2), SearcherKind.AMU, seed=0)
+    assert len(result.archive) > 1
+    assert all(elite.position.base is None for elite in result.archive)
+
+
 def test_restart_builds_solutions_only_where_read(monkeypatch):
     # the selection stays arrays: Solutions are built for cluster founders,
     # tested endpoints and searcher bests, not for every selected row
@@ -229,10 +263,10 @@ def test_only_the_selection_is_alive_while_clustering(monkeypatch):
     entries = []
     cluster = optimizer.hill_valley_clustering
 
-    def traced(selection, *args):
-        alive = selection.positions.nbytes + selection.fitness.nbytes
+    def traced(positions, fitness, *args):
+        alive = positions.nbytes + fitness.nbytes
         entries.append((tracemalloc.get_traced_memory()[0], alive))
-        return cluster(selection, *args)
+        return cluster(positions, fitness, *args)
 
     monkeypatch.setattr(optimizer, "hill_valley_clustering", traced)
     tracemalloc.start()

@@ -14,8 +14,8 @@ CONTRACT = [
 INTERNALS = {
     "core_search": ["CmsaSearcher", "CoreSearcher", "EdaSearcher", "init_from_cluster",
                     "recommended_population_size"],
-    "hillvalley": ["Cluster", "ClusterSet", "Selection", "expected_edge_length",
-                   "hill_valley_clustering", "hill_valley_test", "test_point_count"],
+    "hillvalley": ["expected_edge_length", "hill_valley_clustering", "hill_valley_test",
+                   "test_point_count"],
     "optimizer": ["postprocess", "truncation_selection", "uniform_sample"],
     "problems": ["BudgetedObjective", "EvaluationCounter"],
 }
