@@ -1,15 +1,15 @@
-"""Command-line harness: repetition sweeps over problems, with JSON/CSV output.
+"""Command-line harness: repetition sweeps over problems, written as one JSON document.
 
-Each run record carries the peak ratio, archive size, restart count,
-per-phase budget fractions, whether the archive was verified and why its core
-searchers stopped; per-problem aggregates and optional convergence traces are
-written alongside.
+The document is ``{"runs": [...], "aggregates": [...]}``. Each run record
+carries the peak ratio, archive size, restart count, per-phase budget
+fractions, whether the archive was verified and why its core searchers
+stopped; with ``--trace N`` it also carries its convergence trace. Each
+aggregate summarises one problem's runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -27,13 +27,6 @@ from .optimizer import ElitistArchive, run_hillvallea
 from .problems import BenchmarkProblem, EvaluationCounter, make_problem, problem_names
 
 _STOP_FIELDS = {reason: "stop_" + reason.replace("-", "_") for reason in STOP_REASONS}
-RECORD_FIELDS = ("problem_id", "kind", "seed", "evaluations_used", "peak_ratio",
-                 "n_elites", "restarts", "phase_init", "phase_hvc", "phase_lopt",
-                 "wall_time_ms", "verified", "n_unverified", *_STOP_FIELDS.values())
-AGGREGATE_FIELDS = ("problem_id", "kind", "runs", "mean_peak_ratio",
-                    "min_peak_ratio", "max_peak_ratio", "mean_evaluations",
-                    "mean_phase_init", "mean_phase_hvc", "mean_phase_lopt")
-TRACE_FIELDS = ("problem_id", "kind", "seed", "evaluations", "peak_ratio")
 
 
 @dataclass(frozen=True)
@@ -50,7 +43,6 @@ class RunConfig:
     inject: bool = True
     trace: Optional[int] = None
     out: str = "results.json"
-    format: str = "json"
     jobs: int = 1
 
     def __post_init__(self):
@@ -75,8 +67,6 @@ class RunConfig:
                 raise ValueError("budget multiplier must be positive and finite")
             if any(self.budget_for(make_problem(pid)) == 0 for pid in self.problems):
                 raise ValueError("budget multiplier rounds a problem's budget to 0")
-        if self.format not in ("json", "csv"):
-            raise ValueError(f"unknown output format {self.format!r}")
         if Path(self.out).is_dir() or not Path(self.out).parent.is_dir():
             raise ValueError(f"output path {self.out!r} is not a file in an existing directory")
 
@@ -122,11 +112,12 @@ class _PeakRatioTrace:
         first, last = len(self.rows) + 1, counter.used // self.every
         if last >= first:
             ratio = peak_ratio(list(archive), self.problem, self.epsilon).ratio
-            self.rows += [(k * self.every, ratio) for k in range(first, last + 1)]
+            self.rows += [[k * self.every, ratio] for k in range(first, last + 1)]
 
 
 def _execute_task(sweep: RunConfig, problem_id: int, seed: int):
-    """Run one repetition; returns its record and its trace rows."""
+    """Run one repetition; returns its record, with its trace rows under ``trace``
+    when the sweep traces."""
     problem = make_problem(problem_id)
     problem = replace(problem, budget=sweep.budget_for(problem))
     trace = _PeakRatioTrace(sweep.trace, problem, sweep.epsilon) if sweep.trace else None
@@ -152,24 +143,17 @@ def _execute_task(sweep: RunConfig, problem_id: int, seed: int):
     }
     for reason, name in _STOP_FIELDS.items():
         record[name] = result.stop_reasons.get(reason, 0)
-    rows = []
     if trace is not None:
         # the last row is the run's own result; it replaces a milestone at that count
-        rows = [row for row in trace.rows if row[0] != result.evaluations_used]
-        rows.append((result.evaluations_used, report.ratio))
-    trace_rows = [
-        {"problem_id": problem_id, "kind": sweep.kind.value, "seed": seed,
-         "evaluations": evals, "peak_ratio": value}
-        for evals, value in rows
-    ]
-    return record, trace_rows
+        record["trace"] = [row for row in trace.rows if row[0] != result.evaluations_used]
+        record["trace"].append([result.evaluations_used, report.ratio])
+    return record
 
 
 @dataclass
 class SweepData:
     records: list = field(default_factory=list)
     aggregates: list = field(default_factory=list)
-    traces: list = field(default_factory=list)
 
 
 def execute_sweep(config: RunConfig) -> SweepData:
@@ -180,14 +164,11 @@ def execute_sweep(config: RunConfig) -> SweepData:
     if config.jobs > 1 and len(pids) > 1:
         # no more workers than runs: under fork, every worker starts at the first submit
         with ProcessPoolExecutor(max_workers=min(config.jobs, len(pids))) as pool:
-            outcomes = list(pool.map(_execute_task, configs, pids, seeds))
+            records = list(pool.map(_execute_task, configs, pids, seeds))
     else:
-        outcomes = list(map(_execute_task, configs, pids, seeds))
+        records = list(map(_execute_task, configs, pids, seeds))
 
-    data = SweepData()
-    for record, trace_rows in outcomes:
-        data.records.append(record)
-        data.traces.extend(trace_rows)
+    data = SweepData(records)
     for pid in config.problems:
         rows = [r for r in data.records if r["problem_id"] == pid]
         ratios = [r["peak_ratio"] for r in rows]
@@ -204,40 +185,18 @@ def execute_sweep(config: RunConfig) -> SweepData:
     return data
 
 
-def _write_csv(path: Path, rows: Sequence[dict], columns: Sequence[str]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(columns))
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def write_outputs(data: SweepData, config: RunConfig) -> list:
-    """Persist records (and aggregates/traces); returns the files written."""
+def write_outputs(data: SweepData, config: RunConfig) -> Path:
+    """Write the sweep's records and aggregates as one JSON document; returns its path."""
     out = Path(config.out)
-    written = [out]
-    if config.format == "json":
-        with open(out, "w") as fh:
-            json.dump({"runs": data.records, "aggregates": data.aggregates}, fh,
-                      indent=1)
-            fh.write("\n")
-    else:
-        _write_csv(out, data.records, RECORD_FIELDS)
-        agg_path = out.with_suffix("").with_name(out.stem + ".aggregates.csv")
-        _write_csv(agg_path, data.aggregates, AGGREGATE_FIELDS)
-        written.append(agg_path)
-    if config.trace:
-        trace_path = out.with_suffix("").with_name(out.stem + ".traces.csv")
-        _write_csv(trace_path, data.traces, TRACE_FIELDS)
-        written.append(trace_path)
-    return written
+    with open(out, "w") as fh:
+        json.dump({"runs": data.records, "aggregates": data.aggregates}, fh, indent=1)
+        fh.write("\n")
+    return out
 
 
 def run_sweep(config: RunConfig) -> int:
-    """Execute a sweep and write its outputs; returns the process exit status."""
-    data = execute_sweep(config)
-    files = write_outputs(data, config)
-    for f in files:
-        print(f"wrote {f}")
+    """Execute a sweep and write its document; returns the process exit status."""
+    print(f"wrote {write_outputs(execute_sweep(config), config)}")
     return 0
 
 
@@ -260,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", type=int, metavar="N",
                         help="trace peak ratio every N evaluations")
     parser.add_argument("--out", help="output path (default results.json)")
-    parser.add_argument("--format", choices=["json", "csv"], help="output format")
     parser.add_argument("--jobs", type=int, help="parallel repetitions")
     return parser
 
@@ -270,7 +228,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValueError("no problems given (use --problems)")
     settings = {key: getattr(args, key)
                 for key in ("reps", "seed", "budget", "budget_multiplier", "epsilon",
-                            "trace", "out", "format", "jobs")
+                            "trace", "out", "jobs")
                 if getattr(args, key) is not None}
     if args.algo is not None:
         settings["kind"] = SearcherKind(args.algo)

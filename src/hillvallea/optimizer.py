@@ -11,6 +11,7 @@ the sample and grows the searcher population by a factor 1.2, rounded up.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -83,10 +84,13 @@ class RunResult:
     archive: ElitistArchive
     evaluations_used: int
     phase_used: dict
-    restarts: int
     per_restart_log: list
     stop_reasons: dict = field(default_factory=dict)  # core searchers per stop reason
     objective_rows: int = 0  # rows passed to the objective, charged or not
+
+    @property
+    def restarts(self) -> int:
+        return len(self.per_restart_log)
 
     @property
     def phase_fractions(self) -> dict:
@@ -255,6 +259,8 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind, seed: int = 0,
     restart's postprocess, the only phase that changes the archive; it must
     change neither argument.
     """
+    if isinstance(problem.budget, bool) or not isinstance(problem.budget, numbers.Integral):
+        raise TypeError(f"budget of {problem.name} must be an integer, got {problem.budget!r}")
     if problem.budget <= 0:
         raise ValueError("budget must be positive")
     d = problem.domain.dimension
@@ -324,7 +330,6 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind, seed: int = 0,
         archive=archive,
         evaluations_used=counter.used,
         phase_used=dict(counter.phase_used),
-        restarts=len(logs),
         per_restart_log=logs,
         stop_reasons=stop_reasons,
         objective_rows=counter.rows,

@@ -1,15 +1,20 @@
-"""Command-line harness: sweeps, aggregates, output formats, error paths."""
+"""Command-line harness: sweeps, aggregates, the output document, error paths."""
 
-import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hillvallea import cli, make_problem
-from hillvallea.cli import (RECORD_FIELDS, RunConfig, config_from_args,
-                            build_parser, execute_sweep, main,
+from hillvallea.cli import (RunConfig, config_from_args, build_parser, execute_sweep, main,
                             parse_problem_spec, write_outputs)
+
+RECORD_KEYS = ("problem_id", "kind", "seed", "evaluations_used", "peak_ratio", "n_elites",
+               "restarts", "phase_init", "phase_hvc", "phase_lopt", "wall_time_ms",
+               "verified", "n_unverified", "stop_budget", "stop_no_improvement",
+               "stop_min_std", "stop_ill_conditioned", "stop_population_std",
+               "stop_fitness_std", "stop_degenerate")
 
 
 def _tiny_config(tmp_path, **overrides):
@@ -42,7 +47,7 @@ def test_execute_sweep_counts_and_seeds(tmp_path):
     assert len(data.aggregates) == 2
     assert [r["seed"] for r in data.records] == [5, 6, 5, 6]
     for record in data.records:
-        assert tuple(record) == RECORD_FIELDS
+        assert tuple(record) == RECORD_KEYS  # no trace unless --trace
         assert record["evaluations_used"] <= 600
 
 
@@ -75,61 +80,44 @@ def test_single_run_aggregate_is_that_run(tmp_path):
     assert agg["mean_phase_lopt"] == record["phase_lopt"]
 
 
-def test_json_and_csv_outputs_match(tmp_path):
-    cfg_json = _tiny_config(tmp_path, out=str(tmp_path / "r.json"), format="json")
-    cfg_csv = _tiny_config(tmp_path, out=str(tmp_path / "r.csv"), format="csv")
-    rc = main(["--problems", "2-3", "--reps", "2", "--seed", "5", "--budget", "600",
-               "--out", cfg_json.out, "--format", "json"])
-    assert rc == 0
-    rc = main(["--problems", "2-3", "--reps", "2", "--seed", "5", "--budget", "600",
-               "--out", cfg_csv.out, "--format", "csv"])
-    assert rc == 0
+def _without_wall_times(records) -> list:
+    return [{k: v for k, v in r.items() if k != "wall_time_ms"} for r in records]
 
-    with open(cfg_json.out) as fh:
-        blob = json.load(fh)
-    with open(cfg_csv.out) as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(blob["runs"]) == len(rows) == 4
-    for jrec, crow in zip(blob["runs"], rows):
-        for field in RECORD_FIELDS:
-            if field == "wall_time_ms":
-                continue
-            assert str(jrec[field]) == crow[field], field
-    agg_rows = list(csv.DictReader(open(tmp_path / "r.aggregates.csv")))
-    assert len(blob["aggregates"]) == len(agg_rows) == 2
-    for jagg, cagg in zip(blob["aggregates"], agg_rows):
-        for key, value in jagg.items():
-            assert str(value) == cagg[key], key
+
+def test_sweep_writes_one_document(tmp_path, capsys):
+    config = _tiny_config(tmp_path, trace=200)
+    assert main(["--problems", "2-3", "--reps", "2", "--seed", "5", "--budget", "600",
+                 "--trace", "200", "--out", config.out]) == 0
+    assert capsys.readouterr().out == f"wrote {config.out}\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "results.json"]
+    blob = json.loads((tmp_path / "results.json").read_text())
+    data = execute_sweep(config)
+    assert set(blob) == {"runs", "aggregates"}
+    assert _without_wall_times(blob["runs"]) == _without_wall_times(data.records)
+    assert blob["aggregates"] == data.aggregates
+    for record in blob["runs"]:
+        assert tuple(record) == (*RECORD_KEYS, "trace")
+        assert [row[0] for row in record["trace"]] == [200, 400, 600]
 
 
 def test_rerun_reproduces_numeric_fields(tmp_path):
     config = _tiny_config(tmp_path)
     first = execute_sweep(config)
     second = execute_sweep(config)
-    for a, b in zip(first.records, second.records):
-        for field in RECORD_FIELDS:
-            if field != "wall_time_ms":
-                assert a[field] == b[field]
+    assert _without_wall_times(first.records) == _without_wall_times(second.records)
 
 
 def test_parallel_jobs_do_not_change_results(tmp_path):
     runs = []
     for jobs in (1, 2):
-        out = tmp_path / f"jobs{jobs}.csv"
-        config = _tiny_config(tmp_path, jobs=jobs, trace=100, format="csv", out=str(out),
+        config = _tiny_config(tmp_path, jobs=jobs, trace=100, out=str(tmp_path / f"{jobs}.json"),
                               inject=True)
-        data = execute_sweep(config)
-        write_outputs(data, config)
-        traces = (tmp_path / f"jobs{jobs}.traces.csv").read_text()
-        runs.append((data.records, traces))
-    (serial, serial_traces), (parallel, parallel_traces) = runs
-    assert serial_traces == parallel_traces
-    assert len(serial_traces.splitlines()) > 1
-    assert len(serial) == len(parallel)
-    for a, b in zip(serial, parallel):
-        for field in RECORD_FIELDS:
-            if field != "wall_time_ms":
-                assert a[field] == b[field]
+        write_outputs(execute_sweep(config), config)
+        runs.append(json.loads(Path(config.out).read_text())["runs"])
+    serial, parallel = runs
+    assert len(serial) == 4
+    assert all(len(record["trace"]) > 1 for record in serial)
+    assert _without_wall_times(serial) == _without_wall_times(parallel)
 
 
 def test_pool_has_no_more_workers_than_runs(tmp_path, monkeypatch):
@@ -162,11 +150,10 @@ def test_trace_file_spacing(tmp_path):
     rc = main(["--problems", "4", "--reps", "1", "--seed", "0", "--budget", "3000",
                "--trace", "500", "--out", str(out)])
     assert rc == 0
-    rows = list(csv.DictReader(open(tmp_path / "t.traces.csv")))
-    assert rows
-    evals = [int(r["evaluations"]) for r in rows]
+    (record,) = json.loads(out.read_text())["runs"]
+    evals = [e for e, _ in record["trace"]]
+    assert evals
     assert all(b - a <= 500 for a, b in zip(evals, evals[1:]))
-    assert {r["problem_id"] for r in rows} == {"4"}
 
 
 def test_trace_spacing_and_metric(tmp_path):
@@ -174,12 +161,11 @@ def test_trace_spacing_and_metric(tmp_path):
     assert main(["--problems", "2", "--seed", "13", "--budget", "20000",
                  "--trace", "1000", "--out", str(out)]) == 0
     (record,) = json.loads(out.read_text())["runs"]
-    rows = list(csv.DictReader(open(tmp_path / "t.traces.csv")))
-    evals = [int(r["evaluations"]) for r in rows]
+    evals = [e for e, _ in record["trace"]]
     assert evals == sorted(evals)
     assert all(b - a <= 1000 for a, b in zip(evals, evals[1:]))
-    assert evals[-1] == record["evaluations_used"]
-    assert float(rows[-1]["peak_ratio"]) == record["peak_ratio"] == 1.0
+    assert record["trace"][-1] == [record["evaluations_used"], record["peak_ratio"]]
+    assert record["peak_ratio"] == 1.0
 
 
 def test_trace_ends_at_each_runs_record(tmp_path):
@@ -188,15 +174,10 @@ def test_trace_ends_at_each_runs_record(tmp_path):
     out = tmp_path / "s.json"
     assert main(["--problems", "2,4", "--reps", "2", "--seed", "3", "--budget", "1000",
                  "--trace", "250", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(open(tmp_path / "s.traces.csv")))
     records = json.loads(out.read_text())["runs"]
     for record in records:
-        run = [r for r in rows
-               if (int(r["problem_id"]), int(r["seed"])) == (record["problem_id"],
-                                                              record["seed"])]
-        assert [int(r["evaluations"]) for r in run] == [250, 500, 750, 1000]
-        assert (int(run[-1]["evaluations"]), float(run[-1]["peak_ratio"])) == (
-            record["evaluations_used"], record["peak_ratio"])
+        assert [e for e, _ in record["trace"]] == [250, 500, 750, 1000]
+        assert record["trace"][-1] == [record["evaluations_used"], record["peak_ratio"]]
     assert [r["peak_ratio"] for r in records if r["problem_id"] == 4] == [0.5, 0.75]
 
 
@@ -240,8 +221,6 @@ def test_run_config_validation(tmp_path):
         RunConfig(problems=(1,), reps=0)
     with pytest.raises(ValueError):
         RunConfig(problems=(1,), budget=5, budget_multiplier=2.0)
-    with pytest.raises(ValueError):
-        RunConfig(problems=(1,), format="yaml")
     nan, inf = float("nan"), float("inf")
     for bad in ({"budget": 0}, {"budget": -5}, {"epsilon": 0.0}, {"epsilon": nan},
                 {"trace": -5}, {"budget_multiplier": 0.0},
@@ -288,7 +267,8 @@ def test_invalid_values_exit_with_usage_error(flags, tmp_path, capsys, monkeypat
 
 
 # options and option values the parser does not know
-@pytest.mark.parametrize("flags", [["--injection", "all"], ["--tol", "1e-5"]])
+@pytest.mark.parametrize("flags", [["--injection", "all"], ["--tol", "1e-5"],
+                                   ["--format", "csv"]])
 def test_unknown_options_exit_with_usage_error_before_any_run(flags, tmp_path):
     with pytest.raises(SystemExit) as exit_info:
         main(["--problems", "2", "--out", str(tmp_path / "r.json"), *flags])

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from hillvallea import (BenchmarkProblem, ElitistArchive, SearchDomain, SearcherKind,
                         Solution, make_problem, peak_ratio, run_hillvallea)
-from hillvallea.optimizer import postprocess, truncation_selection, uniform_sample
+from hillvallea.core_search import init_from_cluster, recommended_population_size
+from hillvallea.optimizer import (TOL, _search_niches, postprocess, truncation_selection,
+                                  uniform_sample)
 from helpers import (RecordingObserver, budgeted, budgeted_fn, double_well, hill_valley,
                      make_ripple_problem, make_sphere_problem, solution)
 
@@ -362,6 +364,76 @@ def test_budget_must_be_positive():
             run_hillvallea(replace(problem, budget=budget, objective=never), SearcherKind.AMU,
                            seed=0)
     assert calls == []
+
+
+def test_budget_must_be_an_integer():
+    problem = make_problem(2)
+    calls = []
+
+    def never(X):
+        calls.append(X)
+        return problem.objective(X)
+
+    # a quarter of the budget by true division, and a flag passed for a count
+    for budget in (problem.budget / 4, True):
+        with pytest.raises(TypeError, match="budget"):
+            run_hillvallea(replace(problem, budget=budget, objective=never), SearcherKind.AMU,
+                           seed=0)
+    assert calls == []
+    # numpy integers are integers
+    result = run_hillvallea(replace(problem, budget=np.int64(5000)), SearcherKind.AMU, seed=0)
+    assert result.evaluations_used == 5000
+
+
+def _lone_searches(founders, build, seeds, evaluate, stop_reasons):
+    """:func:`_search_niches` as its docstring settles it: lone searchers run one
+    after another on the real counter; once the budget is spent, niches keep their founders."""
+    bests = []
+    for k, seq in enumerate(seeds.spawn(len(founders))):
+        if evaluate.counter.exhausted:
+            bests.append(founders[k])
+            continue
+        searcher = build(k, seq)
+        searcher.run(evaluate, evaluate.problem.domain, tol=TOL)
+        bests.append(searcher.best_ever[0])
+        reason = searcher.terminated_reason[0]
+        stop_reasons[reason] = stop_reasons.get(reason, 0) + 1
+    return bests
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(list(SearcherKind)), d=st.integers(1, 3),
+       n_niches=st.integers(1, 6), budget=st.integers(1, 4_000),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_search_niches_settles_as_lone_searchers_in_niche_order(kind, d, n_niches, budget,
+                                                               seed):
+    problem = make_ripple_problem(d)
+    rng = np.random.default_rng(seed)
+    niches = []
+    for _ in range(n_niches):
+        rows = rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 6)), d))
+        niches.append(rows[np.argsort(problem.objective(rows), kind="stable")])
+    founders = [Solution(rows[0].copy(), float(problem.objective(rows[:1])[0]))
+                for rows in niches]
+    population = recommended_population_size(kind, d)
+
+    def build(k, seq):
+        return init_from_cluster(niches[k], founders[k], 0.5, kind, population,
+                                 rng=np.random.default_rng(seq))
+
+    outcomes = []
+    for search in (_search_niches, _lone_searches):
+        evaluate, counter = budgeted(problem, budget)
+        stop_reasons = {}
+        bests = search(founders, build, np.random.SeedSequence(seed), evaluate, stop_reasons)
+        outcomes.append((bests, counter, stop_reasons))
+    (got, got_counter, got_reasons), (want, want_counter, want_reasons) = outcomes
+    assert [(b.position.tobytes(), float(b.fitness).hex()) for b in got] == [
+        (b.position.tobytes(), float(b.fitness).hex()) for b in want]
+    assert [b is f for b, f in zip(got, founders)] == [b is f for b, f in zip(want, founders)]
+    assert got_counter.used == want_counter.used
+    assert got_counter.phase_used == want_counter.phase_used
+    assert got_reasons == want_reasons
 
 
 @pytest.mark.parametrize("kind", list(SearcherKind), ids=lambda k: k.value)
