@@ -46,8 +46,13 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        for name in ("reps", "seed", "jobs", "budget", "trace"):
+            value = getattr(self, name)
+            if type(value) is not int and not (value is None and name in ("budget", "trace")):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if len(set(self.problems)) < len(self.problems):
             raise ValueError(f"problem ids must be distinct, got {self.problems}")
+        problems = [make_problem(pid) for pid in self.problems]  # rejects unknown ids
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.jobs < 1:
@@ -65,7 +70,7 @@ class RunConfig:
         if self.budget_multiplier is not None:
             if not 0 < self.budget_multiplier < math.inf:
                 raise ValueError("budget multiplier must be positive and finite")
-            if any(self.budget_for(make_problem(pid)) == 0 for pid in self.problems):
+            if any(self.budget_for(problem) == 0 for problem in problems):
                 raise ValueError("budget multiplier rounds a problem's budget to 0")
         if Path(self.out).is_dir() or not Path(self.out).parent.is_dir():
             raise ValueError(f"output path {self.out!r} is not a file in an existing directory")

@@ -1,9 +1,9 @@
 """Gaussian core searchers: CMSA and AMaLGaM-style EDA variants.
 
 Each searcher optimizes one niche from a cluster-derived Gaussian
-(mean/covariance/population size), with the cluster's best solution (its
-founder) as its best so far, until its termination criteria or the shared
-evaluation budget stop it, and reports the best solution it saw.
+(mean/covariance/population size), with the cluster's best row (its founder)
+as its best so far, until its termination criteria or the shared evaluation
+budget stop it, and reports the best position and fitness it saw.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .hillvalley import Solution
 from .problems import BudgetedObjective, SearchDomain
 
 
@@ -139,10 +138,10 @@ class CoreSearcher:
     would alone, and otherwise shares stacked arithmetic with the others, so
     every member follows the trajectory it would follow alone. A searcher
     built from one initial model (mean, covariance and population size), its
-    founder and its generator is a group of one; :meth:`stack` joins fresh
-    ones.
+    founder's position and fitness and its generator is a group of one;
+    :meth:`stack` joins fresh ones.
 
-    Results are indexed by member: ``best_ever`` (a list of solutions),
+    Results are indexed by member: ``best_ever`` (positions and fitnesses),
     ``terminated_reason`` (None while running) and ``evaluations``. The
     sampling state of the members still stepping is stacked along axis 0,
     in member order; ``members`` gives each row's member index.
@@ -150,25 +149,26 @@ class CoreSearcher:
 
     kind: SearcherKind
     #: Attributes stacked along the member axis; rows go when members stop.
-    _STATE = ("members", "rngs", "fresh", "best_f", "best_x", "mean")
+    _STATE = ("members", "rngs", "best_f", "best_x", "mean")
+    #: Attributes indexed by member, stopped or not.
+    _PER_MEMBER = ("_ever_x", "_ever_f", "_codes", "evaluations")
 
-    def __init__(self, mean: np.ndarray, population_size: int, *, founder: Solution,
-                 rng: np.random.Generator):
+    def __init__(self, mean: np.ndarray, population_size: int, *, best_x: np.ndarray,
+                 best_f: float, rng: np.random.Generator):
         self.dimension = len(mean)
         self.population_size = population_size
         self.samples = population_size  # rows each member evaluates per generation
         self.generation = 0
         self.window = 10 + (30 * self.dimension) // self.population_size
-        # per member: its best as a Solution as of its last settling, its stop code
-        self._best = [founder]
-        self._codes = np.zeros(1, dtype=np.int8)
-        self.evaluations = np.zeros(1, dtype=np.int64)
         self.members = np.zeros(1, dtype=np.int64)
         self.rngs = [rng]
-        self.best_f = np.array([founder.fitness])
-        self.best_x = np.array([founder.position], dtype=float)
+        self.best_f = np.array([best_f], dtype=float)
+        self.best_x = np.array([best_x], dtype=float)
         self.mean = np.array(mean, dtype=float, ndmin=2)
-        self.fresh = np.zeros(1, dtype=bool)  # rows whose best is newer than _best
+        # per member: its best as of when it stopped, its stop code and its evaluations
+        self._ever_x, self._ever_f = self.best_x.copy(), self.best_f.copy()
+        self._codes = np.zeros(1, dtype=np.int8)
+        self.evaluations = np.zeros(1, dtype=np.int64)
 
     @staticmethod
     def stack(searchers: Sequence[CoreSearcher]) -> CoreSearcher:
@@ -177,7 +177,7 @@ class CoreSearcher:
         Members keep their order, generators and founders.
         """
         group = copy.copy(searchers[0])
-        for name in group._STATE + ("_best", "_codes", "evaluations"):
+        for name in group._STATE + group._PER_MEMBER:
             parts = [getattr(s, name) for s in searchers]
             setattr(group, name, list(itertools.chain.from_iterable(parts))
                     if isinstance(parts[0], list) else np.concatenate(parts))
@@ -185,17 +185,10 @@ class CoreSearcher:
         return group
 
     @property
-    def best_ever(self) -> list:
-        """Each member's best solution: its founder, the same object, until it improves."""
-        self._settle(self.fresh)
-        return self._best
-
-    def _settle(self, rows: np.ndarray) -> None:
-        """Build the Solution of each fresh row among ``rows`` (a boolean mask)."""
-        for row in np.flatnonzero(rows & self.fresh).tolist():
-            self._best[self.members[row]] = Solution(self.best_x[row].copy(),
-                                                     float(self.best_f[row]))
-        self.fresh = self.fresh & ~rows
+    def best_ever(self) -> tuple:
+        """Each member's best position and fitness, as (members, d) and (members,) arrays."""
+        self._ever_x[self.members], self._ever_f[self.members] = self.best_x, self.best_f
+        return self._ever_x, self._ever_f
 
     @property
     def terminated_reason(self) -> list:
@@ -203,12 +196,11 @@ class CoreSearcher:
 
     def member(self, k: int) -> CoreSearcher:
         """Running member ``k`` alone, in its current state and with its generator."""
-        best = self.best_ever[k]
         solo = copy.copy(self)
         solo._keep(self.members == k)
         solo.members = np.zeros(1, dtype=np.int64)
-        solo._best, solo._codes = [best], self._codes[[k]]
-        solo.evaluations = self.evaluations[[k]]
+        for name in self._PER_MEMBER:
+            setattr(solo, name, getattr(self, name)[[k]])
         return solo
 
     def _keep(self, rows: np.ndarray) -> None:
@@ -257,7 +249,6 @@ class CoreSearcher:
         x = X[rows, i]
         np.copyto(self.best_x, x, where=improved[:, None])
         np.copyto(self.best_f, f, where=improved)
-        self.fresh |= improved
         return improved, count, x
 
     def _first_reason(self, criteria) -> Optional[np.ndarray]:
@@ -276,7 +267,7 @@ class CoreSearcher:
         raise NotImplementedError
 
     def run(self, evaluate: BudgetedObjective, domain: SearchDomain, tol: float,
-            limit: Optional[int] = None) -> list:
+            limit: Optional[int] = None) -> tuple:
         """Run generations until every member has stopped; returns ``best_ever``.
 
         With ``limit``, the group instead stops before a generation that would
@@ -288,8 +279,9 @@ class CoreSearcher:
             codes = self._stop_codes(tol)
             if codes is not None:
                 stopped = codes != 0
-                self._codes[self.members[stopped]] = codes[stopped]
-                self._settle(stopped)
+                gone = self.members[stopped]
+                self._codes[gone] = codes[stopped]
+                self._ever_x[gone], self._ever_f[gone] = self.best_x[stopped], self.best_f[stopped]
                 self._keep(~stopped)
             running = len(self.members)
             if running == 0 or (limit is not None and np.add.reduce(self.evaluations)
@@ -491,16 +483,17 @@ class EdaSearcher(CoreSearcher):
              ("fitness-std", self.fitness_std < 1e-12)))
 
 
-def init_from_cluster(positions: np.ndarray, founder: Solution, eel: float, kind: SearcherKind,
-                      population_size: int, *, rng: np.random.Generator) -> CoreSearcher:
-    """Build a searcher (a group of one) from a cluster's (m, d) ``positions``.
+def init_from_cluster(positions: np.ndarray, fitness: np.ndarray, eel: float,
+                      kind: SearcherKind, population_size: int, *,
+                      rng: np.random.Generator) -> CoreSearcher:
+    """Build a searcher (a group of one) from a cluster's rows, best first: its
+    (m, d) ``positions`` and m ``fitness`` values.
 
     The mean is the cluster mean. The covariance is the sample covariance for
     clusters of at least d+1 solutions, its diagonal only for smaller ones,
     and (0.01 * eel)^2 times the identity for singletons (also used when all
     members coincide), so fresh samples land nearer than the neighbours that
-    founded the cluster. The cluster's best solution, ``founder``, seeds the
-    best-ever solution.
+    founded the cluster. Row 0, the cluster's founder, seeds the best so far.
     """
     m, d = positions.shape
     mean = np.add.reduce(positions, 0) / m
@@ -515,6 +508,7 @@ def init_from_cluster(positions: np.ndarray, founder: Solution, eel: float, kind
             cov = np.diag((deviations ** 2).sum(axis=0) / (m - 1))
         if not np.isfinite(cov).all() or cov.trace() <= 0.0:
             cov = tiny * np.eye(d)
+    start = {"best_x": positions[0], "best_f": fitness[0], "rng": rng}
     if kind is SearcherKind.CMSA:
-        return CmsaSearcher(mean, cov, population_size, founder=founder, rng=rng)
-    return EdaSearcher(mean, cov, population_size, kind, founder=founder, rng=rng)
+        return CmsaSearcher(mean, cov, population_size, **start)
+    return EdaSearcher(mean, cov, population_size, kind, **start)

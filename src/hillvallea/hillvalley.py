@@ -57,7 +57,7 @@ def hill_valley_test(left: np.ndarray, right: np.ndarray, f_left: float, f_right
     ``f_left`` and ``f_right``, share a niche.
 
     The ``n_test`` equidistant points on the segment between the solutions
-    are evaluated on a trial count in batches of 8, 16, 32, ... points; the
+    are evaluated uncharged in batches of 8, 16, 32, ... points; the
     test rejects at the first point strictly worse than both endpoints. The
     points up to that one (or all, if none is) are then charged in one take.
     Returns ``(same_niche, evaluations_charged)``. If the budget grants
@@ -67,7 +67,7 @@ def hill_valley_test(left: np.ndarray, right: np.ndarray, f_left: float, f_right
         raise ValueError("solutions have mismatched dimensions")
     t = np.arange(1, n_test + 1) / (n_test + 1)
     X, bar = right + t[:, None] * (left - right), _reject_bar(f_left, f_right)
-    trial, spent, size, same = evaluate.trial(n_test), 0, 8, True
+    trial, spent, size, same = evaluate.trial(), 0, 8, True
     while same and spent < n_test:
         worse = np.flatnonzero(trial.batch(X[spent:spent + size]) > bar)
         same = not worse.size
@@ -227,10 +227,10 @@ def _first_rejects(evaluate: BudgetedObjective, left, right, f_left, f_right,
 
     Row i is :func:`hill_valley_test` from ``left[i]`` to ``right[i]`` with
     ``n_test[i]`` points (arguments broadcast), bit for bit. The points are
-    evaluated in one batch on a trial count, uncharged.
+    evaluated in one batch, uncharged.
     """
     X = right + np.reshape(1.0 / (n_test + 1.0), (-1, 1)) * (left - right)
-    return evaluate.trial(len(X)).batch(X) > _reject_bar(f_left, f_right)
+    return evaluate.trial().batch(X) > _reject_bar(f_left, f_right)
 
 
 def hill_valley_clustering(positions: np.ndarray, fitness: np.ndarray, volume: float,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,13 +32,14 @@ TOL = 1e-5
 
 @dataclass
 class ElitistArchive:
-    """Presumed distinct global optima, kept across restarts.
-
-    ``n_unverified`` counts the elites appended untested because the budget
-    ran out before their distinctness tests could be run.
+    """Presumed distinct global optima, kept across restarts as (m, d)
+    ``positions`` and m ``fitness`` values; iterating yields each as a new
+    :class:`Solution`. ``n_unverified`` counts the elites appended untested
+    because the budget ran out before their distinctness tests could be run.
     """
 
-    solutions: list = field(default_factory=list)
+    positions: np.ndarray
+    fitness: np.ndarray
     n_unverified: int = 0
 
     @property
@@ -46,19 +47,15 @@ class ElitistArchive:
         return self.n_unverified == 0
 
     def __len__(self) -> int:
-        return len(self.solutions)
+        return len(self.fitness)
 
     def __iter__(self):
-        return iter(self.solutions)
-
-    def best_fitness(self) -> float:
-        return min(s.fitness for s in self.solutions) if self.solutions else math.inf
+        return map(Solution, self.positions.copy(), self.fitness.tolist())
 
     def spread(self) -> float:
         """Largest minus smallest elite fitness; 0 when they are equal, infinite ones too."""
-        fs = [s.fitness for s in self.solutions]
-        hi, lo = max(fs, default=0.0), min(fs, default=0.0)
-        return 0.0 if hi == lo else hi - lo
+        fs = self.fitness
+        return 0.0 if not len(fs) or fs.max() == fs.min() else float(fs.max() - fs.min())
 
 
 @dataclass
@@ -117,59 +114,57 @@ def truncation_selection(fitness: np.ndarray, tau: float) -> np.ndarray:
     return np.argsort(fitness, kind="stable")[:keep]
 
 
-def postprocess(candidates: Sequence[Solution], archive: ElitistArchive, tol: float,
+def postprocess(X: np.ndarray, f: np.ndarray, archive: ElitistArchive, tol: float,
                 evaluate: BudgetedObjective) -> int:
-    """Fold terminated-searcher bests into the archive; returns insertions plus replacements.
+    """Fold terminated-searcher bests, at the rows of ``X`` with fitnesses ``f``,
+    into the archive; returns insertions plus replacements.
 
     Candidates more than ``tol`` worse than the all-time best are dropped.
     If a survivor beats some elite by more than ``tol`` the archive is emptied
-    first. Each survivor, best first, is then tested against the current elites
-    with the fixed five-point hill-valley test: in a shared niche it replaces
-    the elite only when strictly better, otherwise it joins as a new elite.
-    When the budget dies mid-testing, the remaining survivors are appended
-    untested and counted in ``archive.n_unverified``.
+    first. Each survivor, best first (ties in row order), is then tested
+    against the current elites with the fixed five-point hill-valley test: in
+    a shared niche it replaces the elite only when strictly better, otherwise
+    it joins as a new elite. When the budget dies mid-testing, the remaining
+    survivors are appended untested and counted in ``archive.n_unverified``.
     """
-    if not candidates:
+    best = min(f.min(initial=math.inf), archive.fitness.min(initial=math.inf))
+    cands = np.flatnonzero(f <= best + tol)
+    if not cands.size:
         return 0
-    best = min(min(c.fitness for c in candidates), archive.best_fitness())
-    cands = sorted((c for c in candidates if c.fitness <= best + tol), key=lambda s: s.fitness)
-    elites = archive.solutions
-    if elites and cands and cands[0].fitness + tol < max(e.fitness for e in elites):
-        elites.clear()
-        archive.n_unverified = 0
+    cands = cands[np.argsort(f[cands], kind="stable")]
+    m = len(archive)
+    if m and f[cands[0]] + tol < archive.fitness.max():
+        m, archive.n_unverified = 0, 0
 
-    # row s mirrors elites[s]
-    positions = np.array([s.position for s in elites + cands])
-    fitness = np.array([s.fitness for s in elites + cands])
+    # rows [0, m) are the elites, and the survivors follow them
+    positions = np.concatenate([archive.positions[:m], X[cands]])
+    fitness = np.concatenate([archive.fitness[:m], f[cands]])
     added = 0
-    for cand in cands:
+    for c in range(m, len(fitness)):
         exhausted = evaluate.exhausted
         archive.n_unverified += exhausted
-        i = None if exhausted else _first_shared_niche(cand, positions[:len(elites)],
-                                                       fitness[:len(elites)], evaluate)
+        i = None if exhausted else _first_shared_niche(positions[c], fitness[c], positions[:m],
+                                                       fitness[:m], evaluate)
         if i is None:
-            i = len(elites)
-            elites.append(cand)
-        elif cand.fitness < elites[i].fitness:
-            elites[i] = cand
-        else:
+            i, m = m, m + 1
+        elif not fitness[c] < fitness[i]:
             continue
-        positions[i], fitness[i] = cand.position, cand.fitness
+        positions[i], fitness[i] = positions[c], fitness[c]
         added += 1
+    archive.positions, archive.fitness = positions[:m], fitness[:m]
     return added
 
 
-def _first_shared_niche(cand: Solution, positions: np.ndarray, fitness: np.ndarray,
+def _first_shared_niche(x: np.ndarray, fx: float, positions: np.ndarray, fitness: np.ndarray,
                         evaluate: BudgetedObjective) -> Optional[int]:
     """Index of the first elite, at row i of ``positions`` with ``fitness[i]``, that
-    passes the hill-valley test with ``cand``, or None.
+    passes the hill-valley test with the candidate at ``x`` with fitness ``fx``, or None.
 
     Every test's first point is looked ahead in one batch; the tests that
     reject there are charged in bulk.
     """
     m = len(fitness)
-    reject = _first_rejects(evaluate, cand.position, positions, cand.fitness, fitness,
-                            float(ARCHIVE_TEST_POINTS))
+    reject = _first_rejects(evaluate, x, positions, fx, fitness, float(ARCHIVE_TEST_POINTS))
     i = 0
     while i < m:
         # if the budget ends among these rejections, the next test passes
@@ -178,46 +173,45 @@ def _first_shared_niche(cand: Solution, positions: np.ndarray, fitness: np.ndarr
             i += evaluate.counter.take(evaluate.phase, run)
             if i == m:
                 return None
-        if hill_valley_test(cand.position, positions[i], cand.fitness, fitness[i],
-                            ARCHIVE_TEST_POINTS, evaluate)[0]:
+        if hill_valley_test(x, positions[i], fx, fitness[i], ARCHIVE_TEST_POINTS, evaluate)[0]:
             return i
         i += 1
     return None
 
 
-def _search_niches(founders: list, build: Callable, seeds: np.random.SeedSequence,
-                   evaluate: BudgetedObjective, stop_reasons: dict) -> list:
-    """Run one core searcher per niche; returns their bests in niche order.
+def _search_niches(X: np.ndarray, f: np.ndarray, build: Callable,
+                   seeds: np.random.SeedSequence, evaluate: BudgetedObjective,
+                   stop_reasons: dict) -> tuple:
+    """Run one core searcher per niche; returns their best positions and
+    fitnesses, as new arrays in niche order.
 
-    ``founders`` holds each niche's best solution, and ``build(k, seed)``
+    Row k of ``X`` and ``f`` is niche k's founder, and ``build(k, seed)``
     builds niche k's searcher.
 
-    The searchers run in lockstep on a trial counter and stop before a
-    generation that would take them past the remaining budget. They are then
-    charged in niche order, as if they had run one after another:
+    The searchers run in lockstep, uncharged, and stop before a generation
+    that would take them past the remaining budget. They are then charged in
+    niche order, as if they had run one after another:
 
-    - one whose trial use fits the budget left is charged that, and goes on
-      alone if it was still running;
-    - one whose trial use does not fit is run again alone from its start,
+    - one whose lockstep use fits the budget left is charged that, and goes
+      on alone if it was still running;
+    - one whose lockstep use does not fit is run again alone from its start,
       and the budget cuts it;
-    - those after the cut keep their founders, as a searcher given no
+    - those after the cut keep their founders' rows, as a searcher given no
       budget would.
 
     ``stop_reasons`` counts why each searcher that ran stopped.
     """
     counter = evaluate.counter
-    if not founders or counter.exhausted:
-        return founders
-    seqs = seeds.spawn(len(founders))
+    X, f = X.copy(), f.copy()
+    if not len(f) or counter.exhausted:
+        return X, f
+    seqs = seeds.spawn(len(f))
     group = CoreSearcher.stack([build(k, seq) for k, seq in enumerate(seqs)])
-    group.run(evaluate.trial(counter.remaining), evaluate.problem.domain, tol=TOL,
-              limit=counter.remaining)
+    group.run(evaluate.trial(), evaluate.problem.domain, tol=TOL, limit=counter.remaining)
     reasons = group.terminated_reason
-    bests = []
     for k, seq in enumerate(seqs):
         if counter.exhausted:
-            bests.append(founders[k])
-            continue
+            break
         used = int(group.evaluations[k])
         searcher, i = group, k
         if used > counter.remaining:  # the budget cuts it: run it again alone
@@ -228,24 +222,24 @@ def _search_niches(founders: list, build: Callable, seeds: np.random.SeedSequenc
                 searcher, i = group.member(k), 0
         if searcher is not group:
             searcher.run(evaluate, evaluate.problem.domain, tol=TOL)
-        bests.append(searcher.best_ever[i])
+        best_x, best_f = searcher.best_ever
+        X[k], f[k] = best_x[i], best_f[i]
         reason = reasons[k] if searcher is group else searcher.terminated_reason[0]
         stop_reasons[reason] = stop_reasons.get(reason, 0) + 1
-    return bests
+    return X, f
 
 
-def _select(domain: SearchDomain, n: int, elites: list, tau: float,
-            rng: np.random.Generator, evaluate: BudgetedObjective) -> tuple:
-    """Sample n points, add the injected ``elites`` and truncation-select.
+def _select(domain: SearchDomain, n: int, elite_x: np.ndarray, elite_f: np.ndarray,
+            tau: float, rng: np.random.Generator, evaluate: BudgetedObjective) -> tuple:
+    """Sample n points, add the injected elites' rows and truncation-select.
 
     Returns the kept rows' positions and fitnesses, best first, and which of
     them are injected elites.
     """
     X = uniform_sample(domain, n, rng)
-    fitness = np.concatenate([evaluate.batch(X), [s.fitness for s in elites]])
+    fitness = np.concatenate([evaluate.batch(X), elite_f])
     kept = truncation_selection(fitness, tau)
-    positions = np.concatenate([X, np.reshape([s.position for s in elites], (-1, X.shape[1]))])
-    return positions[kept], fitness[kept], kept >= n
+    return np.concatenate([X, elite_x])[kept], fitness[kept], kept >= n
 
 
 def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind, seed: int = 0, *,
@@ -279,32 +273,31 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind, seed: int = 0,
     population_size = 16 * d
     cluster_size = recommended_population_size(kind, d)
 
-    archive = ElitistArchive()
+    archive = ElitistArchive(np.empty((0, d)), np.empty(0))
     logs: list = []
     stop_reasons: dict = {}
 
     while counter.remaining > 0:
         # phase 1: sample, inject elites, select, cluster; only the selection outlives sampling
+        keep = len(archive) if inject else 0
         positions, fitness, injected = _select(
             problem.domain, min(population_size, counter.remaining),
-            archive.solutions if inject else [], kind.tau, sample_rng, obj_init)
+            archive.positions[:keep], archive.fitness[:keep], kind.tau, sample_rng, obj_init)
         clusters, complete = hill_valley_clustering(positions, fitness, volume, obj_cluster)
 
-        # phase 2: one core searcher per niche whose founder is not an injected elite;
-        # a founder leaves the restart as a copy of its row
+        # phase 2: one core searcher per niche whose founder is not an injected elite
         searcher_eel = expected_edge_length(volume, len(fitness), d)
         niches = [rows for rows in clusters if not injected[rows[0]]]
-        founders = [Solution(positions[rows[0]].copy(), float(fitness[rows[0]]))
-                    for rows in niches]
-        candidates = _search_niches(
-            founders, lambda k, seq: init_from_cluster(
-                positions[niches[k]], founders[k], searcher_eel, kind, cluster_size,
+        founders = [rows[0] for rows in niches]
+        cand_x, cand_f = _search_niches(
+            positions[founders], fitness[founders], lambda k, seq: init_from_cluster(
+                positions[niches[k]], fitness[niches[k]], searcher_eel, kind, cluster_size,
                 rng=np.random.default_rng(seq)),
             searcher_seq, obj_local, stop_reasons)
 
         if observe is not None:
             observe(counter, archive)
-        added = postprocess(candidates, archive, TOL, obj_post)
+        added = postprocess(cand_x, cand_f, archive, TOL, obj_post)
         if observe is not None:
             observe(counter, archive)
 
@@ -315,7 +308,7 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind, seed: int = 0,
             n_clusters=len(clusters),
             clustering_complete=complete,
             n_skipped_elites=len(clusters) - len(niches),
-            n_searchers=len(candidates),
+            n_searchers=len(niches),
             n_new_elites=added,
             archive_size=len(archive),
             archive_spread=archive.spread(),
@@ -324,7 +317,7 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind, seed: int = 0,
             population_size *= 2
             cluster_size = math.ceil(1.2 * cluster_size)
         # a restart's arrays die with it, before the next restart samples
-        del positions, fitness, injected, clusters, niches, founders, candidates
+        del positions, fitness, injected, clusters, niches, founders, cand_x, cand_f
 
     return RunResult(
         archive=archive,

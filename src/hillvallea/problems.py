@@ -71,7 +71,7 @@ class EvaluationCounter:
     budget: int
     used: int = 0
     phase_used: dict = field(default_factory=lambda: {p: 0 for p in PHASES})
-    rows: int = 0  # rows passed to the objective, charged or not (trials tally here too)
+    rows: int = 0  # rows passed to the objective, charged or not (trials count here too)
 
     @property
     def remaining(self) -> int:
@@ -125,20 +125,20 @@ class BudgetedObjective:
     and comparison downstream sees one total order.
     """
 
-    __slots__ = ("problem", "counter", "phase", "tally")
+    __slots__ = ("problem", "counter", "phase", "charged")
 
     def __init__(self, problem: BenchmarkProblem, counter: EvaluationCounter, phase: str,
-                 tally: Optional[EvaluationCounter] = None):
+                 charged: bool = True):
         self.problem = problem
         self.counter = counter
         self.phase = phase
-        self.tally = tally or counter  # tallies the rows evaluated; a trial's is its owner's
+        self.charged = charged  # a trial's rows take nothing from the budget
 
     def batch(self, X: np.ndarray) -> np.ndarray:
-        grant = self.counter.take(self.phase, len(X))
+        grant = self.counter.take(self.phase, len(X)) if self.charged else len(X)
         if grant == 0:
             return np.empty(0)
-        self.tally.rows += grant
+        self.counter.rows += grant
         fs = self.problem.objective(X[:grant])
         if not (isinstance(fs, np.ndarray) and fs.shape == (grant,)):
             raise ValueError(f"objective of problem {self.problem.name!r} returned "
@@ -147,9 +147,10 @@ class BudgetedObjective:
         nan = np.isnan(fs)
         return np.where(nan, np.inf, fs) if nan.any() else fs
 
-    def trial(self, budget: int) -> BudgetedObjective:
-        """The same objective and phase on a fresh counter, for work charged later."""
-        return BudgetedObjective(self.problem, EvaluationCounter(budget), self.phase, self.tally)
+    def trial(self) -> BudgetedObjective:
+        """This objective uncharged, for work charged later; its rows still count in
+        ``counter.rows``, and the caller bounds them."""
+        return BudgetedObjective(self.problem, self.counter, self.phase, charged=False)
 
     @property
     def exhausted(self) -> bool:

@@ -47,6 +47,17 @@ def selection_of(solutions) -> tuple:
     return np.array([s.position for s in ordered]), np.array([s.fitness for s in ordered])
 
 
+def rows_of(solutions, d: int = 1) -> tuple:
+    """The (n, d) positions and n fitnesses of ``solutions``, in their order."""
+    return (np.reshape([s.position for s in solutions], (-1, d)),
+            np.array([s.fitness for s in solutions], dtype=float))
+
+
+def bits(solutions) -> list:
+    """Each solution's position and fitness, bit for bit."""
+    return [(s.position.tobytes(), float(s.fitness).hex()) for s in solutions]
+
+
 def hill_valley(left: Solution, right: Solution, n_test: int, evaluate: BudgetedObjective):
     """:func:`hill_valley_test` between two solutions."""
     return hill_valley_test(left.position, right.position, left.fitness, right.fitness,

@@ -246,6 +246,15 @@ def test_run_config_validation(tmp_path):
         RunConfig(problems=(2, 2))
 
 
+@pytest.mark.parametrize("bad", [{"budget": 600.0}, {"budget": True}, {"reps": 1.5},
+                                 {"reps": None}, {"jobs": 2.5}, {"trace": 2.5},
+                                 {"seed": True}, {"problems": (42,)}, {"problems": (12,)}])
+def test_run_config_rejects_non_integer_counts_and_unknown_problems(bad):
+    # each of these would otherwise fail only inside a run, or in a worker under --jobs
+    with pytest.raises(ValueError):
+        RunConfig(**{"problems": (2,), **bad})
+
+
 @pytest.mark.parametrize("flags", [["--budget", "-5"], ["--budget", "0"],
                                    ["--epsilon", "0"], ["--trace", "-5"],
                                    ["--budget-multiplier", "1e-9"],

@@ -16,21 +16,28 @@ from helpers import (RecordingObjective, budgeted, budgeted_fn, make_ripple_prob
 
 
 def _cluster(points, fn):
-    """A cluster's positions, best first, and its founder."""
-    positions, fitness = selection_of(
+    """A cluster's positions and fitnesses, best first."""
+    return selection_of(
         Solution(np.atleast_1d(np.asarray(p, float)), fn(np.atleast_1d(p))) for p in points)
-    return positions, Solution(positions[0].copy(), float(fitness[0]))
 
 
 def _searcher(kind, mean, covariance, population_size, seed, founder=None, fn=sphere):
-    """A fresh searcher of ``kind``; its founder sits at its mean unless given."""
+    """A fresh searcher of ``kind``; its founder, a (position, fitness) pair, sits at
+    its mean unless given."""
     mean = np.asarray(mean, float)
-    if founder is None:
-        founder = Solution(mean.copy(), fn(mean))
+    best_x, best_f = (mean.copy(), fn(mean)) if founder is None else founder
     rng = np.random.default_rng(seed)
     if kind is SearcherKind.CMSA:
-        return CmsaSearcher(mean, covariance, population_size, founder=founder, rng=rng)
-    return EdaSearcher(mean, covariance, population_size, kind, founder=founder, rng=rng)
+        return CmsaSearcher(mean, covariance, population_size, best_x=best_x, best_f=best_f,
+                            rng=rng)
+    return EdaSearcher(mean, covariance, population_size, kind, best_x=best_x, best_f=best_f,
+                       rng=rng)
+
+
+def _best(searcher, i=0):
+    """Member i's best position and fitness, bit for bit."""
+    positions, fitness = searcher.best_ever
+    return positions[i].tobytes(), float(fitness[i]).hex()
 
 
 def test_recommended_sizes_match_table_arithmetic():
@@ -56,11 +63,11 @@ def test_selection_fraction_per_kind():
 
 
 def test_init_singleton_cluster_covariance():
-    positions, founder = _cluster([[0.3, 0.4]], sphere)
-    s = init_from_cluster(positions, founder, eel=1.0, kind=SearcherKind.AMU,
+    positions, fitness = _cluster([[0.3, 0.4]], sphere)
+    s = init_from_cluster(positions, fitness, eel=1.0, kind=SearcherKind.AMU,
                           population_size=8, rng=np.random.default_rng(0))
     assert np.allclose(s.covariance, 1e-4 * np.eye(2))
-    assert s.best_ever[0] is founder
+    assert _best(s) == (positions[0].tobytes(), float(fitness[0]).hex())
 
 
 def test_init_full_sample_covariance():
@@ -95,7 +102,7 @@ def test_cmsa_init_splits_scale_and_shape():
 
 def test_cmsa_generation_updates():
     problem = make_sphere_problem(2)
-    founder = Solution(np.array([0.5, 0.5]), 0.5)
+    founder = (np.array([0.5, 0.5]), 0.5)
     s = _searcher(SearcherKind.CMSA, [2.0, 2.0], np.eye(2), 8, 5, founder=founder)
     rec = RecordingObjective(sphere)
     s.run_generation(budgeted_fn(rec), problem.domain)
@@ -105,7 +112,7 @@ def test_cmsa_generation_updates():
     X = np.array(rec.points)
     fs = np.array([sphere(x) for x in X])
     worst = np.argmax(fs)
-    X[worst], fs[worst] = founder.position, founder.fitness
+    X[worst], fs[worst] = founder
     best = np.argsort(fs, kind="stable")[:4]
     assert worst in best
     assert np.allclose(s.mean, X[best].mean(axis=0))
@@ -114,11 +121,11 @@ def test_cmsa_generation_updates():
 def test_cmsa_constant_objective_keeps_best():
     problem = make_sphere_problem(2)
     s = _searcher(SearcherKind.CMSA, np.zeros(2), np.eye(2), 8, 6,
-                  founder=Solution(np.zeros(2), 1.0))
+                  founder=(np.zeros(2), 1.0))
     for _ in range(3):
         s.run_generation(budgeted_fn(lambda x: 1.0), problem.domain)
-    assert s.best_ever[0].fitness == 1.0
-    assert np.allclose(s.best_ever[0].position, np.zeros(2))
+    assert s.best_ever[1][0] == 1.0
+    assert np.allclose(s.best_ever[0][0], np.zeros(2))
 
 
 def test_cmsa_sphere_convergence_oracle():
@@ -129,21 +136,22 @@ def test_cmsa_sphere_convergence_oracle():
     prev = np.inf
     for _ in range(50):
         s.run_generation(obj, problem.domain)
-        assert s.best_ever[0].fitness <= prev + 1e-15
-        prev = s.best_ever[0].fitness
-    assert s.best_ever[0].fitness < 1e-5
+        assert s.best_ever[1][0] <= prev + 1e-15
+        prev = s.best_ever[1][0]
+    assert s.best_ever[1][0] < 1e-5
 
 
 def test_eda_selection_floor_and_refit_mean():
     assert int(0.35 * 15) == 5
     problem = make_sphere_problem(2)
-    founder = Solution(np.array([0.2, 0.2]), 0.08)
-    s = _searcher(SearcherKind.AMU, [1.0, 1.0], np.eye(2), 15, 7, founder=founder)
+    founder_x, founder_f = np.array([0.2, 0.2]), 0.08
+    s = _searcher(SearcherKind.AMU, [1.0, 1.0], np.eye(2), 15, 7,
+                  founder=(founder_x, founder_f))
     rec = RecordingObjective(sphere)
     s.run_generation(budgeted_fn(rec), problem.domain)
     assert rec.count == 14  # the founder is the population's 15th row
-    X = np.vstack([rec.points, founder.position])
-    fs = np.array([sphere(x) for x in rec.points] + [founder.fitness])
+    X = np.vstack([rec.points, founder_x])
+    fs = np.array([sphere(x) for x in rec.points] + [founder_f])
     best = np.argsort(fs, kind="stable")[:5]
     assert 14 in best
     assert np.allclose(s.mean, X[best].mean(axis=0))
@@ -151,8 +159,8 @@ def test_eda_selection_floor_and_refit_mean():
 
 def test_eda_rejects_cmsa_kind():
     with pytest.raises(ValueError):
-        EdaSearcher(np.zeros(1), np.eye(1), 5, SearcherKind.CMSA,
-                    founder=Solution(np.zeros(1), 0.0), rng=np.random.default_rng(0))
+        EdaSearcher(np.zeros(1), np.eye(1), 5, SearcherKind.CMSA, best_x=np.zeros(1),
+                    best_f=0.0, rng=np.random.default_rng(0))
 
 
 def test_amu_quadratic_oracle_from_singleton_init():
@@ -163,7 +171,7 @@ def test_amu_quadratic_oracle_from_singleton_init():
                           population_size=10, rng=np.random.default_rng(2))
     s.run(budgeted_fn(quad), problem.domain, tol=1e-5)
     assert s.terminated_reason[0] in ("population-std", "fitness-std")
-    assert abs(s.best_ever[0].position[0] - 0.3) < 1e-4
+    assert abs(s.best_ever[0][0, 0] - 0.3) < 1e-4
 
 
 def test_cmsa_termination_window_arithmetic():
@@ -196,7 +204,7 @@ def test_cmsa_ill_conditioned_termination():
 def test_cmsa_no_improvement_termination():
     problem = make_sphere_problem(1)
     s = _searcher(SearcherKind.CMSA, np.zeros(1), np.eye(1), 8, 0,
-                  founder=Solution(np.zeros(1), 5.0))
+                  founder=(np.zeros(1), 5.0))
     flat = budgeted_fn(lambda x: 5.0)
     s.run(flat, problem.domain, tol=1e-5)
     # the best must stall over window + 1 generations
@@ -210,17 +218,17 @@ def test_budget_exhaustion_mid_generation():
     problem = make_sphere_problem(2)
     obj = budgeted_fn(rec, 5)
     counter = obj.counter
-    founder = Solution(np.array([3.0, 3.0]), 18.0)
+    founder = (np.array([3.0, 3.0]), 18.0)
     s = _searcher(SearcherKind.CMSA, [3.0, 3.0], np.eye(2), 8, 3, founder=founder)
     s.run_generation(obj, problem.domain)
     assert list(s.terminated_reason) == ["budget"]
     assert counter.used == 5 and rec.count == 5
     # the best of the founder and the 5 granted offspring
-    candidates = [founder] + [Solution(x, sphere(x)) for x in rec.points]
-    best = min(candidates, key=lambda c: c.fitness)
-    assert best is not founder
-    assert s.best_ever[0].fitness == best.fitness
-    assert np.array_equal(s.best_ever[0].position, best.position)
+    X = np.vstack([founder[0], rec.points])
+    fs = np.array([founder[1]] + [sphere(x) for x in rec.points])
+    best = int(np.argmin(fs))
+    assert best != 0
+    assert _best(s) == (X[best].tobytes(), float(fs[best]).hex())
 
 
 @pytest.mark.parametrize("kind", list(SearcherKind))
@@ -237,8 +245,8 @@ def test_best_ever_monotone_and_in_domain(kind):
     prev = np.inf
     for _ in range(30):
         s.run_generation(obj, problem.domain)
-        assert s.best_ever[0].fitness <= prev + 1e-15
-        prev = s.best_ever[0].fitness
+        assert s.best_ever[1][0] <= prev + 1e-15
+        prev = s.best_ever[1][0]
     pts = np.array(rec.points)
     assert np.all(pts >= problem.domain.lower - 1e-12)
     assert np.all(pts <= problem.domain.upper + 1e-12)
@@ -256,8 +264,8 @@ def test_sphere_statistical_convergence(kind):
         obj, _ = budgeted(problem, 10 ** 4)
         s = _searcher(kind, [3.0, 3.0], np.eye(2), recommended_population_size(kind, 2),
                       1000 + seed)
-        best = s.run(obj, problem.domain, tol=1e-5)[0]
-        successes += best.fitness < 1e-5
+        _, best_f = s.run(obj, problem.domain, tol=1e-5)
+        successes += best_f[0] < 1e-5
     assert successes >= 95
 
 
@@ -294,8 +302,7 @@ def test_lockstep_members_match_lone_runs(kind, d, size, seed, limit):
             member.run(obj, problem.domain, tol=1e-5)
         assert member.terminated_reason[i] == lone.terminated_reason[0]
         assert member.evaluations[i] == lone.evaluations[0]
-        assert member.best_ever[i].fitness == lone.best_ever[0].fitness
-        assert np.array_equal(member.best_ever[i].position, lone.best_ever[0].position)
+        assert _best(member, i) == _best(lone)
 
 
 def _bits(a):
@@ -352,14 +359,14 @@ def test_fitness_spread_with_infinities_is_defined_without_warning():
 def test_eda_fitness_std_stop_fires_on_all_infinite_population(kind):
     problem = make_sphere_problem(2)
     # a founder whose objective returned NaN reads as +inf
-    s = _searcher(kind, np.zeros(2), np.eye(2), 8, 3, founder=Solution(np.zeros(2), np.inf))
+    s = _searcher(kind, np.zeros(2), np.eye(2), 8, 3, founder=(np.zeros(2), np.inf))
     s.run(budgeted_fn(lambda x: np.inf), problem.domain, tol=1e-5)
     assert s.terminated_reason == ["fitness-std"]
     assert s.generation == 1
 
 
 @pytest.mark.parametrize("kind", list(SearcherKind))
-def test_member_that_never_improves_keeps_its_founder_object(kind):
+def test_member_that_never_improves_keeps_its_founders_row(kind):
     problem = make_sphere_problem(2)
     n = recommended_population_size(kind, 2)
 
@@ -367,13 +374,15 @@ def test_member_that_never_improves_keeps_its_founder_object(kind):
         return _searcher(kind, np.zeros(2), 0.01 * np.eye(2), n, seed, founder=founder)
 
     # nothing on the sphere beats the minimum, so the first founder is never replaced
-    stuck = Solution(np.zeros(2), 0.0)
-    movable = Solution(np.array([0.05, 0.05]), 10.0)
+    stuck = (np.zeros(2), 0.0)
+    movable = (np.array([0.05, 0.05]), 10.0)
     obj, _ = budgeted(problem, 10 ** 6)
     group = CoreSearcher.stack([build(stuck, 1), build(movable, 2)])
     group.run(obj, problem.domain, tol=1e-5, limit=4 * n)
-    assert group.best_ever[0] is stuck
-    assert group.best_ever[1] is not movable
-    assert group.member(0).best_ever[0] is stuck
+    stuck_row = (stuck[0].tobytes(), float(stuck[1]).hex())
+    assert _best(group, 0) == stuck_row
+    assert _best(group, 1) != (movable[0].tobytes(), float(movable[1]).hex())
+    assert _best(group.member(0)) == stuck_row
     alone = build(stuck, 1)
-    assert alone.run(obj, problem.domain, tol=1e-5)[0] is stuck
+    alone.run(obj, problem.domain, tol=1e-5)
+    assert _best(alone) == stuck_row

@@ -19,7 +19,7 @@ from hillvallea.hillvalley import _nearest_better, expected_edge_length, hill_va
 from hillvallea.hillvalley import test_point_count as n_test_points
 from hillvallea.optimizer import ARCHIVE_TEST_POINTS, postprocess
 from hillvallea.problems import BudgetedObjective, EvaluationCounter
-from helpers import hill_valley, selection_of
+from helpers import bits, hill_valley, rows_of, selection_of
 
 
 def reference_clustering(selection, volume, d, evaluate):
@@ -74,10 +74,12 @@ def reference_merge(candidates, elites, evaluate):
     return added, untested
 
 
-def merge(candidates, elites, evaluate):
-    """``postprocess`` with no tolerance filter, so it only merges: returns (added, untested)."""
-    archive = ElitistArchive(elites)
-    return postprocess(candidates, archive, math.inf, evaluate), archive.n_unverified
+def merge(candidates, elites, d, evaluate):
+    """``postprocess`` with no tolerance filter, so it only merges, on the rows of
+    ``candidates`` and ``elites``: returns (added, untested) and the merged elites."""
+    archive = ElitistArchive(*rows_of(elites, d))
+    added = postprocess(*rows_of(candidates, d), archive, math.inf, evaluate)
+    return (added, archive.n_unverified), list(archive)
 
 
 def terraced_problem(d: int, step: float) -> BenchmarkProblem:
@@ -155,7 +157,7 @@ def test_clustering_matches_sequential_sweep(instance, used):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(instances(), st.integers(0, 12), st.integers(0, 3))
 def test_merge_matches_sequential_merge(instance, n_elites, used):
-    problem, solutions, _, _ = instance
+    problem, solutions, d, _ = instance
     elites, candidates = solutions[:n_elites], solutions[n_elites:]
     spend_all = _unbudgeted_spend(reference_merge, problem, candidates, list(elites))
     for spend in range(spend_all + 2):
@@ -163,8 +165,8 @@ def test_merge_matches_sequential_merge(instance, n_elites, used):
         ref_elites = list(elites)
         reference = reference_merge(candidates, ref_elites, ref_eval)
         new_eval, new_counter = _budgeted(problem, used + spend, used)
-        got_elites = list(elites)
-        assert merge(candidates, got_elites, new_eval) == reference
-        assert [id(s) for s in got_elites] == [id(s) for s in ref_elites]
+        got, got_elites = merge(candidates, elites, d, new_eval)
+        assert got == reference
+        assert bits(got_elites) == bits(ref_elites)
         assert new_counter.used == ref_counter.used
         assert new_counter.phase_used == ref_counter.phase_used

@@ -13,8 +13,8 @@ from hillvallea import (BenchmarkProblem, ElitistArchive, SearchDomain, Searcher
 from hillvallea.core_search import init_from_cluster, recommended_population_size
 from hillvallea.optimizer import (TOL, _search_niches, postprocess, truncation_selection,
                                   uniform_sample)
-from helpers import (RecordingObserver, budgeted, budgeted_fn, double_well, hill_valley,
-                     make_ripple_problem, make_sphere_problem, solution)
+from helpers import (RecordingObserver, bits, budgeted, budgeted_fn, double_well, hill_valley,
+                     make_ripple_problem, make_sphere_problem, rows_of, solution)
 
 
 def _kept(fitness, tau):
@@ -43,21 +43,21 @@ def test_truncation_selection_stable_ties(fitness, tau):
 
 def test_postprocess_tol_filter_discards():
     elite = Solution(np.array([0.0]), 0.0)
-    archive = ElitistArchive([elite])
+    archive = ElitistArchive(*rows_of([elite]))
     obj = budgeted_fn(lambda x: 0.0, phase="postprocess")
-    assert postprocess([Solution(np.array([2.0]), 0.5)], archive, 1e-5, obj) == 0
-    assert archive.solutions == [elite]
+    assert postprocess(*rows_of([Solution(np.array([2.0]), 0.5)]), archive, 1e-5, obj) == 0
+    assert bits(archive) == bits([elite])
     assert obj.counter.used == 0  # dropped before any distinctness test
 
 
 def test_postprocess_empties_archive_for_better_optimum():
     stale = Solution(np.array([1.0]), 0.5)
-    archive = ElitistArchive([stale])
+    archive = ElitistArchive(*rows_of([stale]))
     obj = budgeted_fn(lambda x: 1.0, phase="postprocess")  # any interior point is a hill
     fresh = Solution(np.array([0.0]), 0.0)
-    assert postprocess([fresh], archive, 1e-5, obj) == 1
+    assert postprocess(*rows_of([fresh]), archive, 1e-5, obj) == 1
     # emptied first, so the stale elite is gone although no test ran
-    assert archive.solutions == [fresh]
+    assert bits(archive) == bits([fresh])
     assert obj.counter.used == 0
 
 
@@ -65,9 +65,9 @@ def test_postprocess_double_well_distinctness():
     obj = budgeted_fn(double_well, phase="postprocess")
     left = solution(-1.0, double_well)
     right = solution(1.0, double_well)
-    archive = ElitistArchive([left])
-    assert postprocess([right], archive, 1e-5, obj) == 1
-    assert archive.solutions == [left, right]
+    archive = ElitistArchive(*rows_of([left]))
+    assert postprocess(*rows_of([right]), archive, 1e-5, obj) == 1
+    assert bits(archive) == bits([left, right])
     # the five-point test rejected at its first interior sample
     assert obj.counter.used == 1
 
@@ -75,21 +75,21 @@ def test_postprocess_double_well_distinctness():
 def test_postprocess_same_niche_replacement_rules():
     fn = lambda x: float(x[0] ** 2)
     elite = solution(0.1, fn)
-    archive = ElitistArchive([elite])
+    archive = ElitistArchive(*rows_of([elite]))
     worse_dup = solution(0.2, fn)
     obj = budgeted_fn(fn, phase="postprocess")
-    assert postprocess([worse_dup], archive, 1.0, obj) == 0
-    assert archive.solutions == [elite]
+    assert postprocess(*rows_of([worse_dup]), archive, 1.0, obj) == 0
+    assert bits(archive) == bits([elite])
     better_dup = solution(0.05, fn)
-    assert postprocess([better_dup], archive, 1.0, obj) == 1
-    assert archive.solutions == [better_dup]
+    assert postprocess(*rows_of([better_dup]), archive, 1.0, obj) == 1
+    assert bits(archive) == bits([better_dup])
 
 
 def test_postprocess_budget_exhaustion_appends_unverified():
     problem = make_sphere_problem(1)
     obj, _ = budgeted(problem, 0, phase="postprocess")
-    archive = ElitistArchive([Solution(np.array([-1.0]), 0.0)])
-    assert postprocess([Solution(np.array([1.0]), 0.0)], archive, 1e-5, obj) == 1
+    archive = ElitistArchive(np.array([[-1.0]]), np.array([0.0]))
+    assert postprocess(np.array([[1.0]]), np.array([0.0]), archive, 1e-5, obj) == 1
     assert len(archive) == 2
     assert not archive.verified
 
@@ -154,7 +154,16 @@ def test_budget_hard_stop_and_phase_accounting(kind, d, budget, inject, seed, pi
     assert sum(result.phase_used.values()) == budget
     fractions = result.phase_fractions
     assert sum(fractions.values()) == pytest.approx(1.0, abs=1e-9)
-    for elite in result.archive:
+    # the archive is arrays, and a caller reads its rows as Solutions
+    archive = result.archive
+    m = len(archive)
+    assert archive.positions.shape == (m, problem.dimension)
+    assert archive.fitness.shape == (m,)
+    elites = list(archive)
+    assert all(isinstance(elite, Solution) for elite in elites)
+    assert bits(elites) == [(x.tobytes(), float(f).hex())
+                            for x, f in zip(archive.positions, archive.fitness)]
+    for elite in elites:
         assert problem.domain.contains(elite.position)
     searchers = sum(log.n_searchers for log in result.per_restart_log)
     assert sum(result.stop_reasons.values()) <= searchers
@@ -172,7 +181,7 @@ def test_archive_pairwise_distinct_replay():
     result = run_hillvallea(replace(problem, budget=20_000), SearcherKind.AMU, seed=6)
     if not result.archive.verified:
         pytest.skip("budget died during distinctness testing on this seed")
-    elites = result.archive.solutions
+    elites = list(result.archive)
     obj, _ = budgeted(problem, 10 ** 6, phase="postprocess")
     for i in range(len(elites)):
         for j in range(i + 1, len(elites)):
@@ -236,25 +245,39 @@ def test_skipped_clusters_are_those_an_elite_founds(monkeypatch, pid, seed):
     assert [log.n_skipped_elites for log in result.per_restart_log] == skipped
 
 
-def test_elites_own_their_positions():
+def test_elites_own_their_positions(monkeypatch):
     # a never-improved founder enters the archive as a copy of its row: nothing
-    # of a restart outlives it but what it put in the archive
+    # of a restart outlives it but what it put in the archive, and a caller's
+    # Solutions share nothing with the archive
+    from hillvallea import optimizer
+    selections = []
+    cluster = optimizer.hill_valley_clustering
+
+    def traced(positions, fitness, *args):
+        selections.append((positions, fitness))
+        return cluster(positions, fitness, *args)
+
+    monkeypatch.setattr(optimizer, "hill_valley_clustering", traced)
     result = run_hillvallea(make_problem(2), SearcherKind.AMU, seed=0)
-    assert len(result.archive) > 1
-    assert all(elite.position.base is None for elite in result.archive)
+    archive = result.archive
+    assert len(archive) > 1 and len(selections) > 1
+    for positions, fitness in selections:
+        assert not np.shares_memory(archive.positions, positions)
+        assert not np.shares_memory(archive.fitness, fitness)
+    assert not any(np.shares_memory(elite.position, archive.positions) for elite in archive)
 
 
 def test_restart_builds_solutions_only_where_read(monkeypatch):
-    # the selection stays arrays: Solutions are built for cluster founders,
-    # tested endpoints and searcher bests, not for every selected row
+    # a run is arrays up to its archive: no Solution is built until a caller
+    # reads the archive, and then one per elite
     built = []
     init = Solution.__init__
     monkeypatch.setattr(Solution, "__init__",
                         lambda self, *args: built.append(1) or init(self, *args))
     result = run_hillvallea(replace(make_problem(10), budget=60_000), SearcherKind.AMU, seed=0)
-    selected = sum(log.selection_size for log in result.per_restart_log)
-    assert selected > 14_000
-    assert len(built) < selected / 3
+    assert sum(log.n_searchers for log in result.per_restart_log) > 0
+    assert built == []
+    assert len(list(result.archive)) == len(built) == len(result.archive) > 0
 
 
 def test_only_the_selection_is_alive_while_clustering(monkeypatch):
@@ -310,17 +333,13 @@ def _outputs(result) -> tuple:
             result.per_restart_log, result.stop_reasons, result.archive.n_unverified)
 
 
-def _bits(solutions) -> list:
-    return [(s.position.tobytes(), float(s.fitness).hex()) for s in solutions]
-
-
 def test_observer_changes_nothing_and_sees_each_postprocess():
     problem = replace(make_problem(7), budget=5_000)
     seen = RecordingObserver()
     plain = run_hillvallea(problem, SearcherKind.AMU, seed=1, inject=True)
     observed = run_hillvallea(problem, SearcherKind.AMU, seed=1, inject=True, observe=seen)
     assert _outputs(observed) == _outputs(plain)
-    assert _bits(observed.archive) == _bits(plain.archive)
+    assert bits(observed.archive) == bits(plain.archive)
     assert plain.restarts > 1
     # one call just before and one just after each restart's postprocess
     assert len(seen.calls) == 2 * observed.restarts
@@ -348,7 +367,7 @@ def test_objective_rows_counts_every_row_the_objective_sees(pid, kind):
     assert counted.objective_rows == rows[0] == plain.objective_rows
     assert counted.objective_rows > counted.evaluations_used == problem.budget
     assert _outputs(counted) == _outputs(plain)
-    assert _bits(counted.archive) == _bits(plain.archive)
+    assert bits(counted.archive) == bits(plain.archive)
 
 
 def test_budget_must_be_positive():
@@ -385,20 +404,20 @@ def test_budget_must_be_an_integer():
     assert result.evaluations_used == 5000
 
 
-def _lone_searches(founders, build, seeds, evaluate, stop_reasons):
+def _lone_searches(X, f, build, seeds, evaluate, stop_reasons):
     """:func:`_search_niches` as its docstring settles it: lone searchers run one
-    after another on the real counter; once the budget is spent, niches keep their founders."""
-    bests = []
-    for k, seq in enumerate(seeds.spawn(len(founders))):
+    after another on the real counter; once the budget is spent, niches keep their
+    founders' rows."""
+    X, f = X.copy(), f.copy()
+    for k, seq in enumerate(seeds.spawn(len(f))):
         if evaluate.counter.exhausted:
-            bests.append(founders[k])
-            continue
+            break
         searcher = build(k, seq)
         searcher.run(evaluate, evaluate.problem.domain, tol=TOL)
-        bests.append(searcher.best_ever[0])
+        X[k], f[k] = searcher.best_ever[0][0], searcher.best_ever[1][0]
         reason = searcher.terminated_reason[0]
         stop_reasons[reason] = stop_reasons.get(reason, 0) + 1
-    return bests
+    return X, f
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -412,25 +431,29 @@ def test_search_niches_settles_as_lone_searchers_in_niche_order(kind, d, n_niche
     niches = []
     for _ in range(n_niches):
         rows = rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 6)), d))
-        niches.append(rows[np.argsort(problem.objective(rows), kind="stable")])
-    founders = [Solution(rows[0].copy(), float(problem.objective(rows[:1])[0]))
-                for rows in niches]
+        fitness = problem.objective(rows)
+        order = np.argsort(fitness, kind="stable")
+        niches.append((rows[order], fitness[order]))
+    founder_x = np.array([rows[0] for rows, _ in niches])
+    founder_f = np.array([fitness[0] for _, fitness in niches])
+    founder_bits = founder_x.tobytes() + founder_f.tobytes()
     population = recommended_population_size(kind, d)
 
     def build(k, seq):
-        return init_from_cluster(niches[k], founders[k], 0.5, kind, population,
+        return init_from_cluster(*niches[k], 0.5, kind, population,
                                  rng=np.random.default_rng(seq))
 
     outcomes = []
     for search in (_search_niches, _lone_searches):
         evaluate, counter = budgeted(problem, budget)
         stop_reasons = {}
-        bests = search(founders, build, np.random.SeedSequence(seed), evaluate, stop_reasons)
-        outcomes.append((bests, counter, stop_reasons))
+        X, f = search(founder_x, founder_f, build, np.random.SeedSequence(seed), evaluate,
+                      stop_reasons)
+        outcomes.append(((X.tobytes(), f.tobytes()), counter, stop_reasons))
     (got, got_counter, got_reasons), (want, want_counter, want_reasons) = outcomes
-    assert [(b.position.tobytes(), float(b.fitness).hex()) for b in got] == [
-        (b.position.tobytes(), float(b.fitness).hex()) for b in want]
-    assert [b is f for b, f in zip(got, founders)] == [b is f for b, f in zip(want, founders)]
+    assert got == want
+    # both return new arrays: the founders' rows are the caller's
+    assert founder_x.tobytes() + founder_f.tobytes() == founder_bits
     assert got_counter.used == want_counter.used
     assert got_counter.phase_used == want_counter.phase_used
     assert got_reasons == want_reasons
