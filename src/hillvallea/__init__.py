@@ -11,13 +11,13 @@ from .core_search import SearcherKind
 from .evaluation import PeakRatioReport, peak_ratio
 from .hillvalley import Solution
 from .optimizer import ElitistArchive, RestartLog, RunResult, run_hillvallea
-from .problems import (BenchmarkProblem, KnownOptimum, SearchDomain, UnsupportedProblemError,
-                       make_problem, problem_names)
+from .problems import (BenchmarkProblem, SearchDomain, UnsupportedProblemError, make_problem,
+                       problem_names)
 
 __all__ = [
-    "BenchmarkProblem", "ElitistArchive", "KnownOptimum", "PeakRatioReport", "RestartLog",
-    "RunResult", "SearchDomain", "SearcherKind", "Solution", "UnsupportedProblemError",
-    "make_problem", "peak_ratio", "problem_names", "run_hillvallea",
+    "BenchmarkProblem", "ElitistArchive", "PeakRatioReport", "RestartLog", "RunResult",
+    "SearchDomain", "SearcherKind", "Solution", "UnsupportedProblemError", "make_problem",
+    "peak_ratio", "problem_names", "run_hillvallea",
 ]
 
 __version__ = "0.1.0"

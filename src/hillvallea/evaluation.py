@@ -1,4 +1,4 @@
-"""Peak-ratio scoring against ground-truth optima."""
+"""Peak-ratio scoring by the niching suite's seed-and-radius rule."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from .problems import BenchmarkProblem
 
 @dataclass
 class PeakRatioReport:
-    """Fraction of known global optima matched by reported solutions."""
+    """Fraction of known global optima found by reported solutions."""
 
     found: int
     total: int
@@ -22,31 +22,32 @@ class PeakRatioReport:
 
 def peak_ratio(reported: Sequence[Solution], problem: BenchmarkProblem,
                epsilon: float = 1e-5) -> PeakRatioReport:
-    """Score reported solutions against the problem's known optima.
+    """Count the global optima that reported solutions find, as the suite does.
 
-    A known optimum counts as found when a reported solution lies within the
-    niche radius of it and within ``epsilon`` of the optimal fitness. A problem
-    without known optima or without a niche radius raises ``ValueError``. Matching
-    is injective and greedy: reported solutions are walked best-fitness-first
-    and each claims its nearest still-unclaimed qualifying optimum.
+    Solutions are taken best first (a stable sort on fitness). Each one farther
+    than the niche radius from every seed taken so far becomes a seed; seeds
+    within ``epsilon`` of the optimal fitness count, up to the number of known
+    optima. A problem without known optima or without a niche radius raises
+    ``ValueError``.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    optima = problem.known_global_optima
-    total = len(optima)
-    if total == 0:
+    if problem.known_global_optima is None or len(problem.known_global_optima) == 0:
         raise ValueError(f"problem {problem.name!r} has no known global optima to score against")
     if problem.niche_radius is None:
         raise ValueError(f"problem {problem.name!r} has no niche radius to score with")
-    positions = np.array([o.position for o in optima])
-    fitnesses = np.array([o.fitness for o in optima])
-    unmatched = np.ones(total, dtype=bool)
-    for sol in sorted(reported, key=lambda s: s.fitness):
-        dist = np.linalg.norm(positions - sol.position, axis=1)
-        ok = (unmatched & (dist <= problem.niche_radius)
-              & (np.abs(fitnesses - sol.fitness) <= epsilon))
-        if ok.any():
-            unmatched[np.argmin(np.where(ok, dist, np.inf))] = False
-    found = total - int(unmatched.sum())
+    total = len(problem.known_global_optima)
+    best = problem.optimal_fitness
+    ordered = sorted(reported, key=lambda s: s.fitness)
+    seeds = np.empty((len(ordered), problem.dimension))
+    n_seeds = found = 0
+    for sol in ordered:
+        if (np.linalg.norm(seeds[:n_seeds] - sol.position, axis=1) <= problem.niche_radius).any():
+            continue
+        seeds[n_seeds] = sol.position
+        n_seeds += 1
+        if abs(sol.fitness - best) <= epsilon:
+            found += 1
+            if found == total:
+                break
     return PeakRatioReport(found=found, total=total, ratio=found / total)
-

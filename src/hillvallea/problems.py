@@ -3,7 +3,8 @@
 Implements the ten non-composition problems of the classic niching benchmark
 suite. All objectives are stored in minimization form (the suite's original
 maximization functions are negated at construction); known-optima tables are
-derived from the closed forms, refined to double precision.
+derived from the closed forms, refined to double precision, and the niche
+radii are the suite's own.
 """
 
 from __future__ import annotations
@@ -56,14 +57,6 @@ class SearchDomain:
         return x.clip(self.lower, self.upper)
 
 
-@dataclass(frozen=True, eq=False)
-class KnownOptimum:
-    """Ground-truth global optimum (minimization fitness)."""
-
-    position: np.ndarray
-    fitness: float
-
-
 @dataclass
 class EvaluationCounter:
     """Tracks spent function evaluations, split per algorithm phase."""
@@ -96,7 +89,8 @@ class BenchmarkProblem:
 
     ``objective`` maps an (n, d) array to n minimization fitnesses, and every
     phase evaluates through it, every hill-valley test point included.
-    ``known_global_optima`` and ``niche_radius`` serve scoring only.
+    ``known_global_optima``, a (k, d) array of positions, and ``niche_radius``
+    serve scoring only.
     """
 
     domain: SearchDomain
@@ -104,7 +98,7 @@ class BenchmarkProblem:
     budget: int
     id: int = 0
     name: str = "custom"
-    known_global_optima: list = field(default_factory=list)
+    known_global_optima: Optional[np.ndarray] = None
     niche_radius: Optional[float] = None
 
     @property
@@ -113,7 +107,8 @@ class BenchmarkProblem:
 
     @property
     def optimal_fitness(self) -> float:
-        return min(o.fitness for o in self.known_global_optima)
+        """The objective's minimum over the known global optima."""
+        return float(self.objective(np.asarray(self.known_global_optima, dtype=float)).min())
 
 
 class BudgetedObjective:
@@ -268,27 +263,25 @@ def _shubert_optima(d: int):
 
 
 #: id -> (name, budget in evaluations, lower bounds, upper bounds, closed form,
-#: optimum positions)
+#: optimum positions, the suite's niche radius)
 _SPECS = {
     1: ("five_uneven_peak_trap", 50_000, [0.0], [30.0], _five_uneven_peak_trap,
-        _TRAP_OPTIMA),
-    2: ("equal_maxima", 50_000, [0.0], [1.0], _equal_maxima, _EQUAL_MAXIMA_OPTIMA),
+        _TRAP_OPTIMA, 0.01),
+    2: ("equal_maxima", 50_000, [0.0], [1.0], _equal_maxima, _EQUAL_MAXIMA_OPTIMA, 0.01),
     3: ("uneven_decreasing_maxima", 50_000, [0.0], [1.0], _uneven_decreasing_maxima,
-        _UNEVEN_MAXIMUM),
-    4: ("himmelblau", 50_000, [-6.0] * 2, [6.0] * 2, _himmelblau, _HIMMELBLAU_OPTIMA),
+        _UNEVEN_MAXIMUM, 0.01),
+    4: ("himmelblau", 50_000, [-6.0] * 2, [6.0] * 2, _himmelblau, _HIMMELBLAU_OPTIMA, 0.01),
     5: ("six_hump_camel_back", 50_000, [-1.9, -1.1], [1.9, 1.1], _six_hump_camel_back,
-        _CAMEL_OPTIMA),
-    6: ("shubert_2d", 200_000, [-10.0] * 2, [10.0] * 2, _shubert, _shubert_optima(2)),
+        _CAMEL_OPTIMA, 0.5),
+    6: ("shubert_2d", 200_000, [-10.0] * 2, [10.0] * 2, _shubert, _shubert_optima(2), 0.5),
     7: ("vincent_2d", 200_000, [0.25] * 2, [10.0] * 2, _vincent,
-        tuple(itertools.product(_VINCENT_AXIS, repeat=2))),
-    8: ("shubert_3d", 400_000, [-10.0] * 3, [10.0] * 3, _shubert, _shubert_optima(3)),
+        tuple(itertools.product(_VINCENT_AXIS, repeat=2)), 0.2),
+    8: ("shubert_3d", 400_000, [-10.0] * 3, [10.0] * 3, _shubert, _shubert_optima(3), 0.5),
     9: ("vincent_3d", 400_000, [0.25] * 3, [10.0] * 3, _vincent,
-        tuple(itertools.product(_VINCENT_AXIS, repeat=3))),
+        tuple(itertools.product(_VINCENT_AXIS, repeat=3)), 0.2),
     10: ("modified_rastrigin_2d", 200_000, [0.0] * 2, [1.0] * 2, _modified_rastrigin,
-         tuple(itertools.product(*_RASTRIGIN_AXES))),
+         tuple(itertools.product(*_RASTRIGIN_AXES)), 0.01),
 }
-# a single optimum has no pairwise distance: 1% of the domain diagonal
-_NICHE_RADII = {3: 0.01}
 
 
 def make_problem(problem_id: int) -> BenchmarkProblem:
@@ -298,23 +291,20 @@ def make_problem(problem_id: int) -> BenchmarkProblem:
     rotation/shift data; they are not implemented. Build a
     :class:`BenchmarkProblem` directly to plug in custom objectives.
     """
+    if type(problem_id) is not int:
+        raise UnsupportedProblemError(f"problem id must be an int, got {problem_id!r}")
     if problem_id in range(11, 21):
         raise UnsupportedProblemError(
             f"problem {problem_id} (composition function) is not implemented; "
             "construct a BenchmarkProblem directly to supply a custom objective")
     if problem_id not in _SPECS:
         raise UnsupportedProblemError(f"unknown problem id {problem_id!r}")
-    name, budget, lower, upper, batch, optima = _SPECS[problem_id]
-    positions = np.asarray(optima, dtype=float)
-    known = [KnownOptimum(position=p, fitness=float(f))
-             for p, f in zip(positions, batch(positions))]
-    diff = positions.T[:, :, None] - positions.T[:, None, :]  # squares summed axis by axis
-    pairs = np.sqrt(np.add.reduce(diff * diff))[np.triu_indices(len(positions), 1)]
+    name, budget, lower, upper, batch, optima, radius = _SPECS[problem_id]
     return BenchmarkProblem(
         id=problem_id, name=name,
         domain=SearchDomain(np.asarray(lower, float), np.asarray(upper, float)),
-        objective=batch, known_global_optima=known, budget=budget,
-        niche_radius=_NICHE_RADII.get(problem_id) or 0.5 * float(pairs.min()))
+        objective=batch, known_global_optima=np.asarray(optima, dtype=float), budget=budget,
+        niche_radius=radius)
 
 
 def problem_names() -> dict:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from hillvallea import BenchmarkProblem, KnownOptimum, SearchDomain, Solution
+from hillvallea import BenchmarkProblem, SearchDomain, Solution
 from hillvallea.hillvalley import hill_valley_test
 from hillvallea.problems import BudgetedObjective, EvaluationCounter
 
@@ -99,8 +99,7 @@ def make_ripple_problem(d: int, budget: int = 10 ** 6) -> BenchmarkProblem:
     domain = SearchDomain(np.full(d, -2.0), np.full(d, 2.0))
     return BenchmarkProblem(
         domain, lambda X: np.sum(np.sin(3.0 * X) ** 2 + 0.1 * X * X, axis=1), budget,
-        name=f"ripple_{d}d", known_global_optima=[KnownOptimum(np.zeros(d), 0.0)],
-        niche_radius=0.5)
+        name=f"ripple_{d}d")
 
 
 def make_sphere_problem(d: int = 2, half_width: float = 5.0,
@@ -108,7 +107,7 @@ def make_sphere_problem(d: int = 2, half_width: float = 5.0,
     domain = SearchDomain(np.full(d, -half_width), np.full(d, half_width))
     return BenchmarkProblem(
         domain, lambda X: np.einsum("ij,ij->i", X, X), budget, name=f"sphere_{d}d",
-        known_global_optima=[KnownOptimum(np.zeros(d), 0.0)], niche_radius=1.0)
+        known_global_optima=np.zeros((1, d)), niche_radius=1.0)
 
 
 def budgeted(problem: BenchmarkProblem, budget: int, phase: str = "local_opt"):

@@ -1,4 +1,4 @@
-"""Peak-ratio matching rules."""
+"""Peak-ratio scoring by the suite's seed-and-radius rule."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ def _report_solutions(problem, positions):
 
 def test_true_maxima_give_full_ratio():
     p = make_problem(2)
-    reported = _report_solutions(p, [o.position for o in p.known_global_optima])
+    reported = _report_solutions(p, p.known_global_optima)
     report = peak_ratio(reported, p)
     assert report.ratio == 1.0
     assert report.found == report.total == 5
@@ -26,21 +26,34 @@ def test_partial_cover_counts():
     assert peak_ratio(reported, p).ratio == pytest.approx(0.6)
 
 
-def test_matching_is_injective():
+def test_copies_within_radius_count_once():
     p = make_problem(2)
-    # five near-identical copies of one optimum claim exactly one peak
+    # five near-identical copies of one optimum find exactly one peak
     reported = _report_solutions(p, [[0.1], [0.1 + 1e-9], [0.1 - 1e-9],
                                      [0.1 + 2e-9], [0.1 - 2e-9]])
     report = peak_ratio(reported, p)
     assert report.found == 1
 
 
-def test_radius_rule_excludes_distant_equal_fitness():
-    p = make_sphere_problem(2)  # single optimum at origin, radius 1
-    good = Solution(np.zeros(2), 0.0)
-    distant = Solution(np.array([2.0 * p.niche_radius, 0.0]), 0.0)  # fake fitness
-    assert peak_ratio([distant], p).found == 0
-    assert peak_ratio([good, distant], p).found == 1
+def test_worse_solution_within_radius_of_a_seed_is_absorbed():
+    p = make_problem(2)  # radius 0.01
+    # 0.105 is within 0.1 of the optimal fitness, but within the radius of the
+    # better 0.1, which takes the seed whatever the input order
+    near = _report_solutions(p, [[0.105], [0.1]])
+    assert abs(near[0].fitness - p.optimal_fitness) <= 0.1
+    assert peak_ratio(near, p, epsilon=0.1).found == 1
+    assert peak_ratio(near[:1], p, epsilon=0.1).found == 1
+
+
+def test_count_is_capped_at_the_number_of_optima():
+    p = make_problem(2)
+    # 0.111 lies beyond the radius of 0.1 and within 0.1 of the optimal
+    # fitness, so by the suite's rule it is a seed of its own that counts
+    beside = _report_solutions(p, [[0.1], [0.111]])
+    assert peak_ratio(beside, p, epsilon=0.1).found == 2
+    assert peak_ratio(beside, p, epsilon=1e-5).found == 1
+    report = peak_ratio(_report_solutions(p, p.known_global_optima) + beside, p, epsilon=0.1)
+    assert report.found == report.total == 5
 
 
 def test_epsilon_rule_excludes_poor_fitness():
@@ -72,10 +85,11 @@ def test_monotone_in_added_qualifying_solution():
 @pytest.mark.parametrize("n_reported", [0, 1])
 def test_problem_without_known_optima_cannot_be_scored(n_reported):
     p = make_sphere_problem(2)
-    p.known_global_optima = []
     reported = _report_solutions(p, [[0.0, 0.0]])[:n_reported]
-    with pytest.raises(ValueError, match="no known global optima"):
-        peak_ratio(reported, p)
+    for optima in (None, np.empty((0, 2))):
+        p.known_global_optima = optima
+        with pytest.raises(ValueError, match="no known global optima"):
+            peak_ratio(reported, p)
 
 
 def test_problem_without_niche_radius_cannot_be_scored():

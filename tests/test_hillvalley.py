@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from hillvallea import (BenchmarkProblem, KnownOptimum, SearchDomain, SearcherKind, Solution,
+from hillvallea import (BenchmarkProblem, SearchDomain, SearcherKind, Solution,
                         make_problem, run_hillvallea)
 from hillvallea.hillvalley import _nearest_better, expected_edge_length, hill_valley_clustering
 from hillvallea.hillvalley import test_point_count as n_test_points
@@ -75,8 +75,7 @@ def test_hill_valley_rejects_across_nan_point():
     problem = BenchmarkProblem(
         SearchDomain(np.array([-2.0]), np.array([2.0])),
         row_loop(lambda x: math.nan if abs(x[0]) < 0.1 else float(x[0] ** 2)), 100,
-        name="nan_band", known_global_optima=[KnownOptimum(np.array([1.0]), 1.0)],
-        niche_radius=0.1)
+        name="nan_band")
     obj, counter = budgeted(problem, 100)
     a = Solution(np.array([-1.0]), 1.0)
     b = Solution(np.array([1.0]), 1.0)

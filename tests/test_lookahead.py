@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hillvallea import BenchmarkProblem, ElitistArchive, KnownOptimum, SearchDomain, Solution
+from hillvallea import BenchmarkProblem, ElitistArchive, SearchDomain, Solution
 from hillvallea.hillvalley import _nearest_better, expected_edge_length, hill_valley_clustering
 from hillvallea.hillvalley import test_point_count as n_test_points
 from hillvallea.optimizer import ARCHIVE_TEST_POINTS, postprocess
@@ -89,9 +89,7 @@ def terraced_problem(d: int, step: float) -> BenchmarkProblem:
         return np.round(raw / step) * step
 
     return BenchmarkProblem(SearchDomain(np.zeros(d), np.full(d, 4.0)), batch, 10 ** 6,
-                            name="terraced",
-                            known_global_optima=[KnownOptimum(np.full(d, 2.0), 0.0)],
-                            niche_radius=0.5)
+                            name="terraced")
 
 
 @st.composite

@@ -5,6 +5,7 @@ import pytest
 
 from hillvallea import (BenchmarkProblem, SearchDomain, SearcherKind, UnsupportedProblemError,
                         make_problem, problem_names, run_hillvallea)
+from hillvallea.cli import RunConfig
 from hillvallea.problems import BudgetedObjective, EvaluationCounter
 from helpers import grid_minimum
 
@@ -26,6 +27,8 @@ TABLE = [
     (9, "vincent_3d", 3, 216, 400_000),
     (10, "modified_rastrigin_2d", 2, 12, 200_000),
 ]
+# the suite's niche radii, by id
+RADII = {1: 0.01, 2: 0.01, 3: 0.01, 4: 0.01, 5: 0.5, 6: 0.5, 7: 0.2, 8: 0.5, 9: 0.2, 10: 0.01}
 
 
 @pytest.mark.parametrize("pid,name,d,gopt,budget", TABLE)
@@ -33,24 +36,24 @@ def test_problem_table(pid, name, d, gopt, budget):
     p = make_problem(pid)
     assert p.name == name
     assert p.dimension == d
-    assert len(p.known_global_optima) == gopt
+    assert p.known_global_optima.shape == (gopt, d)
     assert p.budget == budget
-    assert p.niche_radius > 0
+    assert p.niche_radius == RADII[pid]
 
 
 @pytest.mark.parametrize("pid", [row[0] for row in TABLE])
 def test_known_optima_share_fitness_and_lie_inside(pid):
     p = make_problem(pid)
-    fits = np.array([o.fitness for o in p.known_global_optima])
+    fits = p.objective(p.known_global_optima)
     assert fits.max() - fits.min() <= 1e-9
-    for o in p.known_global_optima:
-        assert p.domain.contains(o.position)
-        assert abs(_at(p, o.position) - o.fitness) <= 1e-9
+    assert p.optimal_fitness == fits.min()
+    for x in p.known_global_optima:
+        assert p.domain.contains(x)
 
 
 def test_equal_maxima_positions():
     p = make_problem(2)
-    xs = sorted(o.position[0] for o in p.known_global_optima)
+    xs = sorted(p.known_global_optima[:, 0])
     assert np.allclose(xs, [0.1, 0.3, 0.5, 0.7, 0.9], atol=1e-12)
     for x in xs:
         assert _at(p, [x]) == pytest.approx(-1.0, abs=1e-12)
@@ -75,15 +78,15 @@ def test_trap_endpoints_are_global():
 
 def test_vincent_optima_count_from_axis():
     p7, p9 = make_problem(7), make_problem(9)
-    axis = {round(o.position[0], 9) for o in p7.known_global_optima}
+    axis = {round(x, 9) for x in p7.known_global_optima[:, 0]}
     assert len(axis) == 6
     assert len(p9.known_global_optima) == 6 ** 3
 
 
 def test_shubert_values_match_known_products():
     p6, p8 = make_problem(6), make_problem(8)
-    assert p6.known_global_optima[0].fitness == pytest.approx(-186.7309088310239, abs=1e-8)
-    assert p8.known_global_optima[0].fitness == pytest.approx(-2709.093505572820, abs=1e-7)
+    assert p6.optimal_fitness == pytest.approx(-186.7309088310239, abs=1e-8)
+    assert p8.optimal_fitness == pytest.approx(-2709.093505572820, abs=1e-7)
 
 
 def _shubert_column_loop(X):
@@ -230,6 +233,15 @@ def test_composition_ids_unsupported(pid):
 def test_unknown_ids_rejected(pid):
     with pytest.raises(UnsupportedProblemError):
         make_problem(pid)
+
+
+@pytest.mark.parametrize("pid", [True, 2.0])
+def test_ids_that_are_not_ints_rejected(pid):
+    # True == 1 and 2.0 == 2, yet neither names a problem
+    with pytest.raises(UnsupportedProblemError, match="must be an int"):
+        make_problem(pid)
+    with pytest.raises(UnsupportedProblemError, match="must be an int"):
+        RunConfig(problems=(pid,))
 
 
 def test_problem_names_map():
