@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -50,6 +51,15 @@ class RunConfig:
             value = getattr(self, name)
             if type(value) is not int and not (value is None and name in ("budget", "trace")):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("epsilon", "budget_multiplier"):
+            value = getattr(self, name)
+            if ((type(value) is bool or not isinstance(value, numbers.Real))
+                    and not (value is None and name == "budget_multiplier")):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        if not isinstance(self.kind, SearcherKind):
+            raise ValueError(f"kind must be a SearcherKind, got {self.kind!r}")
+        if type(self.inject) is not bool:
+            raise ValueError(f"inject must be a bool, got {self.inject!r}")
         if len(set(self.problems)) < len(self.problems):
             raise ValueError(f"problem ids must be distinct, got {self.problems}")
         problems = [make_problem(pid) for pid in self.problems]  # rejects unknown ids
@@ -61,8 +71,8 @@ class RunConfig:
             raise ValueError("seed must be >= 0")
         if self.budget is not None and self.budget <= 0:
             raise ValueError("budget must be positive")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if (self.trace or 0) < 0:
             raise ValueError("trace spacing must be >= 0")
         if self.budget is not None and self.budget_multiplier is not None:

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from hillvallea import BenchmarkProblem, SearchDomain, Solution
-from hillvallea.hillvalley import hill_valley_test
+from hillvallea import BenchmarkProblem, SearchDomain
 from hillvallea.problems import BudgetedObjective, EvaluationCounter
 
 
@@ -41,27 +40,13 @@ def budgeted_fn(fn, budget: int = 10 ** 6, phase: str = "clustering") -> Budgete
     return BudgetedObjective(problem, EvaluationCounter(budget), phase)
 
 
-def selection_of(solutions) -> tuple:
-    """The positions and fitnesses of ``solutions`` sorted best first (stable), as arrays."""
-    ordered = sorted(solutions, key=lambda s: s.fitness)
-    return np.array([s.position for s in ordered]), np.array([s.fitness for s in ordered])
-
-
-def rows_of(solutions, d: int = 1) -> tuple:
-    """The (n, d) positions and n fitnesses of ``solutions``, in their order."""
-    return (np.reshape([s.position for s in solutions], (-1, d)),
-            np.array([s.fitness for s in solutions], dtype=float))
-
-
-def bits(solutions) -> list:
-    """Each solution's position and fitness, bit for bit."""
-    return [(s.position.tobytes(), float(s.fitness).hex()) for s in solutions]
-
-
-def hill_valley(left: Solution, right: Solution, n_test: int, evaluate: BudgetedObjective):
-    """:func:`hill_valley_test` between two solutions."""
-    return hill_valley_test(left.position, right.position, left.fitness, right.fitness,
-                            n_test, evaluate)
+def selection(fn, points) -> tuple:
+    """``points`` and their fitnesses under ``fn`` (point -> fitness), sorted best first
+    (stable), as (n, d) and (n,) arrays."""
+    X = np.array(points, dtype=float).reshape(len(points), -1)
+    fitness = np.array([fn(x) for x in X], dtype=float)
+    order = np.argsort(fitness, kind="stable")
+    return X[order], fitness[order]
 
 
 class RecordingObserver:
@@ -72,11 +57,6 @@ class RecordingObserver:
 
     def __call__(self, counter, archive):
         self.calls.append((counter.used, len(archive)))
-
-
-def solution(position, fn) -> Solution:
-    pos = np.atleast_1d(np.asarray(position, dtype=float))
-    return Solution(pos, float(fn(pos)))
 
 
 def double_well(x) -> float:
@@ -110,8 +90,10 @@ def make_sphere_problem(d: int = 2, half_width: float = 5.0,
         known_global_optima=np.zeros((1, d)), niche_radius=1.0)
 
 
-def budgeted(problem: BenchmarkProblem, budget: int, phase: str = "local_opt"):
+def budgeted(problem: BenchmarkProblem, budget: int, phase: str = "local_opt", used: int = 0):
+    """``problem``'s objective on a counter of ``budget`` of which ``used`` is spent."""
     counter = EvaluationCounter(budget)
+    counter.take("init", used)
     return BudgetedObjective(problem, counter, phase), counter
 
 

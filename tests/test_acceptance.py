@@ -12,13 +12,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hillvallea import SearcherKind, Solution, make_problem, run_hillvallea
+from hillvallea import SearcherKind, make_problem, run_hillvallea
 from hillvallea.core_search import recommended_population_size
 from hillvallea.hillvalley import expected_edge_length, hill_valley_clustering, hill_valley_test
 from hillvallea.hillvalley import test_point_count as n_test_points
 from hillvallea.cli import RunConfig, execute_sweep
 from hillvallea.optimizer import TOL
-from helpers import RecordingObserver, budgeted_fn, double_well, selection_of, solution
+from helpers import RecordingObserver, budgeted_fn, double_well, selection
 
 SEEDS = 20
 JOBS = int(os.environ.get("HILLVALLEA_TEST_JOBS", "0")) or min(2, os.cpu_count() or 1)
@@ -127,8 +127,7 @@ def test_criterion_08_convex_clustering():
     for case in range(200):
         n = int(rng.integers(2, 40))
         pts = rng.uniform(-5.0, 5.0, size=(n, 2))
-        selection = selection_of(Solution(p, fn(p)) for p in pts)
-        clusters, _ = hill_valley_clustering(*selection, volume=100.0,
+        clusters, _ = hill_valley_clustering(*selection(fn, pts), volume=100.0,
                                              evaluate=budgeted_fn(fn))
         ok = ok and len(clusters) == 1
     _criterion(8, "convex objective clusters to a single niche (200 cases)",
@@ -136,7 +135,7 @@ def test_criterion_08_convex_clustering():
 
 
 def test_criterion_09_double_well_trace():
-    positions, fitness = selection_of(solution(x, double_well) for x in (-1.0, 1.0, -0.9, 0.9))
+    positions, fitness = selection(double_well, [-1.0, 1.0, -0.9, 0.9])
     clusters, _ = hill_valley_clustering(positions, fitness, volume=4.0,
                                          evaluate=budgeted_fn(double_well))
     members = sorted(tuple(sorted(positions[rows, 0].tolist()))
@@ -176,8 +175,7 @@ def test_criterion_10b_partition_property():
         n = int(rng.integers(1, 25))
         w = rng.standard_normal(d)
         fn = lambda x: float(np.sin(2.0 * (x @ w)) + 0.1 * (x @ x))
-        positions, fitness = selection_of(Solution(p, fn(p))
-                                          for p in rng.uniform(-4, 4, size=(n, d)))
+        positions, fitness = selection(fn, rng.uniform(-4, 4, size=(n, d)))
         clusters, _ = hill_valley_clustering(positions, fitness, volume=8.0 ** d,
                                              evaluate=budgeted_fn(fn))
         rows = np.concatenate(clusters)

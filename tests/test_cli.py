@@ -1,6 +1,7 @@
 """Command-line harness: sweeps, aggregates, the output document, error paths."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +256,15 @@ def test_run_config_rejects_non_integer_counts_and_unknown_problems(bad):
         RunConfig(**{"problems": (2,), **bad})
 
 
+@pytest.mark.parametrize("bad", [{"kind": "amu"}, {"inject": "no"}, {"inject": 1},
+                                 {"epsilon": True}, {"epsilon": "0.1"}, {"epsilon": math.inf},
+                                 {"budget_multiplier": True}, {"budget_multiplier": "2"}])
+def test_run_config_rejects_mistyped_settings(bad):
+    # each would otherwise fail inside every run, or run with settings other than those given
+    with pytest.raises(ValueError):
+        RunConfig(**{"problems": (2,), **bad})
+
+
 @pytest.mark.parametrize("flags", [["--budget", "-5"], ["--budget", "0"],
                                    ["--epsilon", "0"], ["--trace", "-5"],
                                    ["--budget-multiplier", "1e-9"],
@@ -266,7 +276,7 @@ def test_run_config_rejects_non_integer_counts_and_unknown_problems(bad):
                                    ["--problems", "1,5-3"], ["--problems", "1--2"],
                                    ["--problems", "-1"], ["--problems", "2-"],
                                    ["--problems", "2,2"], ["--problems", "1-3,2"],
-                                   ["--problems", "equal_maxima,2"]])
+                                   ["--problems", "equal_maxima,2"], ["--epsilon", "inf"]])
 def test_invalid_values_exit_with_usage_error(flags, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)  # a relative --out resolves in tmp_path
     assert main(["--problems", "2", "--out", str(tmp_path / "r.json"), *flags]) == 2

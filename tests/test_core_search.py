@@ -8,17 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from hillvallea import SearchDomain, SearcherKind, Solution
+from hillvallea import SearchDomain, SearcherKind
 from hillvallea.core_search import (CmsaSearcher, CoreSearcher, EdaSearcher, _mean, _std,
                                     init_from_cluster, recommended_population_size)
 from helpers import (RecordingObjective, budgeted, budgeted_fn, make_ripple_problem,
-                     make_sphere_problem, ripple, selection_of, sphere)
-
-
-def _cluster(points, fn):
-    """A cluster's positions and fitnesses, best first."""
-    return selection_of(
-        Solution(np.atleast_1d(np.asarray(p, float)), fn(np.atleast_1d(p))) for p in points)
+                     make_sphere_problem, ripple, selection, sphere)
 
 
 def _searcher(kind, mean, covariance, population_size, seed, founder=None, fn=sphere):
@@ -63,7 +57,7 @@ def test_selection_fraction_per_kind():
 
 
 def test_init_singleton_cluster_covariance():
-    positions, fitness = _cluster([[0.3, 0.4]], sphere)
+    positions, fitness = selection(sphere, [[0.3, 0.4]])
     s = init_from_cluster(positions, fitness, eel=1.0, kind=SearcherKind.AMU,
                           population_size=8, rng=np.random.default_rng(0))
     assert np.allclose(s.covariance, 1e-4 * np.eye(2))
@@ -71,7 +65,7 @@ def test_init_singleton_cluster_covariance():
 
 
 def test_init_full_sample_covariance():
-    c = _cluster([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]], sphere)
+    c = selection(sphere, [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
     s = init_from_cluster(*c, eel=1.0, kind=SearcherKind.AM,
                           population_size=8, rng=np.random.default_rng(0))
     assert np.allclose(s.mean, [1.0, 1.0])
@@ -79,7 +73,7 @@ def test_init_full_sample_covariance():
 
 
 def test_init_small_cluster_diagonal_only():
-    c = _cluster([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]], sphere)
+    c = selection(sphere, [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
     s = init_from_cluster(*c, eel=1.0, kind=SearcherKind.AM,
                           population_size=8, rng=np.random.default_rng(0))
     off_diag = s.covariance[0] - np.diag(np.diag(s.covariance[0]))
@@ -88,7 +82,7 @@ def test_init_small_cluster_diagonal_only():
 
 
 def test_init_coincident_members_fall_back_to_tiny_sphere():
-    c = _cluster([[1.0, 1.0], [1.0, 1.0]], sphere)
+    c = selection(sphere, [[1.0, 1.0], [1.0, 1.0]])
     s = init_from_cluster(*c, eel=2.0, kind=SearcherKind.CMSA,
                           population_size=6, rng=np.random.default_rng(0))
     assert s.sigma == pytest.approx(0.02)
@@ -166,7 +160,7 @@ def test_eda_rejects_cmsa_kind():
 def test_amu_quadratic_oracle_from_singleton_init():
     problem = make_sphere_problem(1, half_width=0.5)  # domain [-0.5, 0.5]
     quad = RecordingObjective(lambda x: float((x[0] - 0.3) ** 2))
-    c = _cluster([[-0.2]], quad)
+    c = selection(quad, [[-0.2]])
     s = init_from_cluster(*c, eel=1.0, kind=SearcherKind.AMU,
                           population_size=10, rng=np.random.default_rng(2))
     s.run(budgeted_fn(quad), problem.domain, tol=1e-5)

@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from hillvallea import (BenchmarkProblem, SearchDomain, SearcherKind, Solution,
-                        make_problem, run_hillvallea)
-from hillvallea.hillvalley import _nearest_better, expected_edge_length, hill_valley_clustering
+import reference
+from hillvallea import BenchmarkProblem, SearchDomain, SearcherKind, make_problem, run_hillvallea
+from hillvallea.hillvalley import (_nearest_better, expected_edge_length, hill_valley_clustering,
+                                   hill_valley_test)
 from hillvallea.hillvalley import test_point_count as n_test_points
-from hillvallea.problems import BudgetedObjective, EvaluationCounter
-from helpers import (RecordingObjective, budgeted, budgeted_fn, double_well, hill_valley,
-                     make_sphere_problem, row_loop, selection_of, solution)
+from helpers import (RecordingObjective, budgeted, budgeted_fn, double_well, make_sphere_problem,
+                     row_loop, selection)
+
+LEFT, RIGHT = np.array([-1.0]), np.array([1.0])
 
 
 def test_expected_edge_length_examples():
@@ -36,14 +38,14 @@ def test_test_point_count_examples():
 def test_hill_valley_convex_segment():
     f = RecordingObjective(lambda x: x[0] ** 2)
     obj = budgeted_fn(f)
-    same, spent = hill_valley(solution(-1.0, f.fn), solution(1.0, f.fn), 1, obj)
+    same, spent = hill_valley_test(LEFT, RIGHT, 1.0, 1.0, 1, obj)
     assert same is True and spent == 1 and obj.counter.used == f.count == 1
 
 
 def test_hill_valley_double_well_rejects():
     f = RecordingObjective(double_well)
     obj = budgeted_fn(f)
-    same, spent = hill_valley(solution(-1.0, f.fn), solution(1.0, f.fn), 1, obj)
+    same, spent = hill_valley_test(LEFT, RIGHT, 0.0, 0.0, 1, obj)
     assert same is False and spent == 1 and obj.counter.used == 1
     assert f.points[0][0] == pytest.approx(0.0)
 
@@ -53,7 +55,7 @@ def test_hill_valley_early_exit_two_points():
     # both points are evaluated in one batch, and only the first is charged
     f = RecordingObjective(double_well)
     obj = budgeted_fn(f, phase="postprocess")
-    same, spent = hill_valley(solution(-1.0, f.fn), solution(1.0, f.fn), 2, obj)
+    same, spent = hill_valley_test(LEFT, RIGHT, 0.0, 0.0, 2, obj)
     assert same is False and spent == 1
     assert obj.counter.used == obj.counter.phase_used["postprocess"] == 1
     assert [x[0] for x in f.points] == pytest.approx([1.0 / 3.0, -1.0 / 3.0])
@@ -63,9 +65,7 @@ def test_hill_valley_early_exit_two_points():
 def test_hill_valley_budget_exhaustion_merges():
     problem = make_sphere_problem(1)
     obj, counter = budgeted(problem, 0)
-    a = Solution(np.array([-1.0]), 1.0)
-    b = Solution(np.array([1.0]), 1.0)
-    same, spent = hill_valley(a, b, 4, obj)
+    same, spent = hill_valley_test(LEFT, RIGHT, 1.0, 1.0, 4, obj)
     assert same is True and spent == 0 and counter.used == 0
 
 
@@ -77,16 +77,13 @@ def test_hill_valley_rejects_across_nan_point():
         row_loop(lambda x: math.nan if abs(x[0]) < 0.1 else float(x[0] ** 2)), 100,
         name="nan_band")
     obj, counter = budgeted(problem, 100)
-    a = Solution(np.array([-1.0]), 1.0)
-    b = Solution(np.array([1.0]), 1.0)
-    same, spent = hill_valley(a, b, 1, obj)
+    same, spent = hill_valley_test(LEFT, RIGHT, 1.0, 1.0, 1, obj)
     assert same is False and spent == 1 and counter.used == 1
 
 
 def test_hill_valley_dimension_mismatch():
     with pytest.raises(ValueError):
-        hill_valley(Solution(np.zeros(2), 0.0), Solution(np.zeros(3), 0.0),
-                    1, budgeted_fn(lambda x: 0.0))
+        hill_valley_test(np.zeros(2), np.zeros(3), 0.0, 0.0, 1, budgeted_fn(lambda x: 0.0))
 
 
 def test_hill_valley_symmetry_property():
@@ -97,10 +94,9 @@ def test_hill_valley_symmetry_property():
         freq = rng.uniform(0.5, 4.0)
         fn = lambda x: float(np.sin(freq * x @ w) + 0.1 * (x @ x))
         a, b = rng.uniform(-3, 3, size=(2, d))
-        sa, sb = Solution(a, fn(a)), Solution(b, fn(b))
         n = int(rng.integers(1, 6))
-        assert (hill_valley(sa, sb, n, budgeted_fn(fn))[0]
-                == hill_valley(sb, sa, n, budgeted_fn(fn))[0])
+        assert (hill_valley_test(a, b, fn(a), fn(b), n, budgeted_fn(fn))[0]
+                == hill_valley_test(b, a, fn(b), fn(a), n, budgeted_fn(fn))[0])
 
 
 def test_hill_valley_evaluation_bound_property():
@@ -112,7 +108,7 @@ def test_hill_valley_evaluation_bound_property():
         obj = budgeted_fn(fn)
         a, b = rng.uniform(-3, 3, size=(2, d))
         n = int(rng.integers(1, 7))
-        same, spent = hill_valley(Solution(a, fn(a)), Solution(b, fn(b)), n, obj)
+        same, spent = hill_valley_test(a, b, fn(a), fn(b), n, obj)
         assert 1 <= spent <= n and spent == obj.counter.used
         assert not same or spent == n  # passing means every point was evaluated
         assert spent == n or not same  # stopping early only happens on rejection
@@ -135,15 +131,13 @@ def test_hill_valley_test_evaluates_in_doubling_batches():
             bump = p / (n_test + 1)
             f = RecordingObjective(lambda x: float(abs(x[0] - bump) < 0.25 / (n_test + 1)))
             obj = budgeted_fn(f)
-            same, spent = hill_valley(Solution(np.array([1.0]), 0.0),
-                                      Solution(np.array([0.0]), 0.0), n_test, obj)
+            same, spent = hill_valley_test(RIGHT, np.zeros(1), 0.0, 0.0, n_test, obj)
             assert not same and spent == obj.counter.used == p
             end, last = _last_batch(p)
             assert f.count == min(n_test, end) and f.count - p < last
         f = RecordingObjective(lambda x: 0.0)
         obj = budgeted_fn(f)
-        assert hill_valley(Solution(np.array([1.0]), 0.0), Solution(np.array([0.0]), 0.0),
-                           n_test, obj) == (True, n_test)
+        assert hill_valley_test(RIGHT, np.zeros(1), 0.0, 0.0, n_test, obj) == (True, n_test)
         assert f.count == n_test
 
 
@@ -179,22 +173,6 @@ def test_hill_valley_tests_of_a_run_waste_less_than_their_last_batch(monkeypatch
             assert evaluated == min(n_test, end) and evaluated - charged < last
 
 
-def reference_hill_valley_test(x_left, x_right, n_test, problem, counter, phase):
-    """Sequential reference: charge a point, evaluate it, stop at the first worse point.
-
-    A NaN fitness reads as +inf; the points charged before the budget ends decide."""
-    worst = max(x_left.fitness, x_right.fitness)
-    bar = worst + 1e-12 * max(1.0, abs(worst))
-    segment = x_left.position - x_right.position
-    for k in range(1, n_test + 1):
-        if not counter.take(phase, 1):
-            return True, k - 1
-        f = problem.objective((x_right.position + (k / (n_test + 1)) * segment)[None])[0]
-        if f != f or f > bar:
-            return False, k
-    return True, n_test
-
-
 _coordinates = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
 
 
@@ -206,7 +184,7 @@ def test_hill_valley_test_matches_sequential_reference(d, n_test, data):
     f_left = data.draw(st.floats(-1e3, 1e3, allow_nan=False))
     f_right = data.draw(st.sampled_from([f_left, -f_left])
                         | st.floats(-1e3, 1e3, allow_nan=False))
-    a, b = Solution(np.array(ends[0]), f_left), Solution(np.array(ends[1]), f_right)
+    a, b = (np.array(ends[0]), f_left), (np.array(ends[1]), f_right)
     worst = max(f_left, f_right)
     bar = worst + 1e-12 * max(1.0, abs(worst))
     # each test point's fitness: better, tied with the worse end, tied with the
@@ -215,28 +193,22 @@ def test_hill_valley_test_matches_sequential_reference(d, n_test, data):
               "above": np.nextafter(bar, np.inf), "nan": math.nan}
     picks = data.draw(st.lists(st.sampled_from(sorted(levels)), min_size=n_test,
                                max_size=n_test))
-    left, right = (a, b) if data.draw(st.booleans()) else (b, a)
-    segment = left.position - right.position
+    (left, f_left), (right, f_right) = (a, b) if data.draw(st.booleans()) else (b, a)
     table = {}
     for k, pick in enumerate(picks, 1):
-        table.setdefault((right.position + (k / (n_test + 1)) * segment).tobytes(),
+        table.setdefault((right + (k / (n_test + 1)) * (left - right)).tobytes(),
                          levels[pick])
     problem = BenchmarkProblem(SearchDomain(np.full(d, -10.0), np.full(d, 10.0)),
                                row_loop(lambda x: table[x.tobytes()]), 100, name="table")
     used = data.draw(st.integers(0, 2))
     for budget in range(n_test + 2):
-        counters = []
-        for _ in range(2):
-            counter = EvaluationCounter(used + budget)
-            counter.take("init", used)
-            counters.append(counter)
-        want = reference_hill_valley_test(left, right, n_test, problem, counters[0],
-                                          "clustering")
-        got = hill_valley(left, right, n_test,
-                          BudgetedObjective(problem, counters[1], "clustering"))
-        assert got == want
-        assert counters[1].used == counters[0].used
-        assert counters[1].phase_used == counters[0].phase_used
+        (ref, ref_counter), (new, new_counter) = (
+            budgeted(problem, used + budget, "clustering", used) for _ in range(2))
+        want = reference.same_niche(left, right, f_left, f_right, n_test, ref)
+        got = hill_valley_test(left, right, f_left, f_right, n_test, new)
+        assert got == (want, ref_counter.used - used)
+        assert new_counter.used == ref_counter.used
+        assert new_counter.phase_used == ref_counter.phase_used
 
 
 def _cluster_members(positions, clusters):
@@ -244,7 +216,7 @@ def _cluster_members(positions, clusters):
 
 
 def test_clustering_double_well_trace():
-    positions, fitness = selection_of(solution(x, double_well) for x in (-1.0, 1.0, -0.9, 0.9))
+    positions, fitness = selection(double_well, [-1.0, 1.0, -0.9, 0.9])
     clusters, complete = hill_valley_clustering(positions, fitness, volume=4.0,
                                                 evaluate=budgeted_fn(double_well))
     assert complete
@@ -257,8 +229,8 @@ def test_clustering_double_well_trace():
 def test_clustering_convex_single_cluster():
     rng = np.random.default_rng(13)
     fn = lambda x: float(x @ x)
-    selection = selection_of(Solution(p, fn(p)) for p in rng.uniform(-5, 5, size=(40, 2)))
-    clusters, _ = hill_valley_clustering(*selection, volume=100.0, evaluate=budgeted_fn(fn))
+    clusters, _ = hill_valley_clustering(*selection(fn, rng.uniform(-5, 5, size=(40, 2))),
+                                         volume=100.0, evaluate=budgeted_fn(fn))
     assert len(clusters) == 1
     assert len(clusters[0]) == 40
 
@@ -266,7 +238,7 @@ def test_clustering_convex_single_cluster():
 def test_clustering_singleton_selection():
     f = RecordingObjective(lambda x: float(x[0]))
     obj = budgeted_fn(f)
-    clusters, complete = hill_valley_clustering(*selection_of([solution(0.5, f.fn)]),
+    clusters, complete = hill_valley_clustering(*selection(f.fn, [0.5]),
                                                 volume=1.0, evaluate=obj)
     assert len(clusters) == 1 and f.count == obj.counter.used == 0 and complete
 
@@ -278,8 +250,7 @@ def test_clustering_partition_property():
         n = int(rng.integers(1, 30))
         w = rng.standard_normal(d)
         fn = lambda x: float(np.sin(2.0 * x @ w) + 0.1 * (x @ x))
-        positions, fitness = selection_of(Solution(p, fn(p))
-                                          for p in rng.uniform(-4, 4, size=(n, d)))
+        positions, fitness = selection(fn, rng.uniform(-4, 4, size=(n, d)))
         clusters, _ = hill_valley_clustering(positions, fitness, volume=8.0 ** d,
                                              evaluate=budgeted_fn(fn))
         assert sorted(np.concatenate(clusters).tolist()) == list(range(n))
@@ -292,9 +263,9 @@ def test_clustering_partition_property():
 def test_clustering_determinism():
     rng = np.random.default_rng(15)
     fn = lambda x: float(np.sin(3 * x[0]) + np.cos(2 * x[1]))
-    selection = selection_of(Solution(p, fn(p)) for p in rng.uniform(-3, 3, size=(60, 2)))
-    a, _ = hill_valley_clustering(*selection, volume=36.0, evaluate=budgeted_fn(fn))
-    b, _ = hill_valley_clustering(*selection, volume=36.0, evaluate=budgeted_fn(fn))
+    rows = selection(fn, rng.uniform(-3, 3, size=(60, 2)))
+    a, _ = hill_valley_clustering(*rows, volume=36.0, evaluate=budgeted_fn(fn))
+    b, _ = hill_valley_clustering(*rows, volume=36.0, evaluate=budgeted_fn(fn))
     assert [rows.tolist() for rows in a] == [rows.tolist() for rows in b]
 
 
@@ -308,8 +279,7 @@ def test_clustering_neighbour_cap_evaluation_budget():
         dist = np.linalg.norm(centers - x, axis=1).min()
         return float(-max(0.0, 1.0 - 200.0 * dist))
     obj = budgeted_fn(needle)
-    selection = selection_of(Solution(c.copy(), needle(c)) for c in centers)
-    clusters, _ = hill_valley_clustering(*selection, volume=400.0, evaluate=obj)
+    clusters, _ = hill_valley_clustering(*selection(needle, centers), volume=400.0, evaluate=obj)
     assert len(clusters) == 25
     assert obj.counter.used <= sum(min(i, d + 1) for i in range(1, 25))
 
@@ -318,8 +288,8 @@ def test_clustering_budget_exhaustion_singleton_tail():
     problem = make_sphere_problem(1, half_width=2.0)
     obj, counter = budgeted(problem, 1, phase="clustering")
     xs = (-1.0, 1.0, -0.9, 0.9, 0.5, -0.5)
-    selection = selection_of(solution(x, double_well) for x in xs)
-    clusters, complete = hill_valley_clustering(*selection, volume=4.0, evaluate=obj)
+    clusters, complete = hill_valley_clustering(*selection(double_well, xs), volume=4.0,
+                                                evaluate=obj)
     assert not complete
     assert counter.used == 1
     assert sorted(np.concatenate(clusters).tolist()) == list(range(len(xs)))
@@ -327,8 +297,7 @@ def test_clustering_budget_exhaustion_singleton_tail():
 
 def test_clustering_spacing_from_volume_sets_test_points():
     obj = budgeted_fn(double_well)
-    selection = selection_of(solution(x, double_well) for x in (-1.0, 1.0))
-    hill_valley_clustering(*selection, volume=4.0, evaluate=obj)
+    hill_valley_clustering(*selection(double_well, [-1.0, 1.0]), volume=4.0, evaluate=obj)
     # volume 4 over 2 points: eel 2; edge length 2 -> exactly 2 test points
     # when the pair merges; the double well rejects at the first interior
     # sample either way
@@ -443,9 +412,9 @@ def test_clustering_searches_only_the_rows_the_budget_reaches(monkeypatch):
     monkeypatch.setattr(hillvalley, "_nearest_better", counting)
     rng = np.random.default_rng(5)
     points = rng.uniform(-3.0, 3.0, size=(500, 2))
-    selection = selection_of(Solution(x, double_well(x[:1])) for x in points)
     obj = budgeted_fn(lambda x: double_well(x[:1]), budget=40)
-    clusters, complete = hill_valley_clustering(*selection, volume=36.0, evaluate=obj)
+    clusters, complete = hill_valley_clustering(*selection(lambda x: double_well(x[:1]), points),
+                                                volume=36.0, evaluate=obj)
     assert not complete and obj.counter.used == 40
     assert searched == [41]
     assert sorted(np.concatenate(clusters).tolist()) == list(range(500))

@@ -1,20 +1,23 @@
 """Restart scheme, archive post-processing and full-run invariants."""
 
+import ast
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from hillvallea import (BenchmarkProblem, ElitistArchive, SearchDomain, SearcherKind,
                         Solution, make_problem, peak_ratio, run_hillvallea)
 from hillvallea.core_search import init_from_cluster, recommended_population_size
-from hillvallea.optimizer import (TOL, _search_niches, postprocess, truncation_selection,
-                                  uniform_sample)
-from helpers import (RecordingObserver, bits, budgeted, budgeted_fn, double_well, hill_valley,
-                     make_ripple_problem, make_sphere_problem, rows_of, solution)
+from hillvallea.hillvalley import hill_valley_test
+from hillvallea.optimizer import _search_niches, postprocess, truncation_selection, uniform_sample
+from helpers import (RecordingObserver, budgeted, budgeted_fn, double_well, make_ripple_problem,
+                     make_sphere_problem, selection)
 
 
 def _kept(fitness, tau):
@@ -41,48 +44,45 @@ def test_truncation_selection_stable_ties(fitness, tau):
     assert _kept(fitness, tau) == sorted(range(len(fitness)), key=fitness.__getitem__)[:keep]
 
 
+def bits(archive):
+    """The archive's positions and fitnesses, bit for bit."""
+    return archive.positions.tobytes(), archive.fitness.tobytes()
+
+
 def test_postprocess_tol_filter_discards():
-    elite = Solution(np.array([0.0]), 0.0)
-    archive = ElitistArchive(*rows_of([elite]))
+    archive = ElitistArchive(np.array([[0.0]]), np.array([0.0]))
     obj = budgeted_fn(lambda x: 0.0, phase="postprocess")
-    assert postprocess(*rows_of([Solution(np.array([2.0]), 0.5)]), archive, 1e-5, obj) == 0
-    assert bits(archive) == bits([elite])
+    assert postprocess(np.array([[2.0]]), np.array([0.5]), archive, 1e-5, obj) == 0
+    assert bits(archive) == (np.array([[0.0]]).tobytes(), np.array([0.0]).tobytes())
     assert obj.counter.used == 0  # dropped before any distinctness test
 
 
 def test_postprocess_empties_archive_for_better_optimum():
-    stale = Solution(np.array([1.0]), 0.5)
-    archive = ElitistArchive(*rows_of([stale]))
+    archive = ElitistArchive(np.array([[1.0]]), np.array([0.5]))
     obj = budgeted_fn(lambda x: 1.0, phase="postprocess")  # any interior point is a hill
-    fresh = Solution(np.array([0.0]), 0.0)
-    assert postprocess(*rows_of([fresh]), archive, 1e-5, obj) == 1
+    assert postprocess(np.array([[0.0]]), np.array([0.0]), archive, 1e-5, obj) == 1
     # emptied first, so the stale elite is gone although no test ran
-    assert bits(archive) == bits([fresh])
+    assert bits(archive) == (np.array([[0.0]]).tobytes(), np.array([0.0]).tobytes())
     assert obj.counter.used == 0
 
 
 def test_postprocess_double_well_distinctness():
     obj = budgeted_fn(double_well, phase="postprocess")
-    left = solution(-1.0, double_well)
-    right = solution(1.0, double_well)
-    archive = ElitistArchive(*rows_of([left]))
-    assert postprocess(*rows_of([right]), archive, 1e-5, obj) == 1
-    assert bits(archive) == bits([left, right])
+    archive = ElitistArchive(*selection(double_well, [-1.0]))
+    assert postprocess(*selection(double_well, [1.0]), archive, 1e-5, obj) == 1
+    assert bits(archive) == bits(ElitistArchive(*selection(double_well, [-1.0, 1.0])))
     # the five-point test rejected at its first interior sample
     assert obj.counter.used == 1
 
 
 def test_postprocess_same_niche_replacement_rules():
     fn = lambda x: float(x[0] ** 2)
-    elite = solution(0.1, fn)
-    archive = ElitistArchive(*rows_of([elite]))
-    worse_dup = solution(0.2, fn)
+    archive = ElitistArchive(*selection(fn, [0.1]))
     obj = budgeted_fn(fn, phase="postprocess")
-    assert postprocess(*rows_of([worse_dup]), archive, 1.0, obj) == 0
-    assert bits(archive) == bits([elite])
-    better_dup = solution(0.05, fn)
-    assert postprocess(*rows_of([better_dup]), archive, 1.0, obj) == 1
-    assert bits(archive) == bits([better_dup])
+    assert postprocess(*selection(fn, [0.2]), archive, 1.0, obj) == 0  # a worse duplicate
+    assert bits(archive) == bits(ElitistArchive(*selection(fn, [0.1])))
+    assert postprocess(*selection(fn, [0.05]), archive, 1.0, obj) == 1  # a better one
+    assert bits(archive) == bits(ElitistArchive(*selection(fn, [0.05])))
 
 
 def test_postprocess_budget_exhaustion_appends_unverified():
@@ -161,8 +161,8 @@ def test_budget_hard_stop_and_phase_accounting(kind, d, budget, inject, seed, pi
     assert archive.fitness.shape == (m,)
     elites = list(archive)
     assert all(isinstance(elite, Solution) for elite in elites)
-    assert bits(elites) == [(x.tobytes(), float(f).hex())
-                            for x, f in zip(archive.positions, archive.fitness)]
+    assert [(s.position.tobytes(), s.fitness.hex()) for s in elites] == [
+        (x.tobytes(), f.hex()) for x, f in zip(archive.positions, archive.fitness.tolist())]
     for elite in elites:
         assert problem.domain.contains(elite.position)
     searchers = sum(log.n_searchers for log in result.per_restart_log)
@@ -181,41 +181,12 @@ def test_archive_pairwise_distinct_replay():
     result = run_hillvallea(replace(problem, budget=20_000), SearcherKind.AMU, seed=6)
     if not result.archive.verified:
         pytest.skip("budget died during distinctness testing on this seed")
-    elites = list(result.archive)
+    X, f = result.archive.positions, result.archive.fitness
     obj, _ = budgeted(problem, 10 ** 6, phase="postprocess")
-    for i in range(len(elites)):
-        for j in range(i + 1, len(elites)):
-            same, _ = hill_valley(elites[i], elites[j], 5, obj)
+    for i in range(len(f)):
+        for j in range(i + 1, len(f)):
+            same, _ = hill_valley_test(X[i], X[j], f[i], f[j], 5, obj)
             assert not same
-
-
-def test_population_growth_on_stagnant_restarts():
-    problem = replace(make_problem(3), budget=30_000)
-    result = run_hillvallea(problem, SearcherKind.AMU, seed=7)
-    stagnant = 0
-    d = problem.dimension
-    for log in result.per_restart_log:
-        assert log.population_size == 16 * d * 2 ** stagnant
-        if log.n_new_elites == 0:
-            stagnant += 1
-    assert stagnant >= 2  # single-optimum problem stagnates quickly
-
-
-def test_cluster_size_growth():
-    problem = replace(make_problem(3), budget=30_000)
-    result = run_hillvallea(problem, SearcherKind.AMU, seed=8)
-    sizes = [log.cluster_size for log in result.per_restart_log]
-    assert sizes[0] == 10  # ceil(10 sqrt(1))
-    assert all(b >= a for a, b in zip(sizes, sizes[1:]))
-    assert sizes[-1] > sizes[0]
-
-
-def test_only_global_injection_skips_elite_clusters():
-    problem = make_problem(4)
-    result = run_hillvallea(problem, SearcherKind.AMU, seed=9)
-    assert any(log.n_skipped_elites > 0 for log in result.per_restart_log)
-    for log in result.per_restart_log:
-        assert log.n_searchers + log.n_skipped_elites == log.n_clusters
 
 
 @pytest.mark.parametrize("pid, seed", [(4, 9), (2, 0)])
@@ -305,28 +276,6 @@ def test_only_the_selection_is_alive_while_clustering(monkeypatch):
     assert all(held <= alive + 128 * 1024 for held, alive in entries)
 
 
-def test_injection_none_never_skips():
-    problem = replace(make_problem(4), budget=10_000)
-    result = run_hillvallea(problem, SearcherKind.AMU, seed=10, inject=False)
-    for log in result.per_restart_log:
-        assert log.n_skipped_elites == 0
-
-
-def test_seed_determinism_bitwise():
-    problem = replace(make_problem(5), budget=15_000)
-    seen_a, seen_b = RecordingObserver(), RecordingObserver()
-    a = run_hillvallea(problem, SearcherKind.IAM, seed=12, observe=seen_a)
-    b = run_hillvallea(problem, SearcherKind.IAM, seed=12, observe=seen_b)
-    assert a.evaluations_used == b.evaluations_used
-    assert a.phase_used == b.phase_used
-    assert len(a.archive) == len(b.archive)
-    for sa, sb in zip(a.archive, b.archive):
-        assert sa.fitness == sb.fitness
-        assert np.array_equal(sa.position, sb.position)
-    assert seen_a.calls == seen_b.calls
-    assert a.per_restart_log == b.per_restart_log
-
-
 def _outputs(result) -> tuple:
     """Everything a run returns but its archive, which compares by bits."""
     return (result.evaluations_used, result.phase_used, result.restarts,
@@ -351,73 +300,44 @@ def test_observer_changes_nothing_and_sees_each_postprocess():
     assert [size for _, size in seen.calls[0::2]] == [0] + sizes[:-1]
 
 
+def _logged(problem, calls):
+    """``problem`` with an objective that logs each batch it is called on in ``calls``."""
+    return replace(problem, objective=lambda X: calls.append(X) or problem.objective(X))
+
+
 @pytest.mark.parametrize("pid, kind", [(1, SearcherKind.AMU), (6, SearcherKind.CMSA)])
 def test_objective_rows_counts_every_row_the_objective_sees(pid, kind):
     # trials (look-ahead first points, hill-valley test batches, lockstep
     # groups) pass rows charged later or never; all of them are counted
-    problem, rows = replace(make_problem(pid), budget=20_000), [0]
-    batch = problem.objective
-
-    def counting(X):
-        rows[0] += len(X)
-        return batch(X)
-
+    problem, calls = replace(make_problem(pid), budget=20_000), []
     plain = run_hillvallea(problem, kind, seed=0)
-    counted = run_hillvallea(replace(problem, objective=counting), kind, seed=0)
-    assert counted.objective_rows == rows[0] == plain.objective_rows
+    counted = run_hillvallea(_logged(problem, calls), kind, seed=0)
+    assert counted.objective_rows == sum(map(len, calls)) == plain.objective_rows
     assert counted.objective_rows > counted.evaluations_used == problem.budget
     assert _outputs(counted) == _outputs(plain)
     assert bits(counted.archive) == bits(plain.archive)
 
 
 def test_budget_must_be_positive():
-    problem = make_problem(2)
-    calls = []
-
-    def never(X):
-        calls.append(X)
-        return problem.objective(X)
-
+    problem, calls = make_problem(2), []
     for budget in (0, -1):
         with pytest.raises(ValueError):
-            run_hillvallea(replace(problem, budget=budget, objective=never), SearcherKind.AMU,
+            run_hillvallea(replace(_logged(problem, calls), budget=budget), SearcherKind.AMU,
                            seed=0)
     assert calls == []
 
 
 def test_budget_must_be_an_integer():
-    problem = make_problem(2)
-    calls = []
-
-    def never(X):
-        calls.append(X)
-        return problem.objective(X)
-
+    problem, calls = make_problem(2), []
     # a quarter of the budget by true division, and a flag passed for a count
     for budget in (problem.budget / 4, True):
         with pytest.raises(TypeError, match="budget"):
-            run_hillvallea(replace(problem, budget=budget, objective=never), SearcherKind.AMU,
+            run_hillvallea(replace(_logged(problem, calls), budget=budget), SearcherKind.AMU,
                            seed=0)
     assert calls == []
     # numpy integers are integers
     result = run_hillvallea(replace(problem, budget=np.int64(5000)), SearcherKind.AMU, seed=0)
     assert result.evaluations_used == 5000
-
-
-def _lone_searches(X, f, build, seeds, evaluate, stop_reasons):
-    """:func:`_search_niches` as its docstring settles it: lone searchers run one
-    after another on the real counter; once the budget is spent, niches keep their
-    founders' rows."""
-    X, f = X.copy(), f.copy()
-    for k, seq in enumerate(seeds.spawn(len(f))):
-        if evaluate.counter.exhausted:
-            break
-        searcher = build(k, seq)
-        searcher.run(evaluate, evaluate.problem.domain, tol=TOL)
-        X[k], f[k] = searcher.best_ever[0][0], searcher.best_ever[1][0]
-        reason = searcher.terminated_reason[0]
-        stop_reasons[reason] = stop_reasons.get(reason, 0) + 1
-    return X, f
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -444,7 +364,7 @@ def test_search_niches_settles_as_lone_searchers_in_niche_order(kind, d, n_niche
                                  rng=np.random.default_rng(seq))
 
     outcomes = []
-    for search in (_search_niches, _lone_searches):
+    for search in (_search_niches, reference.search_niches):
         evaluate, counter = budgeted(problem, budget)
         stop_reasons = {}
         X, f = search(founder_x, founder_f, build, np.random.SeedSequence(seed), evaluate,
@@ -457,6 +377,45 @@ def test_search_niches_settles_as_lone_searchers_in_niche_order(kind, d, n_niche
     assert got_counter.used == want_counter.used
     assert got_counter.phase_used == want_counter.phase_used
     assert got_reasons == want_reasons
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(list(SearcherKind)), d=st.integers(1, 3),
+       budget=st.integers(1, 5_000), inject=st.booleans(), seed=st.integers(0, 2 ** 16),
+       pid=st.just(0))
+@example(kind=SearcherKind.AMU, d=1, budget=300, inject=True, seed=0, pid=1)
+@example(kind=SearcherKind.IAMU, d=1, budget=800, inject=True, seed=0, pid=2)
+@example(kind=SearcherKind.CMSA, d=1, budget=1_500, inject=True, seed=0, pid=3)
+@example(kind=SearcherKind.IAM, d=1, budget=1_500, inject=False, seed=0, pid=4)
+@example(kind=SearcherKind.CMSA, d=1, budget=4_000, inject=True, seed=0, pid=5)
+@example(kind=SearcherKind.CMSA, d=1, budget=2_500, inject=True, seed=0, pid=6)
+@example(kind=SearcherKind.IAMU, d=1, budget=1_500, inject=True, seed=0, pid=7)
+@example(kind=SearcherKind.AM, d=1, budget=1_500, inject=True, seed=0, pid=8)
+@example(kind=SearcherKind.IAMU, d=1, budget=2_500, inject=True, seed=0, pid=9)
+@example(kind=SearcherKind.IAM, d=1, budget=2_500, inject=True, seed=0, pid=10)
+def test_run_equals_the_sequential_reference(kind, d, budget, inject, seed, pid):
+    # pid 0 is a d-dimensional ripple; the examples run benchmark problems
+    problem = replace(make_problem(pid) if pid else make_ripple_problem(d), budget=budget)
+    got = run_hillvallea(problem, kind, seed, inject=inject)
+    X, f, unverified, counter, stop_reasons, logs = reference.run(problem, kind, seed, inject)
+    assert bits(got.archive) == (X.tobytes(), f.tobytes())
+    assert got.archive.n_unverified == unverified
+    assert (got.evaluations_used, got.phase_used) == (counter.used, counter.phase_used)
+    assert (got.stop_reasons, got.per_restart_log) == (stop_reasons, logs)
+
+
+def test_reference_imports_nothing_it_checks():
+    # it shares no code with the clustering and optimizer it checks
+    tree = ast.parse(Path(reference.__file__).read_text())
+    imported = [(getattr(node, "module", None), alias.name) for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert [(module, name) for module, name in imported if "hillvallea" in (module or name)] == [
+        ("hillvallea.core_search", "SearcherKind"),
+        ("hillvallea.core_search", "init_from_cluster"),
+        ("hillvallea.core_search", "recommended_population_size"),
+        ("hillvallea.optimizer", "RestartLog"),
+        ("hillvallea.problems", "BudgetedObjective"),
+        ("hillvallea.problems", "EvaluationCounter")]
 
 
 @pytest.mark.parametrize("kind", list(SearcherKind), ids=lambda k: k.value)
