@@ -16,7 +16,7 @@ import numbers
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -40,7 +40,6 @@ class RunConfig:
     seed: int = 0
     budget: Optional[int] = None
     budget_multiplier: Optional[float] = None
-    epsilon: float = 1e-5
     inject: bool = True
     trace: Optional[int] = None
     out: str = "results.json"
@@ -51,15 +50,15 @@ class RunConfig:
             value = getattr(self, name)
             if type(value) is not int and not (value is None and name in ("budget", "trace")):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("epsilon", "budget_multiplier"):
-            value = getattr(self, name)
-            if ((type(value) is bool or not isinstance(value, numbers.Real))
-                    and not (value is None and name == "budget_multiplier")):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+        value = self.budget_multiplier
+        if value is not None and (type(value) is bool or not isinstance(value, numbers.Real)):
+            raise ValueError(f"budget_multiplier must be a real number, got {value!r}")
         if not isinstance(self.kind, SearcherKind):
             raise ValueError(f"kind must be a SearcherKind, got {self.kind!r}")
         if type(self.inject) is not bool:
             raise ValueError(f"inject must be a bool, got {self.inject!r}")
+        if not self.problems:
+            raise ValueError("no problems selected")
         if len(set(self.problems)) < len(self.problems):
             raise ValueError(f"problem ids must be distinct, got {self.problems}")
         problems = [make_problem(pid) for pid in self.problems]  # rejects unknown ids
@@ -71,8 +70,6 @@ class RunConfig:
             raise ValueError("seed must be >= 0")
         if self.budget is not None and self.budget <= 0:
             raise ValueError("budget must be positive")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
         if (self.trace or 0) < 0:
             raise ValueError("trace spacing must be >= 0")
         if self.budget is not None and self.budget_multiplier is not None:
@@ -109,7 +106,6 @@ def parse_problem_spec(spec: str) -> tuple:
         for pid in new:
             if pid in ids:
                 raise ValueError(f"problem {pid} repeated by {token!r}")
-            make_problem(pid)  # rejects unknown and unsupported ids up front
             ids.append(pid)
     if not ids:
         raise ValueError("no problems selected")
@@ -119,14 +115,14 @@ def parse_problem_spec(spec: str) -> tuple:
 class _PeakRatioTrace:
     """Run observer: a (k·every, peak ratio) row once k·every evaluations are used."""
 
-    def __init__(self, every: int, problem: BenchmarkProblem, epsilon: float):
-        self.every, self.problem, self.epsilon = every, problem, epsilon
+    def __init__(self, every: int, problem: BenchmarkProblem):
+        self.every, self.problem = every, problem
         self.rows: list = []
 
     def __call__(self, counter: EvaluationCounter, archive: ElitistArchive) -> None:
         first, last = len(self.rows) + 1, counter.used // self.every
         if last >= first:
-            ratio = peak_ratio(list(archive), self.problem, self.epsilon).ratio
+            ratio = peak_ratio(list(archive), self.problem).ratio
             self.rows += [[k * self.every, ratio] for k in range(first, last + 1)]
 
 
@@ -135,11 +131,11 @@ def _execute_task(sweep: RunConfig, problem_id: int, seed: int):
     when the sweep traces."""
     problem = make_problem(problem_id)
     problem = replace(problem, budget=sweep.budget_for(problem))
-    trace = _PeakRatioTrace(sweep.trace, problem, sweep.epsilon) if sweep.trace else None
+    trace = _PeakRatioTrace(sweep.trace, problem) if sweep.trace else None
     start = time.perf_counter()
     result = run_hillvallea(problem, sweep.kind, seed, inject=sweep.inject, observe=trace)
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    report = peak_ratio(list(result.archive), problem, sweep.epsilon)
+    report = peak_ratio(list(result.archive), problem)
     fractions = result.phase_fractions
     record = {
         "problem_id": problem_id,
@@ -165,14 +161,9 @@ def _execute_task(sweep: RunConfig, problem_id: int, seed: int):
     return record
 
 
-@dataclass
-class SweepData:
-    records: list = field(default_factory=list)
-    aggregates: list = field(default_factory=list)
-
-
-def execute_sweep(config: RunConfig) -> SweepData:
-    """Run all (problem, repetition) pairs of a sweep; seeds are seed + rep."""
+def execute_sweep(config: RunConfig) -> dict:
+    """Run all (problem, repetition) pairs of a sweep, seeds seed + rep; returns the
+    sweep's document, its run records and per-problem aggregates."""
     pids = [pid for pid in config.problems for _ in range(config.reps)]
     seeds = [config.seed + rep for _ in config.problems for rep in range(config.reps)]
     configs = [config] * len(pids)
@@ -183,11 +174,11 @@ def execute_sweep(config: RunConfig) -> SweepData:
     else:
         records = list(map(_execute_task, configs, pids, seeds))
 
-    data = SweepData(records)
+    aggregates = []
     for pid in config.problems:
-        rows = [r for r in data.records if r["problem_id"] == pid]
+        rows = [r for r in records if r["problem_id"] == pid]
         ratios = [r["peak_ratio"] for r in rows]
-        data.aggregates.append({
+        aggregates.append({
             "problem_id": pid,
             "kind": config.kind.value,
             "runs": len(rows),
@@ -197,22 +188,16 @@ def execute_sweep(config: RunConfig) -> SweepData:
             **{"mean_" + key.removesuffix("_used"): float(np.mean([r[key] for r in rows]))
                for key in ("evaluations_used", "phase_init", "phase_hvc", "phase_lopt")},
         })
-    return data
+    return {"runs": records, "aggregates": aggregates}
 
 
-def write_outputs(data: SweepData, config: RunConfig) -> Path:
-    """Write the sweep's records and aggregates as one JSON document; returns its path."""
+def write_outputs(document: dict, config: RunConfig) -> Path:
+    """Write a sweep's document as JSON to ``config.out``; returns its path."""
     out = Path(config.out)
     with open(out, "w") as fh:
-        json.dump({"runs": data.records, "aggregates": data.aggregates}, fh, indent=1)
+        json.dump(document, fh, indent=1)
         fh.write("\n")
     return out
-
-
-def run_sweep(config: RunConfig) -> int:
-    """Execute a sweep and write its document; returns the process exit status."""
-    print(f"wrote {write_outputs(execute_sweep(config), config)}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--budget", type=int, help="override the benchmark budget")
     group.add_argument("--budget-multiplier", type=float,
                        help="scale the benchmark budget")
-    parser.add_argument("--epsilon", type=float, help="peak-ratio accuracy")
     parser.add_argument("--injection", choices=["global", "none"],
                         help="optima injected on restarts (default global)")
     parser.add_argument("--trace", type=int, metavar="N",
@@ -242,8 +226,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.problems is None:
         raise ValueError("no problems given (use --problems)")
     settings = {key: getattr(args, key)
-                for key in ("reps", "seed", "budget", "budget_multiplier", "epsilon",
-                            "trace", "out", "jobs")
+                for key in ("reps", "seed", "budget", "budget_multiplier", "trace", "out",
+                            "jobs")
                 if getattr(args, key) is not None}
     if args.algo is not None:
         settings["kind"] = SearcherKind(args.algo)
@@ -261,7 +245,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return run_sweep(config)
+        print(f"wrote {write_outputs(execute_sweep(config), config)}")
+        return 0
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .problems import BudgetedObjective, SearchDomain
+from .problems import BudgetedObjective
 
 
 class SearcherKind(Enum):
@@ -41,6 +41,9 @@ class SearcherKind(Enum):
     def incremental(self) -> bool:
         return self in (SearcherKind.IAM, SearcherKind.IAMU)
 
+
+#: Fitness tolerance: of a CMSA searcher's stagnation test, and of an elite against the best.
+TOL = 1e-5
 
 #: Every reason a core searcher can stop for.
 STOP_REASONS = ("budget", "no-improvement", "min-std", "ill-conditioned",
@@ -262,12 +265,12 @@ class CoreSearcher:
                 codes[(codes == 0) & hit] = _CODE[reason]
         return codes if np.count_nonzero(codes) else None
 
-    def run_generation(self, evaluate: BudgetedObjective, domain: SearchDomain) -> None:
-        """One generation of every running member, with one batch evaluation."""
+    def run_generation(self, evaluate: BudgetedObjective) -> None:
+        """One generation of every running member, with one batch evaluation; samples
+        are clipped to ``evaluate``'s problem's box."""
         raise NotImplementedError
 
-    def run(self, evaluate: BudgetedObjective, domain: SearchDomain, tol: float,
-            limit: Optional[int] = None) -> tuple:
+    def run(self, evaluate: BudgetedObjective, limit: Optional[int] = None) -> tuple:
         """Run generations until every member has stopped; returns ``best_ever``.
 
         With ``limit``, the group instead stops before a generation that would
@@ -276,7 +279,7 @@ class CoreSearcher:
         continues one of them alone.
         """
         while True:
-            codes = self._stop_codes(tol)
+            codes = self._stop_codes()
             if codes is not None:
                 stopped = codes != 0
                 gone = self.members[stopped]
@@ -287,7 +290,7 @@ class CoreSearcher:
             if running == 0 or (limit is not None and np.add.reduce(self.evaluations)
                                 + running * self.samples > limit):
                 return self.best_ever
-            self.run_generation(evaluate, domain)
+            self.run_generation(evaluate)
 
 
 class CmsaSearcher(CoreSearcher):
@@ -315,7 +318,7 @@ class CmsaSearcher(CoreSearcher):
         self.mu_sel = max(1, self.population_size // 2)
         self.tau_c = 1.0 + d * (d + 1) / (2.0 * self.mu_sel)
 
-    def run_generation(self, evaluate: BudgetedObjective, domain: SearchDomain) -> None:
+    def run_generation(self, evaluate: BudgetedObjective) -> None:
         S, lam, d = len(self.members), self.population_size, self.dimension
         # per member, its lam step-size draws, then its (lam, d) directions
         draws = np.empty((S, lam * (d + 1)))
@@ -323,7 +326,7 @@ class CmsaSearcher(CoreSearcher):
             rng.standard_normal(out=row)
         sigmas = self.sigma[:, None] * np.exp(self.tau_sigma * draws[:, :lam])
         Z = draws[:, lam:].reshape(S, lam, d) @ _sqrt_factor(self.shape).transpose(0, 2, 1)
-        X = domain.clip(self.mean[:, None, :] + sigmas[:, :, None] * Z)
+        X = evaluate.problem.domain.clip(self.mean[:, None, :] + sigmas[:, :, None] * Z)
         fs = self._evaluate(evaluate, X)
         if fs is None:
             return
@@ -346,12 +349,12 @@ class CmsaSearcher(CoreSearcher):
         self.recent[:, self.generation % (self.window + 1)] = self.best_f
         self.generation += 1
 
-    def _stop_codes(self, tol: float) -> Optional[np.ndarray]:
+    def _stop_codes(self) -> Optional[np.ndarray]:
         g, span = self.generation, self.window + 1
         stagnant = None
         if g > self.window:  # equal ends, -inf ones too, are no improvement
             old, new = self.recent[:, g % span], self.recent[:, (g - 1) % span]
-            stagnant = np.subtract(old, new, out=np.zeros(len(old)), where=old != new) < tol
+            stagnant = np.subtract(old, new, out=np.zeros(len(old)), where=old != new) < TOL
         # max commutes with the monotone sqrt and the scaling by sigma >= 0
         diag_max = np.maximum.reduce(self.shape.diagonal(0, 1, 2), 1)
         min_std = self.sigma * np.sqrt(np.maximum(diag_max, 0.0)) < 1e-15
@@ -413,7 +416,7 @@ class EdaSearcher(CoreSearcher):
             out[rows] = _quadratic_form(self.covariance[rows] * scale[:, None, None], delta)
         return out
 
-    def run_generation(self, evaluate: BudgetedObjective, domain: SearchDomain) -> None:
+    def run_generation(self, evaluate: BudgetedObjective) -> None:
         S, d = len(self.members), self.dimension
         noise = np.empty((S, self.samples, d))
         for rng, block in zip(self.rngs, noise):
@@ -427,7 +430,7 @@ class EdaSearcher(CoreSearcher):
         X = self.mean[:, None, :] + step
         if self.n_ams > 0:
             X[:, :self.n_ams] += 2.0 * multiplier * self.mean_shift[:, None, :]
-        X = domain.clip(X)
+        X = evaluate.problem.domain.clip(X)
         fs = self._evaluate(evaluate, X)
         if fs is None:
             return
@@ -477,7 +480,7 @@ class EdaSearcher(CoreSearcher):
         self.fitness_std = _std(fs)
         self.generation += 1
 
-    def _stop_codes(self, tol: float) -> Optional[np.ndarray]:
+    def _stop_codes(self) -> Optional[np.ndarray]:
         return self._first_reason(
             (("population-std", np.maximum.reduce(self.population_std, 1) < 1e-12),
              ("fitness-std", self.fitness_std < 1e-12)))

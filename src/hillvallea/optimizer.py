@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core_search import (CoreSearcher, SearcherKind, init_from_cluster,
+from .core_search import (TOL, CoreSearcher, SearcherKind, init_from_cluster,
                           recommended_population_size)
 from .hillvalley import (Solution, _first_rejects, expected_edge_length,
                          hill_valley_clustering, hill_valley_test)
@@ -26,8 +26,6 @@ from .problems import (BenchmarkProblem, BudgetedObjective, EvaluationCounter,
 
 #: Interior test points for the archive distinctness test.
 ARCHIVE_TEST_POINTS = 5
-#: Fitness tolerance: of an elite against the best, and of a searcher's stagnation test.
-TOL = 1e-5
 
 
 @dataclass
@@ -160,22 +158,16 @@ def _first_shared_niche(x: np.ndarray, fx: float, positions: np.ndarray, fitness
     """Index of the first elite, at row i of ``positions`` with ``fitness[i]``, that
     passes the hill-valley test with the candidate at ``x`` with fitness ``fx``, or None.
 
-    Every test's first point is looked ahead in one batch; the tests that
-    reject there are charged in bulk.
+    Every test's first point is looked ahead in one batch, and a test that
+    rejects there is charged that one evaluation. Once the budget is spent,
+    the next test passes.
     """
-    m = len(fitness)
     reject = _first_rejects(evaluate, x, positions, fx, fitness, float(ARCHIVE_TEST_POINTS))
-    i = 0
-    while i < m:
-        # if the budget ends among these rejections, the next test passes
-        run = int(np.argmin(np.append(reject[i:], False)))
-        if run:
-            i += evaluate.counter.take(evaluate.phase, run)
-            if i == m:
-                return None
+    for i in range(len(fitness)):
+        if reject[i] and evaluate.counter.take(evaluate.phase, 1):
+            continue  # rejected at its looked-ahead first point
         if hill_valley_test(x, positions[i], fx, fitness[i], ARCHIVE_TEST_POINTS, evaluate)[0]:
             return i
-        i += 1
     return None
 
 
@@ -207,7 +199,7 @@ def _search_niches(X: np.ndarray, f: np.ndarray, build: Callable,
         return X, f
     seqs = seeds.spawn(len(f))
     group = CoreSearcher.stack([build(k, seq) for k, seq in enumerate(seqs)])
-    group.run(evaluate.trial(), evaluate.problem.domain, tol=TOL, limit=counter.remaining)
+    group.run(evaluate.trial(), limit=counter.remaining)
     reasons = group.terminated_reason
     for k, seq in enumerate(seqs):
         if counter.exhausted:
@@ -221,7 +213,7 @@ def _search_niches(X: np.ndarray, f: np.ndarray, build: Callable,
             if reasons[k] is None:  # paused: it goes on alone
                 searcher, i = group.member(k), 0
         if searcher is not group:
-            searcher.run(evaluate, evaluate.problem.domain, tol=TOL)
+            searcher.run(evaluate)
         best_x, best_f = searcher.best_ever
         X[k], f[k] = best_x[i], best_f[i]
         reason = reasons[k] if searcher is group else searcher.terminated_reason[0]

@@ -221,8 +221,8 @@ def _modified_rastrigin(X: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Ground-truth optimum positions. Non-analytic positions are refined to
-# double precision by Newton iteration on the closed-form gradients.
+# Ground-truth optimum positions. Non-analytic positions are tabulated
+# constants at double precision; nothing refines them at run time.
 # ---------------------------------------------------------------------------
 
 _TRAP_OPTIMA = ((0.0,), (30.0,))

@@ -29,14 +29,17 @@ class RecordingObjective:
         return len(self.points)
 
 
-def budgeted_fn(fn, budget: int = 10 ** 6, phase: str = "clustering") -> BudgetedObjective:
+def budgeted_fn(fn, budget: int = 10 ** 6, phase: str = "clustering",
+                domain: SearchDomain = SearchDomain(np.full(1, -1.0), np.full(1, 1.0))
+                ) -> BudgetedObjective:
     """``fn`` (point -> fitness) as the optimizer evaluates it: in batches, on its own
-    counter of ``budget`` evaluations (``.counter``), charged to ``phase``.
+    counter of ``budget`` evaluations (``.counter``), charged to ``phase``, on a problem
+    over ``domain``.
 
-    ``fn`` sees every evaluated row, also look-ahead rows that are never charged. The
-    problem's box is a placeholder: the callers under test take theirs as an argument."""
-    problem = BenchmarkProblem(SearchDomain(np.full(1, -1.0), np.full(1, 1.0)), row_loop(fn),
-                               budget, name="test_function")
+    ``fn`` sees every evaluated row, also look-ahead rows that are never charged. Only
+    core searchers read the box, and they clip their samples to it; the default box
+    serves the hill-valley tests, which ignore it."""
+    problem = BenchmarkProblem(domain, row_loop(fn), budget, name="test_function")
     return BudgetedObjective(problem, EvaluationCounter(budget), phase)
 
 

@@ -13,7 +13,7 @@ from hillvallea.core_search import SearcherKind, init_from_cluster, recommended_
 from hillvallea.optimizer import RestartLog
 from hillvallea.problems import BudgetedObjective, EvaluationCounter
 
-TOL = 1e-5  # of a candidate against the best, and of a searcher's stagnation test
+TOL = 1e-5  # of a candidate against the best
 ARCHIVE_POINTS = 5  # interior points of the archive's distinctness test
 
 
@@ -78,7 +78,7 @@ def search_niches(X, f, build, seeds: np.random.SeedSequence, evaluate: Budgeted
         if evaluate.exhausted:
             break
         searcher = build(k, seq)
-        best_x, best_f = searcher.run(evaluate, evaluate.problem.domain, tol=TOL)
+        best_x, best_f = searcher.run(evaluate)
         X[k], f[k] = best_x[0], best_f[0]
         reason = searcher.terminated_reason[0]
         stop_reasons[reason] = stop_reasons.get(reason, 0) + 1

@@ -39,7 +39,7 @@ def _sweep(problems, injection="global", multiplier=None):
 
 
 def _mean_ratios(data):
-    return {agg["problem_id"]: agg["mean_peak_ratio"] for agg in data.aggregates}
+    return {agg["problem_id"]: agg["mean_peak_ratio"] for agg in data["aggregates"]}
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +114,7 @@ def test_criterion_06_long_budget(long_budget_sweep):
 
 
 def test_criterion_07_phase_accounting(vincent2d_sweep):
-    agg = vincent2d_sweep.aggregates[0]
+    agg = vincent2d_sweep["aggregates"][0]
     hvc, lopt = agg["mean_phase_hvc"], agg["mean_phase_lopt"]
     _criterion(7, "problem 7 phase fractions (hvc >= 0.05, lopt <= 0.9)",
                f"hvc={hvc:.3f} lopt={lopt:.3f}", hvc >= 0.05 and lopt <= 0.9)

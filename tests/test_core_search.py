@@ -99,7 +99,7 @@ def test_cmsa_generation_updates():
     founder = (np.array([0.5, 0.5]), 0.5)
     s = _searcher(SearcherKind.CMSA, [2.0, 2.0], np.eye(2), 8, 5, founder=founder)
     rec = RecordingObjective(sphere)
-    s.run_generation(budgeted_fn(rec), problem.domain)
+    s.run_generation(budgeted_fn(rec, domain=problem.domain))
     assert np.allclose(s.shape[0], s.shape[0].T)
     # the founder replaces the worst offspring; the new mean is the exact mean
     # of the best half of that population
@@ -117,7 +117,7 @@ def test_cmsa_constant_objective_keeps_best():
     s = _searcher(SearcherKind.CMSA, np.zeros(2), np.eye(2), 8, 6,
                   founder=(np.zeros(2), 1.0))
     for _ in range(3):
-        s.run_generation(budgeted_fn(lambda x: 1.0), problem.domain)
+        s.run_generation(budgeted_fn(lambda x: 1.0, domain=problem.domain))
     assert s.best_ever[1][0] == 1.0
     assert np.allclose(s.best_ever[0][0], np.zeros(2))
 
@@ -129,7 +129,7 @@ def test_cmsa_sphere_convergence_oracle():
     obj, _ = budgeted(problem, 10 ** 6)
     prev = np.inf
     for _ in range(50):
-        s.run_generation(obj, problem.domain)
+        s.run_generation(obj)
         assert s.best_ever[1][0] <= prev + 1e-15
         prev = s.best_ever[1][0]
     assert s.best_ever[1][0] < 1e-5
@@ -142,7 +142,7 @@ def test_eda_selection_floor_and_refit_mean():
     s = _searcher(SearcherKind.AMU, [1.0, 1.0], np.eye(2), 15, 7,
                   founder=(founder_x, founder_f))
     rec = RecordingObjective(sphere)
-    s.run_generation(budgeted_fn(rec), problem.domain)
+    s.run_generation(budgeted_fn(rec, domain=problem.domain))
     assert rec.count == 14  # the founder is the population's 15th row
     X = np.vstack([rec.points, founder_x])
     fs = np.array([sphere(x) for x in rec.points] + [founder_f])
@@ -163,7 +163,7 @@ def test_amu_quadratic_oracle_from_singleton_init():
     c = selection(quad, [[-0.2]])
     s = init_from_cluster(*c, eel=1.0, kind=SearcherKind.AMU,
                           population_size=10, rng=np.random.default_rng(2))
-    s.run(budgeted_fn(quad), problem.domain, tol=1e-5)
+    s.run(budgeted_fn(quad, domain=problem.domain))
     assert s.terminated_reason[0] in ("population-std", "fitness-std")
     assert abs(s.best_ever[0][0, 0] - 0.3) < 1e-4
 
@@ -179,8 +179,8 @@ def test_eda_degenerate_population_terminates():
         s = _searcher(SearcherKind.AMU, np.zeros(2), np.eye(2), 8, 1)
         s.population_std[0] = np.full(2, population_std)
         s.fitness_std[0] = 0.0
-        obj = budgeted_fn(sphere)
-        s.run(obj, problem.domain, tol=1e-5)
+        obj = budgeted_fn(sphere, domain=problem.domain)
+        s.run(obj)
         assert s.terminated_reason == [reason]
         assert obj.counter.used == 0  # it stops before its first generation
 
@@ -189,8 +189,8 @@ def test_cmsa_ill_conditioned_termination():
     problem = make_sphere_problem(2)
     s = _searcher(SearcherKind.CMSA, np.zeros(2), np.eye(2), 8, 0)
     s.shape[0] = np.diag([1.0, 1e-15])
-    obj = budgeted_fn(sphere)
-    s.run(obj, problem.domain, tol=1e-5)
+    obj = budgeted_fn(sphere, domain=problem.domain)
+    s.run(obj)
     assert s.terminated_reason == ["ill-conditioned"]
     assert obj.counter.used == 0
 
@@ -199,8 +199,8 @@ def test_cmsa_no_improvement_termination():
     problem = make_sphere_problem(1)
     s = _searcher(SearcherKind.CMSA, np.zeros(1), np.eye(1), 8, 0,
                   founder=(np.zeros(1), 5.0))
-    flat = budgeted_fn(lambda x: 5.0)
-    s.run(flat, problem.domain, tol=1e-5)
+    flat = budgeted_fn(lambda x: 5.0, domain=problem.domain)
+    s.run(flat)
     # the best must stall over window + 1 generations
     assert s.terminated_reason == ["no-improvement"]
     assert s.generation == s.window + 1
@@ -210,11 +210,11 @@ def test_cmsa_no_improvement_termination():
 def test_budget_exhaustion_mid_generation():
     rec = RecordingObjective(sphere)
     problem = make_sphere_problem(2)
-    obj = budgeted_fn(rec, 5)
+    obj = budgeted_fn(rec, 5, domain=problem.domain)
     counter = obj.counter
     founder = (np.array([3.0, 3.0]), 18.0)
     s = _searcher(SearcherKind.CMSA, [3.0, 3.0], np.eye(2), 8, 3, founder=founder)
-    s.run_generation(obj, problem.domain)
+    s.run_generation(obj)
     assert list(s.terminated_reason) == ["budget"]
     assert counter.used == 5 and rec.count == 5
     # the best of the founder and the 5 granted offspring
@@ -233,12 +233,12 @@ def test_best_ever_monotone_and_in_domain(kind):
         return float(np.sin(3 * x[0]) + 0.5 * (x @ x))
 
     rec = RecordingObjective(fn)
-    obj = budgeted_fn(rec)
+    obj = budgeted_fn(rec, domain=problem.domain)
     s = _searcher(kind, [1.5, -1.0], 0.25 * np.eye(2), recommended_population_size(kind, 2),
                   9, fn=fn)
     prev = np.inf
     for _ in range(30):
-        s.run_generation(obj, problem.domain)
+        s.run_generation(obj)
         assert s.best_ever[1][0] <= prev + 1e-15
         prev = s.best_ever[1][0]
     pts = np.array(rec.points)
@@ -258,7 +258,7 @@ def test_sphere_statistical_convergence(kind):
         obj, _ = budgeted(problem, 10 ** 4)
         s = _searcher(kind, [3.0, 3.0], np.eye(2), recommended_population_size(kind, 2),
                       1000 + seed)
-        _, best_f = s.run(obj, problem.domain, tol=1e-5)
+        _, best_f = s.run(obj)
         successes += best_f[0] < 1e-5
     assert successes >= 95
 
@@ -284,16 +284,16 @@ def test_lockstep_members_match_lone_runs(kind, d, size, seed, limit):
     problem = make_ripple_problem(d)
     group = CoreSearcher.stack(_ripple_searchers(kind, d, size, seed))
     obj, _ = budgeted(problem, 10 ** 8)
-    group.run(obj, problem.domain, tol=1e-5, limit=limit)
+    group.run(obj, limit=limit)
     assert limit is None or group.evaluations.sum() <= limit
     alone = _ripple_searchers(kind, d, size, seed)
     for k in range(size):
         lone = alone[k]
-        lone.run(obj, problem.domain, tol=1e-5)
+        lone.run(obj)
         member, i = group, k
         if group.terminated_reason[k] is None:  # paused by the limit: finish it alone
             member, i = group.member(k), 0
-            member.run(obj, problem.domain, tol=1e-5)
+            member.run(obj)
         assert member.terminated_reason[i] == lone.terminated_reason[0]
         assert member.evaluations[i] == lone.evaluations[0]
         assert _best(member, i) == _best(lone)
@@ -354,7 +354,7 @@ def test_eda_fitness_std_stop_fires_on_all_infinite_population(kind):
     problem = make_sphere_problem(2)
     # a founder whose objective returned NaN reads as +inf
     s = _searcher(kind, np.zeros(2), np.eye(2), 8, 3, founder=(np.zeros(2), np.inf))
-    s.run(budgeted_fn(lambda x: np.inf), problem.domain, tol=1e-5)
+    s.run(budgeted_fn(lambda x: np.inf, domain=problem.domain))
     assert s.terminated_reason == ["fitness-std"]
     assert s.generation == 1
 
@@ -372,11 +372,11 @@ def test_member_that_never_improves_keeps_its_founders_row(kind):
     movable = (np.array([0.05, 0.05]), 10.0)
     obj, _ = budgeted(problem, 10 ** 6)
     group = CoreSearcher.stack([build(stuck, 1), build(movable, 2)])
-    group.run(obj, problem.domain, tol=1e-5, limit=4 * n)
+    group.run(obj, limit=4 * n)
     stuck_row = (stuck[0].tobytes(), float(stuck[1]).hex())
     assert _best(group, 0) == stuck_row
     assert _best(group, 1) != (movable[0].tobytes(), float(movable[1]).hex())
     assert _best(group.member(0)) == stuck_row
     alone = build(stuck, 1)
-    alone.run(obj, problem.domain, tol=1e-5)
+    alone.run(obj)
     assert _best(alone) == stuck_row
