@@ -38,20 +38,19 @@ class RunConfig:
     kind: SearcherKind = SearcherKind.AMU
     reps: int = 1
     seed: int = 0
-    budget: Optional[int] = None
-    budget_multiplier: Optional[float] = None
+    budget_multiplier: float = 1.0
     inject: bool = True
-    trace: Optional[int] = None
+    trace: int = 0
     out: str = "results.json"
     jobs: int = 1
 
     def __post_init__(self):
-        for name in ("reps", "seed", "jobs", "budget", "trace"):
+        for name in ("reps", "seed", "jobs", "trace"):
             value = getattr(self, name)
-            if type(value) is not int and not (value is None and name in ("budget", "trace")):
+            if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         value = self.budget_multiplier
-        if value is not None and (type(value) is bool or not isinstance(value, numbers.Real)):
+        if type(value) is bool or not isinstance(value, numbers.Real):
             raise ValueError(f"budget_multiplier must be a real number, got {value!r}")
         if not isinstance(self.kind, SearcherKind):
             raise ValueError(f"kind must be a SearcherKind, got {self.kind!r}")
@@ -68,25 +67,18 @@ class RunConfig:
             raise ValueError("jobs must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.budget is not None and self.budget <= 0:
-            raise ValueError("budget must be positive")
-        if (self.trace or 0) < 0:
+        if self.trace < 0:
             raise ValueError("trace spacing must be >= 0")
-        if self.budget is not None and self.budget_multiplier is not None:
-            raise ValueError("give either a budget override or a multiplier, not both")
-        if self.budget_multiplier is not None:
-            if not 0 < self.budget_multiplier < math.inf:
-                raise ValueError("budget multiplier must be positive and finite")
-            if any(self.budget_for(problem) == 0 for problem in problems):
-                raise ValueError("budget multiplier rounds a problem's budget to 0")
+        if not all(0 < problem.budget * self.budget_multiplier < math.inf for problem in problems):
+            raise ValueError("budget multiplier must be positive and keep every budget finite")
+        if any(self.budget_for(problem) == 0 for problem in problems):
+            raise ValueError("budget multiplier rounds a problem's budget to 0")
         if Path(self.out).is_dir() or not Path(self.out).parent.is_dir():
             raise ValueError(f"output path {self.out!r} is not a file in an existing directory")
 
     def budget_for(self, problem: BenchmarkProblem) -> int:
-        """The budget of one run on ``problem``."""
-        if self.budget_multiplier is not None:
-            return int(round(problem.budget * self.budget_multiplier))
-        return problem.budget if self.budget is None else self.budget
+        """The budget of one run on ``problem``: its suite budget times the multiplier."""
+        return int(round(problem.budget * self.budget_multiplier))
 
 
 def parse_problem_spec(spec: str) -> tuple:
@@ -201,22 +193,21 @@ def write_outputs(document: dict, config: RunConfig) -> Path:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: "--budget 600" would otherwise read as a 600x multiplier
     parser = argparse.ArgumentParser(
-        prog="hillvallea",
+        prog="hillvallea", allow_abbrev=False,
         description="Multi-modal optimization benchmark sweeps")
     parser.add_argument("--problems", help="ids, ranges or names, e.g. 1-5,10")
     parser.add_argument("--algo", choices=[k.value for k in SearcherKind],
                         help="core search algorithm (default amu)")
     parser.add_argument("--reps", type=int, help="repetitions per problem")
     parser.add_argument("--seed", type=int, help="base seed; run r uses seed+r")
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--budget", type=int, help="override the benchmark budget")
-    group.add_argument("--budget-multiplier", type=float,
-                       help="scale the benchmark budget")
+    parser.add_argument("--budget-multiplier", type=float,
+                        help="scale each problem's benchmark budget (default 1)")
     parser.add_argument("--injection", choices=["global", "none"],
                         help="optima injected on restarts (default global)")
     parser.add_argument("--trace", type=int, metavar="N",
-                        help="trace peak ratio every N evaluations")
+                        help="trace peak ratio every N evaluations (default 0: off)")
     parser.add_argument("--out", help="output path (default results.json)")
     parser.add_argument("--jobs", type=int, help="parallel repetitions")
     return parser
@@ -226,8 +217,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.problems is None:
         raise ValueError("no problems given (use --problems)")
     settings = {key: getattr(args, key)
-                for key in ("reps", "seed", "budget", "budget_multiplier", "trace", "out",
-                            "jobs")
+                for key in ("reps", "seed", "budget_multiplier", "trace", "out", "jobs")
                 if getattr(args, key) is not None}
     if args.algo is not None:
         settings["kind"] = SearcherKind(args.algo)

@@ -65,13 +65,14 @@ def hill_valley_test(left: np.ndarray, right: np.ndarray, f_left: float, f_right
     """
     if left.shape != right.shape:
         raise ValueError("solutions have mismatched dimensions")
-    t = np.arange(1, n_test + 1) / (n_test + 1)
-    X, bar = right + t[:, None] * (left - right), _reject_bar(f_left, f_right)
+    step, bar = left - right, _reject_bar(f_left, f_right)
     trial, spent, size, same = evaluate.trial(), 0, 8, True
-    while same and spent < n_test:
-        worse = np.flatnonzero(trial.batch(X[spent:spent + size]) > bar)
+    while same and spent < n_test:  # each batch builds only its own points
+        stop = min(n_test, spent + size)
+        t = np.arange(spent + 1, stop + 1) / (n_test + 1)
+        worse = np.flatnonzero(trial.batch(right + t[:, None] * step) > bar)
         same = not worse.size
-        spent, size = min(n_test, spent + size) if same else spent + int(worse[0]) + 1, 2 * size
+        spent, size = stop if same else spent + int(worse[0]) + 1, 2 * size
     granted = evaluate.counter.take(evaluate.phase, spent)
     return granted < spent or same, granted
 

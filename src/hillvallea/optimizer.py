@@ -66,7 +66,7 @@ class RestartLog:
     n_clusters: int
     clustering_complete: bool
     n_skipped_elites: int
-    n_searchers: int
+    n_searchers: int  # searchers that ran; the budget may end before every niche has one
     n_new_elites: int
     archive_size: int
     archive_spread: float
@@ -281,6 +281,7 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind, seed: int = 0,
         searcher_eel = expected_edge_length(volume, len(fitness), d)
         niches = [rows for rows in clusters if not injected[rows[0]]]
         founders = [rows[0] for rows in niches]
+        ran = sum(stop_reasons.values())
         cand_x, cand_f = _search_niches(
             positions[founders], fitness[founders], lambda k, seq: init_from_cluster(
                 positions[niches[k]], fitness[niches[k]], searcher_eel, kind, cluster_size,
@@ -300,7 +301,7 @@ def run_hillvallea(problem: BenchmarkProblem, kind: SearcherKind, seed: int = 0,
             n_clusters=len(clusters),
             clustering_complete=complete,
             n_skipped_elites=len(clusters) - len(niches),
-            n_searchers=len(niches),
+            n_searchers=sum(stop_reasons.values()) - ran,
             n_new_elites=added,
             archive_size=len(archive),
             archive_spread=archive.spread(),

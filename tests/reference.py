@@ -139,6 +139,7 @@ def run(problem, kind: SearcherKind, seed: int = 0, inject: bool = True) -> tupl
 
         niches = [rows for rows in clusters if kept[rows[0]] < n]  # founded by no elite
         founders, eel = [rows[0] for rows in niches], (volume / len(kept)) ** (1.0 / d)
+        ran = sum(stop_reasons.values())
         cand_x, cand_f = search_niches(
             positions[founders], fitness[founders], lambda k, seq: init_from_cluster(
                 positions[niches[k]], fitness[niches[k]], eel, kind, cluster_size,
@@ -149,8 +150,8 @@ def run(problem, kind: SearcherKind, seed: int = 0, inject: bool = True) -> tupl
         fs = [fx for _, fx in elites]
         spread = 0.0 if not fs or max(fs) == min(fs) else float(max(fs) - min(fs))
         logs.append(RestartLog(population, cluster_size, len(kept), len(clusters), complete,
-                               len(clusters) - len(niches), len(niches), added, len(elites),
-                               spread))
+                               len(clusters) - len(niches), sum(stop_reasons.values()) - ran,
+                               added, len(elites), spread))
         if not added:
             population, cluster_size = 2 * population, math.ceil(1.2 * cluster_size)
     return *arrays(elites, d), unverified, counter, stop_reasons, logs

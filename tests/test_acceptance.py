@@ -30,7 +30,7 @@ def _criterion(num, description, detail, ok):
     assert ok, f"criterion {num}: {detail}"
 
 
-def _sweep(problems, injection="global", multiplier=None):
+def _sweep(problems, injection="global", multiplier=1.0):
     config = RunConfig(problems=tuple(problems), kind=SearcherKind.AMU,
                        reps=SEEDS, seed=0, budget_multiplier=multiplier,
                        inject=injection == "global",

@@ -18,7 +18,7 @@ RECORD_KEYS = ("problem_id", "kind", "seed", "evaluations_used", "peak_ratio", "
 
 
 def _tiny_config(tmp_path, **overrides):
-    settings = dict(problems=(2, 3), reps=2, seed=5, budget=600,
+    settings = dict(problems=(2, 3), reps=2, seed=5, budget_multiplier=0.012,  # 600 evaluations
                     out=str(tmp_path / "results.json"))
     settings.update(overrides)
     return RunConfig(**settings)
@@ -52,7 +52,7 @@ def test_execute_sweep_counts_and_seeds(tmp_path):
 
 
 def test_aggregates_summarise_their_records(tmp_path):
-    data = execute_sweep(_tiny_config(tmp_path, problems=(2, 4), budget=1000, seed=3))
+    data = execute_sweep(_tiny_config(tmp_path, problems=(2, 4), budget_multiplier=0.02, seed=3))
     for agg in data["aggregates"]:
         rows = [r for r in data["runs"] if r["problem_id"] == agg["problem_id"]]
         ratios = [r["peak_ratio"] for r in rows]
@@ -86,8 +86,8 @@ def _without_wall_times(records) -> list:
 
 def test_sweep_writes_one_document(tmp_path, capsys):
     config = _tiny_config(tmp_path, trace=200)
-    assert main(["--problems", "2-3", "--reps", "2", "--seed", "5", "--budget", "600",
-                 "--trace", "200", "--out", config.out]) == 0
+    assert main(["--problems", "2-3", "--reps", "2", "--seed", "5", "--budget-multiplier",
+                 "0.012", "--trace", "200", "--out", config.out]) == 0
     assert capsys.readouterr().out == f"wrote {config.out}\n"
     assert list(tmp_path.iterdir()) == [tmp_path / "results.json"]
     blob = json.loads((tmp_path / "results.json").read_text())
@@ -139,15 +139,15 @@ def test_pool_has_no_more_workers_than_runs(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
     for jobs, reps in ((8, 3), (2, 3)):
-        data = execute_sweep(_tiny_config(tmp_path, problems=(2,), reps=reps, budget=300,
-                                          jobs=jobs))
+        data = execute_sweep(_tiny_config(tmp_path, problems=(2,), reps=reps,
+                                          budget_multiplier=0.006, jobs=jobs))
         assert len(data["runs"]) == reps
     assert sizes == [3, 2]
 
 
 def test_trace_file_spacing(tmp_path):
     out = tmp_path / "t.json"
-    rc = main(["--problems", "4", "--reps", "1", "--seed", "0", "--budget", "3000",
+    rc = main(["--problems", "4", "--reps", "1", "--seed", "0", "--budget-multiplier", "0.06",
                "--trace", "500", "--out", str(out)])
     assert rc == 0
     (record,) = json.loads(out.read_text())["runs"]
@@ -158,7 +158,7 @@ def test_trace_file_spacing(tmp_path):
 
 def test_trace_spacing_and_metric(tmp_path):
     out = tmp_path / "t.json"
-    assert main(["--problems", "2", "--seed", "13", "--budget", "20000",
+    assert main(["--problems", "2", "--seed", "13", "--budget-multiplier", "0.4",
                  "--trace", "1000", "--out", str(out)]) == 0
     (record,) = json.loads(out.read_text())["runs"]
     evals = [e for e, _ in record["trace"]]
@@ -172,8 +172,8 @@ def test_trace_ends_at_each_runs_record(tmp_path):
     # the budget ends inside core search of P4 seeds 3 and 4; the last row
     # still counts the elites that restart's postprocess adds
     out = tmp_path / "s.json"
-    assert main(["--problems", "2,4", "--reps", "2", "--seed", "3", "--budget", "1000",
-                 "--trace", "250", "--out", str(out)]) == 0
+    assert main(["--problems", "2,4", "--reps", "2", "--seed", "3", "--budget-multiplier",
+                 "0.02", "--trace", "250", "--out", str(out)]) == 0
     records = json.loads(out.read_text())["runs"]
     for record in records:
         assert [e for e, _ in record["trace"]] == [250, 500, 750, 1000]
@@ -192,6 +192,7 @@ def test_missing_problems_exits_nonzero(capsys):
 
 
 def test_conflicting_budget_flags_rejected():
+    # the multiplier is the one budget setting: no absolute budget goes with it
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["--problems", "2", "--budget", "10",
@@ -199,8 +200,7 @@ def test_conflicting_budget_flags_rejected():
 
 
 def test_budget_multiplier_scales(tmp_path):
-    config = _tiny_config(tmp_path, budget=None, budget_multiplier=0.01,
-                          problems=(2,), reps=1)
+    config = _tiny_config(tmp_path, budget_multiplier=0.01, problems=(2,), reps=1)
     data = execute_sweep(config)
     assert data["runs"][0]["evaluations_used"] == 500  # 50000 * 0.01
 
@@ -219,11 +219,10 @@ def test_injection_flag_mapping():
 def test_run_config_validation(tmp_path):
     with pytest.raises(ValueError):
         RunConfig(problems=(1,), reps=0)
-    with pytest.raises(ValueError):
-        RunConfig(problems=(1,), budget=5, budget_multiplier=2.0)
     nan, inf = float("nan"), float("inf")
-    for bad in ({"budget": 0}, {"budget": -5}, {"trace": -5}, {"budget_multiplier": 0.0},
+    for bad in ({"trace": -5}, {"trace": None}, {"budget_multiplier": 0.0},
                 {"budget_multiplier": nan}, {"budget_multiplier": inf},
+                {"budget_multiplier": 1e308},
                 {"budget_multiplier": 1e-9}, {"jobs": 0}, {"jobs": -1}, {"seed": -1},
                 {"out": str(tmp_path / "missing" / "r.json")}):
         with pytest.raises(ValueError):
@@ -232,7 +231,6 @@ def test_run_config_validation(tmp_path):
     with pytest.raises(ValueError):
         RunConfig(problems=(6, 2), budget_multiplier=5e-6)
     assert RunConfig(problems=(6,), budget_multiplier=5e-6).budget_for(make_problem(6)) == 1
-    assert RunConfig(problems=(6,), budget=7).budget_for(make_problem(6)) == 7
     assert RunConfig(problems=(6,)).budget_for(make_problem(6)) == make_problem(6).budget
     assert RunConfig(problems=(1,), trace=0).trace == 0  # 0: no trace
     # the output's directory must exist, and the output must not be a directory
@@ -245,7 +243,7 @@ def test_run_config_validation(tmp_path):
         RunConfig(problems=(2, 2))
 
 
-@pytest.mark.parametrize("bad", [{"budget": 600.0}, {"budget": True}, {"reps": 1.5},
+@pytest.mark.parametrize("bad", [{"seed": 3.0}, {"trace": True}, {"reps": 1.5},
                                  {"reps": None}, {"jobs": 2.5}, {"trace": 2.5},
                                  {"seed": True}, {"problems": (42,)}, {"problems": (12,)},
                                  {"problems": ()}])
@@ -257,14 +255,15 @@ def test_run_config_rejects_non_integer_counts_and_unknown_problems(bad):
 
 @pytest.mark.parametrize("bad", [{"kind": "amu"}, {"inject": "no"}, {"inject": 1},
                                  {"kind": None}, {"inject": None}, {"budget_multiplier": 2j},
-                                 {"budget_multiplier": True}, {"budget_multiplier": "2"}])
+                                 {"budget_multiplier": True}, {"budget_multiplier": "2"},
+                                 {"budget_multiplier": None}])
 def test_run_config_rejects_mistyped_settings(bad):
     # each would otherwise fail inside every run, or run with settings other than those given
     with pytest.raises(ValueError):
         RunConfig(**{"problems": (2,), **bad})
 
 
-@pytest.mark.parametrize("flags", [["--budget", "-5"], ["--budget", "0"],
+@pytest.mark.parametrize("flags", [["--budget-multiplier", "-5"], ["--budget-multiplier", "0"],
                                    ["--problems", "99"], ["--trace", "-5"],
                                    ["--budget-multiplier", "1e-9"],
                                    ["--budget-multiplier", "nan"],
@@ -286,7 +285,8 @@ def test_invalid_values_exit_with_usage_error(flags, tmp_path, capsys, monkeypat
 
 # options and option values the parser does not know
 @pytest.mark.parametrize("flags", [["--injection", "all"], ["--tol", "1e-5"],
-                                   ["--format", "csv"], ["--epsilon", "1e-5"]])
+                                   ["--format", "csv"], ["--epsilon", "1e-5"],
+                                   ["--budget", "600"]])
 def test_unknown_options_exit_with_usage_error_before_any_run(flags, tmp_path):
     with pytest.raises(SystemExit) as exit_info:
         main(["--problems", "2", "--out", str(tmp_path / "r.json"), *flags])

@@ -24,7 +24,7 @@ GOLDEN_PATH = Path(__file__).with_name("golden_runs.json")
 SWEEP_PATH = Path(__file__).with_name("golden_sweep.json")
 
 # per-problem aggregates over unequal peak ratios (P4: 0.5 and 0.75)
-SWEEP_ARGS = ["--problems", "2,4", "--reps", "2", "--seed", "3", "--budget", "1000",
+SWEEP_ARGS = ["--problems", "2,4", "--reps", "2", "--seed", "3", "--budget-multiplier", "0.02",
               "--trace", "250"]
 
 # (problem id, searcher kind, budget, injection, seed[, trace spacing]); the

@@ -114,6 +114,21 @@ def test_hill_valley_evaluation_bound_property():
         assert spent == n or not same  # stopping early only happens on rejection
 
 
+def test_hill_valley_test_builds_only_the_points_it_evaluates():
+    # a million-point test across a very uneven box that rejects at its first
+    # point holds its first batch of points, not the whole segment's
+    left, right = np.array([1e8, 0.0]), np.array([0.0, 1e-8])
+    obj = budgeted_fn(lambda x: 1.0)
+    tracemalloc.start()
+    try:
+        same, spent = hill_valley_test(left, right, 0.0, 0.0, 10 ** 6, obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (same, spent) == (False, 1)
+    assert peak < 2 ** 20
+
+
 def _last_batch(p):
     """(points evaluated, last batch size) of a test that rejects at point p:
     it evaluates through its batch of 8, 16, 32, ... points."""

@@ -57,7 +57,7 @@ def test_runs_and_sweeps_with_scipy_blocked(tmp_path):
         result = hillvallea.run_hillvallea(problem, hillvallea.SearcherKind.AMU, seed=0)
         assert result.evaluations_used == 10000 and len(result.archive) > 0
         assert max(rows) > 128, rows
-        sys.exit(main(["--problems", "2,10", "--reps", "1", "--budget", "10000",
+        sys.exit(main(["--problems", "2,10", "--reps", "1", "--budget-multiplier", "0.05",
                        "--jobs", "2", "--out", {str(out)!r}]))
     """)
     runs = json.loads(out.read_text())["runs"]

@@ -166,7 +166,7 @@ def test_budget_hard_stop_and_phase_accounting(kind, d, budget, inject, seed, pi
     for elite in elites:
         assert problem.domain.contains(elite.position)
     searchers = sum(log.n_searchers for log in result.per_restart_log)
-    assert sum(result.stop_reasons.values()) <= searchers
+    assert sum(result.stop_reasons.values()) == searchers
 
 
 def test_archive_spread_after_every_restart():
